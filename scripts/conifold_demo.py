@@ -39,12 +39,12 @@ def main() -> None:
     (quadric,) = moment_quadrics(rep)
     print("moment quadric:", quadric.as_string())
 
-    regseq = verify_regular_sequence(rep, window, 8)
-    print("regular sequence to degree 8:", regseq.passed)
+    alg = GradedQuiverAlgebra(rep, window, 6)
+    regseq = verify_regular_sequence(alg)
+    print("regular sequence to degree 6:", regseq.passed)
 
     print("codimension estimate:", singular_codim_estimate(rep).estimate)
 
-    alg = GradedQuiverAlgebra(rep, window, 6)
     pres = quiver_presentation(alg)
     print("arrows:")
     for a in pres.arrows:
@@ -60,7 +60,7 @@ def main() -> None:
     numeric = numerical_koszul_consistency(alg.hilbert_matrices())
     print("inverse series nonnegative:", numeric.consistent)
 
-    ambient = GradedQuiverAlgebra(rep, window, 6, quadrics=())
+    ambient = alg.ambient()
     amb_report = koszul_check(ambient, depth=4)
     print(
         "ambient resolution status:",

@@ -52,7 +52,7 @@ def main(argv=None) -> int:
                     if alg.dim(i, j, n) != oracle_block_dimension(rep, mu, mup, n, True):
                         blocks_ok = False
 
-        regseq = verify_regular_sequence(rep, window, args.upto)
+        regseq = verify_regular_sequence(alg)
         reduced = reduce_to_generic(rep).reduced
         codim = singular_codim_estimate(reduced).estimate
         koszul = koszul_check(alg, depth=min(default_depth(alg), 4))

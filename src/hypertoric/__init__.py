@@ -53,8 +53,6 @@ from .algebra import (
     RegSeqReport,
     Relation,
     SliceRing,
-    build_algebra,
-    hilbert_block_series,
     hilbert_inverse_coefficients,
     hom_dimension,
     quiver_presentation,
@@ -120,11 +118,9 @@ __all__ = [
     "ValidationReport",
     "VertexResolution",
     "Zonotope",
-    "build_algebra",
     "build_zonotope",
     "enumerate_window",
     "find_generic_direction",
-    "hilbert_block_series",
     "hilbert_inverse_coefficients",
     "hom_dimension",
     "is_generic_w",

@@ -10,9 +10,9 @@ characters, with one vertex per window point.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, lcm
 
 from .errors import (
@@ -24,9 +24,7 @@ from .errors import (
 from .lattice import (
     IntVec,
     content,
-    dot,
     nullspace,
-    sparse_rank,
     sparse_rref,
     vec_sub,
 )
@@ -202,31 +200,16 @@ class SliceRing:
     def multiply(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
         return self.reduce(tuple(a + b for a, b in zip(m1, m2)))
 
-    def multiply_dict(self, elem: dict[Monomial, Fraction], mono: Monomial
-                      ) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
-        for m, c in elem.items():
-            for m2, c2 in self.multiply(m, mono).items():
-                v = out.get(m2, Fraction(0)) + c * c2
-                if v:
-                    out[m2] = v
-                elif m2 in out:
-                    del out[m2]
-        return out
-
-
-@lru_cache(maxsize=None)
-def _ambient_ring(rep: SymplecticRep) -> SliceRing:
-    return SliceRing(rep, ())
+    def ambient(self) -> SliceRing:
+        """The ring without relations, on this ring's monomial buckets."""
+        ring = SliceRing(self.rep, (), self.max_degree)
+        ring._buckets = self._buckets
+        return ring
 
 
 def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
     """Monomials of total degree n and torus weight w in the full ring."""
-    return _ambient_ring(rep).ambient_dim(n, tuple(w))
-
-
-def hilbert_block_series(ring: SliceRing, w: IntVec, upto: int) -> tuple[int, ...]:
-    return tuple(ring.dim(n, w) for n in range(upto + 1))
+    return SliceRing(rep).ambient_dim(n, tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +233,23 @@ class RegSeqReport:
     first_failure: RegSeqFailure | None
 
 
-def verify_regular_sequence(
-    rep: SymplecticRep,
-    window: CharacterWindow,
-    upto: int,
-    quadrics: tuple[MomentQuadric, ...] | None = None,
-) -> RegSeqReport:
-    """Compare quotient slice dimensions against the regular-sequence target.
+def verify_regular_sequence(alg: GradedQuiverAlgebra) -> RegSeqReport:
+    """Compare the algebra's slice dimensions against the regular-sequence target.
 
     If the quadrics form a regular sequence, each weight-w Hilbert series of
-    the quotient equals the ambient one times (1 - t^2)^q.  The scan runs
-    degree-outer so the reported failure is at the first impossible degree.
+    the quotient equals the ambient one times (1 - t^2)^q.  The scan covers
+    every block weight up to the degree bound and reads both counts from the
+    algebra's ring.  It runs degree-outer so the reported failure is at the
+    first impossible degree.
     """
-    if quadrics is None:
-        quadrics = moment_quadrics(rep)
-    ring = SliceRing(rep, quadrics)
-    q = len(quadrics)
-    weights = sorted({vec_sub(b, a) for a in window.points for b in window.points})
+    ring = alg.ring
+    q = len(ring.quadrics)
+    weights = sorted({vec_sub(b, a) for a in alg.vertices for b in alg.vertices})
     failure = None
-    for n in range(upto + 1):
+    for n in range(alg.degree_bound + 1):
         for w in weights:
             expected = sum(
-                (-1) ** k * comb(q, k) * hom_dimension(rep, n - 2 * k, w)
+                (-1) ** k * comb(q, k) * ring.ambient_dim(n - 2 * k, w)
                 for k in range(min(q, n // 2) + 1)
             )
             got = ring.dim(n, w)
@@ -282,7 +260,7 @@ def verify_regular_sequence(
             break
     return RegSeqReport(
         passed=failure is None,
-        upto=upto,
+        upto=alg.degree_bound,
         num_quadrics=q,
         weights=tuple(weights),
         first_failure=failure,
@@ -315,8 +293,17 @@ class GradedQuiverAlgebra:
         self.rep = rep
         self.window = window
         self.degree_bound = degree_bound
-        self.quadrics = tuple(quadrics)
-        self.ring = SliceRing(rep, self.quadrics, max_degree=degree_bound)
+        self.ring = SliceRing(rep, quadrics, max_degree=degree_bound)
+
+    @property
+    def quadrics(self) -> tuple[MomentQuadric, ...]:
+        return self.ring.quadrics
+
+    def ambient(self) -> GradedQuiverAlgebra:
+        """The same window algebra without relations, sharing the monomials."""
+        amb = copy(self)
+        amb.ring = self.ring.ambient()
+        return amb
 
     @property
     def vertices(self) -> tuple[IntVec, ...]:
@@ -353,15 +340,6 @@ class GradedQuiverAlgebra:
                 f"requested degree {upto} exceeds the algebra bound {self.degree_bound}"
             )
         return [self.hilbert_matrix(n) for n in range(upto + 1)]
-
-
-def build_algebra(
-    rep: SymplecticRep,
-    window: CharacterWindow,
-    degree_bound: int,
-    quadrics: tuple[MomentQuadric, ...] | None = None,
-) -> GradedQuiverAlgebra:
-    return GradedQuiverAlgebra(rep, window, degree_bound, quadrics)
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,12 @@ def _parse_budget(spec: str) -> Budget:
                 f"bad budget entry {part!r}; keys: {', '.join(sorted(_BUDGET_KEYS))}"
             )
         try:
-            overrides[_BUDGET_KEYS[key]] = int(value)
+            limit = int(value)
         except ValueError:
             raise ProblemFormatError(f"budget value for {key!r} must be an integer")
+        if limit < 1:
+            raise ProblemFormatError(f"budget value for {key!r} must be positive")
+        overrides[_BUDGET_KEYS[key]] = limit
     return Budget(**overrides)
 
 

@@ -23,12 +23,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_add(u: IntVec, v: IntVec) -> IntVec:
-    if len(u) != len(v):
-        raise DimensionError(f"vector length mismatch: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: IntVec, v: IntVec) -> IntVec:
     if len(u) != len(v):
         raise DimensionError(f"vector length mismatch: {len(u)} vs {len(v)}")
@@ -37,10 +31,6 @@ def vec_sub(u: IntVec, v: IntVec) -> IntVec:
 
 def vec_neg(u: IntVec) -> IntVec:
     return tuple(-a for a in u)
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
 
 
 def content(v: Sequence[int]) -> int:
@@ -122,27 +112,6 @@ def rank(vectors: Iterable[Sequence]) -> int:
             raise DimensionError("rank of ragged matrix")
     _, pivots = rref(rows)
     return len(pivots)
-
-
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of rows * x = rhs, or None if inconsistent.
-
-    Free variables are set to zero, which makes the answer deterministic.
-    """
-    rows = [list(r) for r in rows]
-    if len(rows) != len(rhs):
-        raise DimensionError("system and right-hand side disagree")
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, p in zip(red, pivots):
-        sol[p] = r[-1]
-    return sol
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
@@ -361,10 +330,6 @@ def sparse_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
                 piv[j] = r
                 break
     return piv
-
-
-def sparse_rank(rows: Iterable[SparseRow]) -> int:
-    return len(sparse_echelon(rows))
 
 
 class IncrementalEchelon:

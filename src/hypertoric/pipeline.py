@@ -111,6 +111,14 @@ class ProblemFile:
     analyses: tuple[str, ...]
     name: str | None = None
 
+    def __post_init__(self):
+        # the schema minimums also bind values set after parsing, such as
+        # command-line overrides
+        for key in ("truncation", "depth"):
+            low = PROBLEM_SCHEMA["properties"][key]["minimum"]
+            if getattr(self, key) < low:
+                raise ProblemFormatError(f"{key} must be at least {low}", key)
+
     @property
     def rep(self) -> SymplecticRep:
         return SymplecticRep(self.torus_rank, self.half_weights)
@@ -119,9 +127,10 @@ class ProblemFile:
 def _parse_xi_entry(raw) -> Fraction:
     if isinstance(raw, bool):
         raise ProblemFormatError("xi entries must be integers or 'p/q' strings", "xi")
-    if isinstance(raw, int):
+    try:
         return Fraction(raw)
-    return Fraction(raw)
+    except ZeroDivisionError:
+        raise ProblemFormatError(f"xi entry {raw!r} has a zero denominator", "xi") from None
 
 
 def parse_problem(data: dict) -> ProblemFile:
@@ -524,8 +533,12 @@ def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
                 ],
             }
 
+        alg = None
+        if requested & GRADED_ANALYSES:
+            alg = GradedQuiverAlgebra(rep, window, problem.truncation, quadrics)
+
         if "regular_sequence" in requested:
-            rs = verify_regular_sequence(rep, window, problem.truncation)
+            rs = verify_regular_sequence(alg)
             report_sections["regular_sequence"] = {
                 "passed": rs.passed,
                 "upto": rs.upto,
@@ -562,10 +575,6 @@ def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
                 "bad_subset": list(est.bad_subset) if est.bad_subset is not None else None,
                 "bad_rank": est.bad_rank,
             }
-
-        alg = None
-        if requested & {"hilbert", "quiver", "koszul"}:
-            alg = GradedQuiverAlgebra(rep, window, problem.truncation)
 
         if "hilbert" in requested:
             report_sections["hilbert"] = {
@@ -604,9 +613,8 @@ def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
             }
 
         if "koszul" in requested:
-            ambient_alg = GradedQuiverAlgebra(rep, window, problem.truncation, quadrics=())
             section = {}
-            for side, algebra in (("quotient", alg), ("ambient", ambient_alg)):
+            for side, algebra in (("quotient", alg), ("ambient", alg.ambient())):
                 ledger = koszul_check(algebra, depth=problem.depth)
                 numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
                 section[side] = {

@@ -32,10 +32,6 @@ class Zonotope:
     flat_normals: tuple[IntVec, ...]
     facets: tuple[Facet, ...]
 
-    @property
-    def generators(self) -> tuple[IntVec, ...]:
-        return self.half_generators + tuple(vec_neg(w) for w in self.half_generators)
-
     def support(self, normal: IntVec) -> int:
         """Largest value of normal . x over the zonotope."""
         return sum(abs(dot(normal, w)) for w in self.half_generators)
@@ -113,9 +109,6 @@ class CharacterWindow:
 
     def __iter__(self):
         return iter(self.points)
-
-    def index(self, point: IntVec) -> int:
-        return self.points.index(tuple(point))
 
 
 def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:

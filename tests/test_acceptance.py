@@ -74,7 +74,8 @@ def test_criterion_1_conifold_end_to_end(problems_dir, acceptance_log):
 def test_criterion_2_regular_sequences(rep_a, rep_b, window_a, window_b, acceptance_log):
     with criterion("criterion 2: regular sequence verification", acceptance_log):
         for rep, window, upto in ((rep_a, window_a, 8), (rep_b, window_b, 6)):
-            report = verify_regular_sequence(rep, window, upto)
+            quo = GradedQuiverAlgebra(rep, window, upto)
+            report = verify_regular_sequence(quo)
             assert report.passed and report.first_failure is None
             diffs = {
                 tuple(a - b for a, b in zip(p, q))
@@ -85,8 +86,7 @@ def test_criterion_2_regular_sequences(rep_a, rep_b, window_a, window_b, accepta
 
             # blockwise series factorization through the quadric count
             s = rep.torus_rank
-            amb = GradedQuiverAlgebra(rep, window, upto, quadrics=())
-            quo = GradedQuiverAlgebra(rep, window, upto)
+            amb = quo.ambient()
             for n in range(upto + 1):
                 for i in range(quo.num_vertices):
                     for j in range(quo.num_vertices):
@@ -100,7 +100,9 @@ def test_criterion_2_regular_sequences(rep_a, rep_b, window_a, window_b, accepta
         # control: a duplicated quadric must fail, and at the first degree
         # where the alternating count goes negative or undershoots
         qs = moment_quadrics(rep_b)
-        control = verify_regular_sequence(rep_b, window_b, 6, quadrics=qs + (qs[0],))
+        control = verify_regular_sequence(
+            GradedQuiverAlgebra(rep_b, window_b, 6, quadrics=qs + (qs[0],))
+        )
         assert not control.passed
         assert control.first_failure.degree == 2
         assert control.first_failure.weight == (0, 0)
@@ -119,7 +121,7 @@ def test_criterion_3_oracle_equivalence(corpus, acceptance_log):
             assert set(window.points) == oracle_lattice_points(rep, eps)
 
             quo = GradedQuiverAlgebra(rep, window, 6)
-            amb = GradedQuiverAlgebra(rep, window, 6, quadrics=())
+            amb = quo.ambient()
             for i, mu in enumerate(window.points):
                 for j, mup in enumerate(window.points):
                     for n in range(7):

@@ -13,12 +13,7 @@ from hypertoric import (
     MomentQuadric,
     ResourceBudgetError,
     SliceRing,
-    SymplecticRep,
     UnsupportedShiftError,
-    build_algebra,
-    build_zonotope,
-    enumerate_window,
-    hilbert_block_series,
     hilbert_inverse_coefficients,
     hom_dimension,
     moment_quadrics,
@@ -73,8 +68,8 @@ def test_nonzero_shift_rejected_in_graded_ring(rep_a):
 
 def test_hilbert_blocks_conifold(rep_a):
     ring = quotient_ring(rep_a)
-    assert hilbert_block_series(ring, (0,), 6) == (1, 0, 3, 0, 5, 0, 7)
-    assert hilbert_block_series(ring, (1,), 6) == (0, 2, 0, 4, 0, 6, 0)
+    assert [ring.dim(n, (0,)) for n in range(7)] == [1, 0, 3, 0, 5, 0, 7]
+    assert [ring.dim(n, (1,)) for n in range(7)] == [0, 2, 0, 4, 0, 6, 0]
 
 
 def test_reduce_collapses_quadric(rep_a):
@@ -116,7 +111,7 @@ def test_piece_rank_accounting(rep_b):
 
 
 def test_regular_sequence_conifold(rep_a, window_a):
-    report = verify_regular_sequence(rep_a, window_a, 8)
+    report = verify_regular_sequence(GradedQuiverAlgebra(rep_a, window_a, 8))
     assert report.passed
     assert report.first_failure is None
     assert report.num_quadrics == 1
@@ -124,8 +119,9 @@ def test_regular_sequence_conifold(rep_a, window_a):
 
 
 def test_regular_sequence_hexagon(rep_b, window_b):
-    report = verify_regular_sequence(rep_b, window_b, 6)
+    report = verify_regular_sequence(GradedQuiverAlgebra(rep_b, window_b, 6))
     assert report.passed
+    assert report.upto == 6
     diffs = {
         tuple(a - b for a, b in zip(p, q))
         for p in window_b.points
@@ -137,7 +133,8 @@ def test_regular_sequence_hexagon(rep_b, window_b):
 def test_duplicated_quadric_fails_at_first_impossible_degree(rep_b, window_b):
     """A dependent cut cannot stay regular; degree 2 already overcounts."""
     qs = moment_quadrics(rep_b)
-    report = verify_regular_sequence(rep_b, window_b, 6, quadrics=qs + (qs[0],))
+    alg = GradedQuiverAlgebra(rep_b, window_b, 6, quadrics=qs + (qs[0],))
+    report = verify_regular_sequence(alg)
     assert not report.passed
     f = report.first_failure
     assert (f.degree, f.weight) == (2, (0, 0))
@@ -148,8 +145,8 @@ def test_duplicated_quadric_fails_at_first_impossible_degree(rep_b, window_b):
 def test_quotient_series_is_ambient_times_euler_factor(rep_b, window_b, upto):
     # H_quot(n) = sum_k (-1)^k C(s,k) H_amb(n-2k), blockwise
     s = rep_b.torus_rank
-    amb = GradedQuiverAlgebra(rep_b, window_b, upto, quadrics=())
     quo = GradedQuiverAlgebra(rep_b, window_b, upto)
+    amb = quo.ambient()
     for n in range(upto + 1):
         want = [
             [
@@ -164,6 +161,18 @@ def test_quotient_series_is_ambient_times_euler_factor(rep_b, window_b, upto):
         ]
         got = [list(row) for row in quo.hilbert_matrix(n)]
         assert got == want
+
+
+def test_ambient_algebra_shares_monomials(rep_b, window_b):
+    quo = GradedQuiverAlgebra(rep_b, window_b, 4)
+    amb = quo.ambient()
+    assert amb.quadrics == ()
+    assert quo.quadrics == moment_quadrics(rep_b)
+    fresh = GradedQuiverAlgebra(rep_b, window_b, 4, quadrics=())
+    assert amb.hilbert_matrices() == fresh.hilbert_matrices()
+    for n in range(5):
+        for w, monos in quo.ring.bucket(n).items():
+            assert amb.ring.monomials(n, w) is monos
 
 
 # -- window algebra and its quiver ------------------------------------------
@@ -183,7 +192,7 @@ def test_algebra_requires_quadratic_visibility(rep_a, window_a):
 
 
 def test_hilbert_matrices_conifold(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     mats = alg.hilbert_matrices()
     assert mats[0] == ((1, 0), (0, 1))
     assert mats[1] == ((0, 2), (2, 0))
@@ -192,7 +201,7 @@ def test_hilbert_matrices_conifold(rep_a, window_a):
 
 
 def test_quiver_presentation_conifold(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     pres = quiver_presentation(alg)
     assert pres.vertices == ((0,), (1,))
     assert [(a.source, a.target, a.label) for a in pres.arrows] == [
@@ -209,7 +218,7 @@ def test_quiver_presentation_conifold(rep_a, window_a):
 
 
 def test_quiver_presentation_hexagon(rep_b, window_b):
-    alg = build_algebra(rep_b, window_b, 6)
+    alg = GradedQuiverAlgebra(rep_b, window_b, 6)
     pres = quiver_presentation(alg)
     assert [(a.source, a.target, a.label) for a in pres.arrows] == [
         (0, 1, "x1"),
@@ -237,14 +246,14 @@ def relation_vanishes(alg, pres, rel):
 
 def test_relations_vanish_in_quotient(rep_a, rep_b, window_a, window_b):
     for rep, window in ((rep_a, window_a), (rep_b, window_b)):
-        alg = build_algebra(rep, window, 4)
+        alg = GradedQuiverAlgebra(rep, window, 4)
         pres = quiver_presentation(alg)
         for rel in pres.relations:
             assert relation_vanishes(alg, pres, rel)
 
 
 def test_arrow_count_matches_degree_one_blocks(rep_b, window_b):
-    alg = build_algebra(rep_b, window_b, 4)
+    alg = GradedQuiverAlgebra(rep_b, window_b, 4)
     pres = quiver_presentation(alg)
     expected = sum(
         alg.dim(i, j, 1)
@@ -258,7 +267,7 @@ def test_arrow_count_matches_degree_one_blocks(rep_b, window_b):
 
 
 def test_inverse_series_conifold_is_koszul_polynomial(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     coeffs = hilbert_inverse_coefficients(alg.hilbert_matrices())
     assert coeffs[0] == [[1, 0], [0, 1]]
     assert coeffs[1] == [[0, 2], [2, 0]]

@@ -4,7 +4,6 @@ import pytest
 
 from hypertoric import (
     GradedQuiverAlgebra,
-    build_algebra,
     koszul_check,
     minimal_resolution,
     numerical_koszul_consistency,
@@ -32,12 +31,12 @@ def euler_identity_holds(alg, res, upto):
 
 
 def test_default_depth_formula(rep_a, rep_b, window_a, window_b):
-    assert default_depth(build_algebra(rep_a, window_a, 4)) == 2
-    assert default_depth(build_algebra(rep_b, window_b, 4)) == 2
+    assert default_depth(GradedQuiverAlgebra(rep_a, window_a, 4)) == 2
+    assert default_depth(GradedQuiverAlgebra(rep_b, window_b, 4)) == 2
 
 
 def test_quotient_resolution_conifold(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     res = minimal_resolution(alg, 0, 4)
     assert res.status == "linear"
     assert res.exhausted
@@ -46,7 +45,7 @@ def test_quotient_resolution_conifold(rep_a, window_a):
 
 
 def test_quotient_resolution_conifold_other_vertex(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     res = minimal_resolution(alg, 1, 4)
     assert res.steps == (((1, 0),), ((0, 1), (0, 1)), ((1, 2),))
     assert res.status == "linear" and res.exhausted
@@ -62,7 +61,7 @@ def test_ambient_resolution_conifold_violates(rep_a, window_a):
 
 
 def test_koszul_check_quotient_conifold(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     report = koszul_check(alg, depth=4)
     assert report.status == "linear"
     assert report.first_violation is None
@@ -78,7 +77,7 @@ def test_koszul_check_ambient_conifold(rep_a, window_a):
 
 
 def test_koszul_check_quotient_hexagon(rep_b, window_b):
-    alg = build_algebra(rep_b, window_b, 6)
+    alg = GradedQuiverAlgebra(rep_b, window_b, 6)
     report = koszul_check(alg, depth=4)
     assert report.status == "linear" and report.all_exhausted
 
@@ -92,7 +91,7 @@ def test_koszul_check_ambient_hexagon(rep_b, window_b):
 
 
 def test_truncation_limited_status(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 2)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 2)
     report = koszul_check(alg, depth=4)
     assert report.status == "truncation_limited"
     for res in report.resolutions:
@@ -102,23 +101,23 @@ def test_truncation_limited_status(rep_a, window_a):
 
 
 def test_degree_bound_clamped_to_algebra(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 4)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 4)
     res = minimal_resolution(alg, 0, 2, degree_bound=100)
     assert res.degree_bound == 4
 
 
 def test_euler_identity_frozen_cases(rep_a, rep_b, window_a, window_b):
     for rep, window in ((rep_a, window_a), (rep_b, window_b)):
-        quo = build_algebra(rep, window, 6)
+        quo = GradedQuiverAlgebra(rep, window, 6)
         for res in koszul_check(quo, depth=4).resolutions:
             assert euler_identity_holds(quo, res, 6)
-        amb = GradedQuiverAlgebra(rep, window, 6, quadrics=())
+        amb = quo.ambient()
         for res in koszul_check(amb, depth=4).resolutions:
             assert euler_identity_holds(amb, res, 6)
 
 
 def test_numeric_consistency_quotient(rep_a, window_a):
-    alg = build_algebra(rep_a, window_a, 6)
+    alg = GradedQuiverAlgebra(rep_a, window_a, 6)
     report = numerical_koszul_consistency(alg.hilbert_matrices())
     assert report.consistent
     assert report.first_negative is None

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hypertoric import algebra
 from hypertoric.cli import main
 from hypertoric.errors import (
     ProblemFormatError,
@@ -81,6 +83,7 @@ def test_parse_rejects_boolean_xi():
         {"analyses": ["windows"]},
         {"unknown_field": 1},
         {"chi": ["a"]},
+        {"xi": ["1/0"]},
     ],
 )
 def test_parse_rejects_malformed(mutation):
@@ -193,6 +196,37 @@ def test_reduction_section_on_split_rep():
     assert sec["chi_reduced"] == [1]
 
 
+def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
+    """Regular-sequence scan and Hilbert blocks share one ring."""
+    eliminations = []
+    buckets = []
+    sparse_rref = algebra.sparse_rref
+    compositions = algebra._compositions
+
+    def counting_rref(rows):
+        eliminations.append(1)
+        return sparse_rref(rows)
+
+    def counting_compositions(n, parts):
+        if parts == 6:  # top-level calls only: hexagon has 6 coordinates
+            buckets.append(n)
+        return compositions(n, parts)
+
+    monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
+    monkeypatch.setattr(algebra, "_compositions", counting_compositions)
+    problem = replace(
+        load_problem(str(problems_dir / "hexagon.json")),
+        truncation=8,
+        analyses=("hilbert", "regular_sequence"),
+    )
+    report = run(problem)
+    assert report.sections["regular_sequence"]["passed"]
+    points = report.sections["hilbert"]["vertices"]
+    weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
+    assert len(eliminations) == 9 * len(weights)
+    assert sorted(buckets) == list(range(9))
+
+
 def test_text_rendering_smoke():
     text = run(conifold_problem()).to_text()
     assert "== checks ==" in text
@@ -235,6 +269,20 @@ def test_cli_budget_exceeded_exits_four(problems_dir, capsys):
     rc = main(["run", str(problems_dir / "conifold.json"), "--N", "20"])
     assert rc == 4
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--N", "1"),
+        ("--depth", "0"),
+        ("--budget", "truncation=0"),
+        ("--budget", "window=-1"),
+    ],
+)
+def test_cli_overrides_below_minimum_exit_three(problems_dir, capsys, flags):
+    assert main(["run", str(problems_dir / "conifold.json"), *flags]) == 3
+    assert "input error" in capsys.readouterr().err
 
 
 def test_cli_invalid_input_exits_three(tmp_path, capsys):

@@ -129,7 +129,6 @@ def test_window_frozen_hexagon(rep_b):
     w = enumerate_window(z, (2, 1))
     assert w.points == ((0, 0), (1, 0), (1, 1))
     assert len(w) == 3
-    assert w.index((1, 1)) == 2
     assert list(iter(w)) == list(w.points)
 
 
