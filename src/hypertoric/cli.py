@@ -90,16 +90,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 3
     try:
         problem = load_problem(args.file)
-        if args.analyses:
-            names = {a.strip() for a in args.analyses.split(",") if a.strip()}
-            unknown = names - set(ANALYSES)
-            if unknown:
-                raise ProblemFormatError(
-                    f"unknown analyses: {', '.join(sorted(unknown))}", "analyses"
-                )
-            problem = replace(
-                problem, analyses=tuple(a for a in ANALYSES if a in names)
-            )
+        if args.analyses is not None:
+            names = (a.strip() for a in args.analyses.split(","))
+            problem = replace(problem, analyses=tuple(a for a in names if a))
         if args.truncation is not None:
             problem = replace(problem, truncation=args.truncation)
         if args.depth is not None:

@@ -1,16 +1,19 @@
 """Problem files, the analysis pipeline, and deterministic reports.
 
 A problem file is a JSON object naming the representation and the pipeline
-parameters.  run() executes the requested analyses in dependency order and
-returns a Report whose JSON form is canonical (sorted keys, fixed
-normalization), so identical inputs produce byte-identical output.
+parameters.  run() executes the requested analyses in pipeline order, one
+row of STAGES each, and returns a Report whose JSON form is canonical
+(sorted keys, fixed normalization), so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 import jsonschema
 
@@ -28,27 +31,370 @@ from .errors import (
 from .koszul import koszul_check, numerical_koszul_consistency
 from .lattice import IntVec, dot
 from .reps import (
+    MomentQuadric,
+    ReductionResult,
     SymplecticRep,
     moment_quadrics,
     reduce_to_generic,
     require_valid,
     singular_codim_estimate,
 )
-from .zonotope import build_zonotope, enumerate_window, find_generic_direction
-
-ANALYSES = (
-    "validation",
-    "genericity",
-    "reduction",
-    "zonotope",
-    "window",
-    "quadrics",
-    "hilbert",
-    "regular_sequence",
-    "codimension",
-    "quiver",
-    "koszul",
+from .zonotope import (
+    CharacterWindow,
+    Zonotope,
+    build_zonotope,
+    enumerate_window,
+    find_generic_direction,
 )
+
+# ---------------------------------------------------------------------------
+# the stages
+
+
+class _Context:
+    """The intermediates of one run, each computed on first use.
+
+    Every stage reads the intermediates it needs from here, so an analysis
+    computes the same thing whichever other analyses were requested.
+    """
+
+    def __init__(self, problem: ProblemFile, budget: Budget):
+        self.problem = problem
+        self.budget = budget
+        self.rep = problem.rep
+        self.validation = require_valid(self.rep)
+        self.checks: list[dict] = []
+
+    def check(self, name: str, status: str, detail: str | None = None):
+        self.checks.append({"name": name, "status": status, "detail": detail})
+
+    @cached_property
+    def zonotope(self) -> Zonotope:
+        return build_zonotope(self.rep)
+
+    @cached_property
+    def epsilon(self) -> IntVec:
+        if self.problem.epsilon is not None:
+            return self.problem.epsilon
+        return find_generic_direction(self.zonotope)
+
+    @cached_property
+    def witnesses(self) -> dict[str, IntVec | None]:
+        """A flat normal annihilating chi and epsilon each; None where generic."""
+        return {
+            "chi": self.zonotope.generic_witness(self.problem.chi),
+            "epsilon": self.zonotope.generic_witness(self.epsilon),
+        }
+
+    @cached_property
+    def reduction(self) -> ReductionResult:
+        return reduce_to_generic(self.rep, chi=self.problem.chi, epsilon=self.epsilon)
+
+    @cached_property
+    def window(self) -> CharacterWindow:
+        box = prod(
+            sum(abs(w[k]) for w in self.rep.half_weights) + 1
+            for k in range(self.rep.torus_rank)
+        )
+        if box > self.budget.max_box:
+            raise ResourceBudgetError(
+                f"window bounding box has {box} candidates, budget {self.budget.max_box}"
+            )
+        window = enumerate_window(self.zonotope, self.epsilon)
+        if len(window.points) > self.budget.max_window:
+            raise ResourceBudgetError(
+                f"window has {len(window.points)} points, budget {self.budget.max_window}"
+            )
+        return window
+
+    @cached_property
+    def quadrics(self) -> tuple[MomentQuadric, ...]:
+        return moment_quadrics(self.rep, self.problem.xi)
+
+    @cached_property
+    def algebra(self) -> GradedQuiverAlgebra:
+        return GradedQuiverAlgebra(
+            self.rep, self.window, self.problem.truncation, self.quadrics
+        )
+
+
+# Each stage has a section builder, which returns the section (dataclasses
+# allowed; run() normalizes it with _jsonify) and records its checks, and a
+# text renderer, which turns the normalized section into report lines.
+
+
+def _validation(ctx: _Context):
+    ctx.check("faithful", "PASS")
+    return ctx.validation
+
+
+def _render_validation(sec: dict) -> list[str]:
+    return [
+        f"faithful: {sec['faithful']}",
+        f"weight rank: {sec['weight_rank']} of {sec['torus_rank']}",
+        f"invariant factors: {sec['invariant_factors']}",
+        f"strictly faithful: {sec['strictly_faithful']}",
+    ] + [f"assumes: {a}" for a in sec["assumptions"]]
+
+
+def _genericity(ctx: _Context):
+    section = {}
+    for key, value in (("chi", ctx.problem.chi), ("epsilon", ctx.epsilon)):
+        witness = ctx.witnesses[key]
+        section[key] = {"value": value, "generic": witness is None, "witness": witness}
+        if witness is None:
+            ctx.check(f"{key}_generic", "PASS")
+        else:
+            ctx.check(
+                f"{key}_generic", "FAIL",
+                f"{key} parallel to flat with normal {_fmt_vec(witness)}",
+            )
+    section["epsilon"]["source"] = "auto" if ctx.problem.epsilon is None else "given"
+    return section
+
+
+def _render_genericity(sec: dict) -> list[str]:
+    lines = []
+    for key in ("chi", "epsilon"):
+        item = sec[key]
+        verdict = "generic" if item["generic"] else (
+            f"NOT generic, witness flat normal {_fmt_vec(item['witness'])}"
+        )
+        extra = f" [{item['source']}]" if key == "epsilon" else ""
+        lines.append(f"{key} = {_fmt_vec(item['value'])}{extra}: {verdict}")
+    return lines
+
+
+def _reduction(ctx: _Context):
+    red = ctx.reduction
+    return {
+        "needed": not red.is_trivial,
+        "steps": red.steps,
+        "reduced": red.reduced,
+        "chi_reduced": red.chi,
+        "epsilon_reduced": red.epsilon,
+    }
+
+
+def _render_reduction(sec: dict) -> list[str]:
+    lines = [f"needed: {sec['needed']}"]
+    for i, step in enumerate(sec["steps"]):
+        lines.append(
+            f"step {i}: split pair {step['removed_pair']} along "
+            f"{_fmt_vec(step['normal'])}, window level {step['window_level']}"
+        )
+    red = sec["reduced"]
+    lines.append(
+        f"reduced: rank {red['torus_rank']}, half-weights "
+        + " ".join(_fmt_vec(w) for w in red["half_weights"])
+    )
+    for key in ("chi", "epsilon"):
+        if sec[f"{key}_reduced"] is not None:
+            lines.append(f"{key} reduced: {_fmt_vec(sec[f'{key}_reduced'])}")
+    return lines
+
+
+def _zonotope(ctx: _Context):
+    zono = ctx.zonotope
+    return {
+        "dimension": zono.dimension,
+        "flat_normals": zono.flat_normals,
+        "facets": zono.facets,
+    }
+
+
+def _render_zonotope(sec: dict) -> list[str]:
+    normals = " ".join(_fmt_vec(n) for n in sec["flat_normals"]) or "none"
+    return [f"dimension: {sec['dimension']}", f"flat normals: {normals}"] + [
+        f"facet: {_fmt_vec(f['normal'])} . x <= {f['offset']}" for f in sec["facets"]
+    ]
+
+
+def _window(ctx: _Context):
+    points = ctx.window.points
+    return {"epsilon": ctx.epsilon, "count": len(points), "points": points}
+
+
+def _render_window(sec: dict) -> list[str]:
+    return [
+        f"epsilon: {_fmt_vec(sec['epsilon'])}",
+        f"count: {sec['count']}",
+        "points: " + (" ".join(_fmt_vec(p) for p in sec["points"]) or "none"),
+    ]
+
+
+def _quadrics(ctx: _Context):
+    return {
+        "xi": ctx.problem.xi,
+        "items": [dict(_jsonify(q), string=q.as_string()) for q in ctx.quadrics],
+    }
+
+
+def _render_quadrics(sec: dict) -> list[str]:
+    return [f"xi: {_fmt_vec(sec['xi'])}"] + [
+        f"q{q['index'] + 1} = {q['string']}" for q in sec["items"]
+    ]
+
+
+def _hilbert(ctx: _Context):
+    return {
+        "truncation": ctx.problem.truncation,
+        "vertices": ctx.window.points,
+        "matrices": ctx.algebra.hilbert_matrices(),
+    }
+
+
+def _render_hilbert(sec: dict) -> list[str]:
+    lines = ["vertices: " + " ".join(_fmt_vec(p) for p in sec["vertices"])]
+    for n, mat in enumerate(sec["matrices"]):
+        rows = "; ".join(" ".join(str(x) for x in row) for row in mat)
+        lines.append(f"H_{n}: {rows}")
+    return lines
+
+
+def _regular_sequence(ctx: _Context):
+    rs = verify_regular_sequence(ctx.algebra)
+    if rs.passed:
+        ctx.check("regular_sequence", "PASS")
+    else:
+        ctx.check(
+            "regular_sequence", "FAIL",
+            f"first failure at degree {rs.first_failure.degree}",
+        )
+    return rs
+
+
+def _render_regular_sequence(sec: dict) -> list[str]:
+    lines = [f"passed: {sec['passed']} (to degree {sec['upto']})"]
+    ff = sec["first_failure"]
+    if ff:
+        lines.append(
+            f"first failure: degree {ff['degree']}, weight {_fmt_vec(ff['weight'])}, "
+            f"dimension {ff['got']} vs expected {ff['expected']}"
+        )
+    return lines
+
+
+def _codimension(ctx: _Context):
+    red = ctx.reduction
+    xi = ctx.problem.xi
+    for step in red.steps:
+        xi = tuple(dot(xi, u) for u in step.projection)
+    est = singular_codim_estimate(
+        red.reduced, xi, max_pairs=ctx.budget.max_codim_pairs
+    )
+    return dict(_jsonify(est), on_reduced=not red.is_trivial)
+
+
+def _render_codimension(sec: dict) -> list[str]:
+    est = sec["estimate"]
+    lines = [
+        f"estimate: {'unbounded' if est is None else est}",
+        f"fiber dimension: {sec['fiber_dim']}",
+    ]
+    if sec["bad_subset"] is not None:
+        lines.append(f"worst subset: {tuple(sec['bad_subset'])} (rank {sec['bad_rank']})")
+    lines.append(f"computed on reduced data: {sec['on_reduced']}")
+    return lines
+
+
+def _quiver(ctx: _Context):
+    pres = quiver_presentation(ctx.algebra)
+    return {
+        "vertices": pres.vertices,
+        "arrows": pres.arrows,
+        "relations": [
+            {
+                "source": r.source,
+                "target": r.target,
+                "terms": [{"coefficient": c, "path": path} for c, path in r.terms],
+                "string": r.as_string(pres.arrows),
+            }
+            for r in pres.relations
+        ],
+    }
+
+
+def _render_quiver(sec: dict) -> list[str]:
+    return (
+        [f"vertices: {len(sec['vertices'])}"]
+        + [f"arrow {a['label']}: {a['source']} -> {a['target']}" for a in sec["arrows"]]
+        + [
+            f"relation ({r['source']} -> {r['target']}): {r['string']}"
+            for r in sec["relations"]
+        ]
+    )
+
+
+def _koszul(ctx: _Context):
+    section = {}
+    for side, algebra in (("quotient", ctx.algebra), ("ambient", ctx.algebra.ambient())):
+        ledger = koszul_check(algebra, depth=ctx.problem.depth)
+        numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
+        section[side] = {
+            "status": ledger.status,
+            "depth": ledger.depth,
+            "degree_bound": ledger.degree_bound,
+            "first_violation": ledger.first_violation,
+            "all_exhausted": ledger.all_exhausted,
+            "resolutions": [
+                {
+                    "vertex": r.vertex,
+                    "steps": r.steps,
+                    "status": r.status,
+                    "violation": r.violation,
+                    "exhausted": r.exhausted,
+                }
+                for r in ledger.resolutions
+            ],
+            "numeric": {
+                "upto": numeric.upto,
+                "consistent": numeric.consistent,
+                "first_negative": numeric.first_negative,
+            },
+        }
+    quotient = section["quotient"]
+    if quotient["status"] == "violation" or not quotient["numeric"]["consistent"]:
+        status, detail = "FAIL", "resolution not linear"
+    elif quotient["status"] == "truncation_limited":
+        status, detail = "INCONCLUSIVE", "truncation too small for the requested depth"
+    else:
+        status, detail = "PASS", None
+    ctx.check("koszul_quotient", status, detail)
+    return section
+
+
+def _render_koszul(sec: dict) -> list[str]:
+    lines = []
+    for side in ("quotient", "ambient"):
+        data = sec[side]
+        fv = data["first_violation"]
+        where = f" (vertex {fv[0]}, step {fv[1]} generator of degree {fv[2]})" if fv else ""
+        lines.append(f"{side}: {data['status']}{where}")
+        neg = data["numeric"]["first_negative"]
+        inverse = "nonnegative" if data["numeric"]["consistent"] else (
+            f"negative entry {neg[3]} at degree {neg[0]}, block ({neg[1]},{neg[2]})"
+        )
+        lines.append(f"{side} series inverse: {inverse}")
+    return lines
+
+
+# analysis name -> (section builder, text renderer), in pipeline order
+STAGES = {
+    "validation": (_validation, _render_validation),
+    "genericity": (_genericity, _render_genericity),
+    "reduction": (_reduction, _render_reduction),
+    "zonotope": (_zonotope, _render_zonotope),
+    "window": (_window, _render_window),
+    "quadrics": (_quadrics, _render_quadrics),
+    "hilbert": (_hilbert, _render_hilbert),
+    "regular_sequence": (_regular_sequence, _render_regular_sequence),
+    "codimension": (_codimension, _render_codimension),
+    "quiver": (_quiver, _render_quiver),
+    "koszul": (_koszul, _render_koszul),
+}
+
+ANALYSES = tuple(STAGES)
 
 GRADED_ANALYSES = frozenset({"hilbert", "regular_sequence", "quiver", "koszul"})
 
@@ -112,12 +458,22 @@ class ProblemFile:
     name: str | None = None
 
     def __post_init__(self):
-        # the schema minimums also bind values set after parsing, such as
+        # the schema's rules also bind values set after parsing, such as
         # command-line overrides
         for key in ("truncation", "depth"):
             low = PROBLEM_SCHEMA["properties"][key]["minimum"]
             if getattr(self, key) < low:
                 raise ProblemFormatError(f"{key} must be at least {low}", key)
+        requested = set(self.analyses)
+        if not requested:
+            raise ProblemFormatError("at least one analysis must be requested", "analyses")
+        unknown = requested - set(ANALYSES)
+        if unknown:
+            raise ProblemFormatError(
+                f"unknown analyses: {', '.join(sorted(unknown))}", "analyses"
+            )
+        # each analysis once, in pipeline order
+        object.__setattr__(self, "analyses", tuple(a for a in ANALYSES if a in requested))
 
     @property
     def rep(self) -> SymplecticRep:
@@ -165,13 +521,6 @@ def parse_problem(data: dict) -> ProblemFile:
         if len(xi_raw) != s:
             raise ProblemFormatError(f"xi has length {len(xi_raw)}, expected {s}", "xi")
         xi = tuple(_parse_xi_entry(v) for v in xi_raw)
-    analyses = data.get("analyses")
-    if analyses is None:
-        analyses = ANALYSES
-    else:
-        # keep pipeline order regardless of the order given
-        requested = set(analyses)
-        analyses = tuple(a for a in ANALYSES if a in requested)
     return ProblemFile(
         torus_rank=s,
         half_weights=hw,
@@ -180,7 +529,7 @@ def parse_problem(data: dict) -> ProblemFile:
         xi=xi,
         truncation=data.get("truncation", 6),
         depth=data.get("depth", 4),
-        analyses=analyses,
+        analyses=tuple(data.get("analyses", ANALYSES)),
         name=data.get("name"),
     )
 
@@ -203,11 +552,13 @@ def load_problem(path: str) -> ProblemFile:
 
 
 def _jsonify(value):
-    """Normalize values for canonical JSON output."""
+    """Normalize values for canonical JSON output; dataclasses field by field."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
+    if is_dataclass(value):
+        return {f.name: _jsonify(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -224,14 +575,7 @@ class Report:
     exit_code: int
 
     def to_json(self) -> str:
-        payload = {
-            "engine": self.engine,
-            "input": self.input,
-            "sections": self.sections,
-            "checks": self.checks,
-            "exit_code": self.exit_code,
-        }
-        return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonify(self), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"hypertoric {self.engine['version']} report"]
@@ -242,12 +586,9 @@ class Report:
             f"torus rank {self.input['torus_rank']}, "
             f"{len(self.input['half_weights'])} coordinate pairs"
         )
-        for section in ANALYSES:
-            if section not in self.sections:
-                continue
-            lines.append("")
-            lines.append(f"== {section} ==")
-            lines.extend(_render_section(section, self.sections[section]))
+        for section, (_, render) in STAGES.items():
+            if section in self.sections:
+                lines += ["", f"== {section} ==", *render(self.sections[section])]
         lines.append("")
         lines.append("== checks ==")
         for check in self.checks:
@@ -261,128 +602,25 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _render_section(name: str, sec: dict) -> list[str]:
-    lines: list[str] = []
-    if name == "validation":
-        lines.append(f"faithful: {sec['faithful']}")
-        lines.append(f"weight rank: {sec['weight_rank']} of {sec['torus_rank']}")
-        lines.append(f"invariant factors: {sec['invariant_factors']}")
-        lines.append(f"strictly faithful: {sec['strictly_faithful']}")
-        for a in sec["assumptions"]:
-            lines.append(f"assumes: {a}")
-    elif name == "genericity":
-        for key in ("chi", "epsilon"):
-            item = sec[key]
-            verdict = "generic" if item["generic"] else (
-                f"NOT generic, witness flat normal {_fmt_vec(item['witness'])}"
-            )
-            extra = f" [{item['source']}]" if key == "epsilon" else ""
-            lines.append(f"{key} = {_fmt_vec(item['value'])}{extra}: {verdict}")
-    elif name == "reduction":
-        lines.append(f"needed: {sec['needed']}")
-        for i, step in enumerate(sec["steps"]):
-            lines.append(
-                f"step {i}: split pair {step['removed_pair']} along "
-                f"{_fmt_vec(step['normal'])}, window level {step['window_level']}"
-            )
-        red = sec["reduced"]
-        lines.append(
-            f"reduced: rank {red['torus_rank']}, half-weights "
-            + " ".join(_fmt_vec(w) for w in red["half_weights"])
-        )
-        if sec["chi_reduced"] is not None:
-            lines.append(f"chi reduced: {_fmt_vec(sec['chi_reduced'])}")
-        if sec["epsilon_reduced"] is not None:
-            lines.append(f"epsilon reduced: {_fmt_vec(sec['epsilon_reduced'])}")
-    elif name == "zonotope":
-        lines.append(f"dimension: {sec['dimension']}")
-        lines.append(
-            "flat normals: " + (" ".join(_fmt_vec(n) for n in sec["flat_normals"]) or "none")
-        )
-        for f in sec["facets"]:
-            lines.append(f"facet: {_fmt_vec(f['normal'])} . x <= {f['offset']}")
-    elif name == "window":
-        lines.append(f"epsilon: {_fmt_vec(sec['epsilon'])}")
-        lines.append(f"count: {sec['count']}")
-        lines.append("points: " + (" ".join(_fmt_vec(p) for p in sec["points"]) or "none"))
-    elif name == "quadrics":
-        lines.append(f"xi: {_fmt_vec(sec['xi'])}")
-        for q in sec["items"]:
-            lines.append(f"q{q['index'] + 1} = {q['string']}")
-    elif name == "hilbert":
-        lines.append("vertices: " + " ".join(_fmt_vec(p) for p in sec["vertices"]))
-        for n, mat in enumerate(sec["matrices"]):
-            rows = "; ".join(" ".join(str(x) for x in row) for row in mat)
-            lines.append(f"H_{n}: {rows}")
-    elif name == "regular_sequence":
-        lines.append(f"passed: {sec['passed']} (to degree {sec['upto']})")
-        if sec["first_failure"]:
-            ff = sec["first_failure"]
-            lines.append(
-                f"first failure: degree {ff['degree']}, weight {_fmt_vec(ff['weight'])}, "
-                f"dimension {ff['got']} vs expected {ff['expected']}"
-            )
-    elif name == "codimension":
-        est = sec["estimate"]
-        lines.append(f"estimate: {'unbounded' if est is None else est}")
-        lines.append(f"fiber dimension: {sec['fiber_dim']}")
-        if sec["bad_subset"] is not None:
-            lines.append(f"worst subset: {tuple(sec['bad_subset'])} (rank {sec['bad_rank']})")
-        lines.append(f"computed on reduced data: {sec['on_reduced']}")
-    elif name == "quiver":
-        lines.append(f"vertices: {len(sec['vertices'])}")
-        for a in sec["arrows"]:
-            lines.append(f"arrow {a['label']}: {a['source']} -> {a['target']}")
-        for r in sec["relations"]:
-            lines.append(f"relation ({r['source']} -> {r['target']}): {r['string']}")
-    elif name == "koszul":
-        for side in ("quotient", "ambient"):
-            data = sec[side]
-            lines.append(
-                f"{side}: {data['status']}"
-                + (
-                    f" (vertex {data['first_violation'][0]}, step "
-                    f"{data['first_violation'][1]} generator of degree "
-                    f"{data['first_violation'][2]})"
-                    if data["first_violation"]
-                    else ""
-                )
-            )
-            numeric = data["numeric"]
-            neg = numeric["first_negative"]
-            lines.append(
-                f"{side} series inverse: "
-                + ("nonnegative" if numeric["consistent"] else
-                   f"negative entry {neg[3]} at degree {neg[0]}, block ({neg[1]},{neg[2]})")
-            )
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # the pipeline
 
 
 def _echo_input(problem: ProblemFile) -> dict:
-    echo = {
-        "torus_rank": problem.torus_rank,
-        "half_weights": [list(w) for w in problem.half_weights],
-        "chi": list(problem.chi),
-        "epsilon": list(problem.epsilon) if problem.epsilon is not None else None,
-        "xi": list(problem.xi),
-        "truncation": problem.truncation,
-        "depth": problem.depth,
-        "analyses": list(problem.analyses),
-    }
-    if problem.name is not None:
-        echo["name"] = problem.name
+    echo = _jsonify(problem)
+    if problem.name is None:
+        del echo["name"]
     return echo
 
 
 def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
-    """Execute the requested analyses and assemble the report.
+    """Execute the requested analyses in pipeline order and assemble the report.
 
-    Genericity failures stop the pipeline after the genericity section and
-    set exit code 2; structurally invalid inputs raise instead (exit 3 at
+    Every analysis except validation presupposes a generic chi and epsilon.
+    So when any of them is requested and chi or epsilon is not generic, the
+    run adds the genericity section with its witness flat (requested or
+    not), stops there, and sets exit code 2; any other failed check also
+    sets exit code 2.  Structurally invalid inputs raise instead (exit 3 at
     the CLI), and budget violations raise ResourceBudgetError (exit 4).
     """
     if problem.truncation > budget.max_truncation:
@@ -400,274 +638,24 @@ def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
             "need xi = 0"
         )
 
-    rep = problem.rep
-    report_sections: dict = {}
-    checks: list[dict] = []
+    ctx = _Context(problem, budget)
+    gated = bool(requested - {"validation"})
+    sections: dict = {}
+    for name, (build, _) in STAGES.items():
+        stop = (
+            name == "genericity" and gated
+            and any(w is not None for w in ctx.witnesses.values())
+        )
+        if name in requested or stop:
+            sections[name] = _jsonify(build(ctx))
+        if stop:
+            break
 
-    validation = require_valid(rep)
-    if "validation" in requested:
-        report_sections["validation"] = {
-            "torus_rank": validation.torus_rank,
-            "num_pairs": validation.num_pairs,
-            "weight_rank": validation.weight_rank,
-            "kernel_rank": validation.kernel_rank,
-            "faithful": validation.faithful,
-            "invariant_factors": list(validation.invariant_factors),
-            "strictly_faithful": validation.strictly_faithful,
-            "assumptions": list(validation.assumptions),
-        }
-        checks.append({"name": "faithful", "status": "PASS", "detail": None})
-
-    needs_zonotope = requested & {
-        "zonotope", "genericity", "window", "hilbert", "regular_sequence",
-        "quiver", "koszul",
-    }
-    zono = build_zonotope(rep) if needs_zonotope else None
-    if "zonotope" in requested:
-        report_sections["zonotope"] = {
-            "dimension": zono.dimension,
-            "flat_normals": [list(n) for n in zono.flat_normals],
-            "facets": [
-                {"normal": list(f.normal), "offset": f.offset} for f in zono.facets
-            ],
-        }
-
-    epsilon = problem.epsilon
-    epsilon_source = "given"
-    stop_after_genericity = False
-    if zono is not None:
-        if epsilon is None:
-            epsilon = find_generic_direction(zono)
-            epsilon_source = "auto"
-        chi_witness = zono.generic_witness(problem.chi)
-        eps_witness = zono.generic_witness(epsilon)
-        if "genericity" in requested or chi_witness or eps_witness:
-            report_sections["genericity"] = {
-                "chi": {
-                    "value": list(problem.chi),
-                    "generic": chi_witness is None,
-                    "witness": list(chi_witness) if chi_witness else None,
-                },
-                "epsilon": {
-                    "value": list(epsilon),
-                    "source": epsilon_source,
-                    "generic": eps_witness is None,
-                    "witness": list(eps_witness) if eps_witness else None,
-                },
-            }
-            checks.append({
-                "name": "chi_generic",
-                "status": "PASS" if chi_witness is None else "FAIL",
-                "detail": None if chi_witness is None else
-                f"chi parallel to flat with normal {_fmt_vec(chi_witness)}",
-            })
-            checks.append({
-                "name": "epsilon_generic",
-                "status": "PASS" if eps_witness is None else "FAIL",
-                "detail": None if eps_witness is None else
-                f"epsilon parallel to flat with normal {_fmt_vec(eps_witness)}",
-            })
-        if chi_witness or eps_witness:
-            stop_after_genericity = True
-
-    reduction = None
-    if not stop_after_genericity and requested & {"reduction", "codimension"}:
-        reduction = reduce_to_generic(rep, chi=problem.chi, epsilon=epsilon)
-    if reduction is not None and "reduction" in requested:
-        report_sections["reduction"] = {
-            "needed": not reduction.is_trivial,
-            "steps": [
-                {
-                    "removed_pair": st.removed_pair,
-                    "normal": list(st.normal),
-                    "projection": [list(u) for u in st.projection],
-                    "window_level": st.window_level,
-                    "lift": [list(r) for r in st.lift],
-                }
-                for st in reduction.steps
-            ],
-            "reduced": {
-                "torus_rank": reduction.reduced.torus_rank,
-                "half_weights": [list(w) for w in reduction.reduced.half_weights],
-            },
-            "chi_reduced": list(reduction.chi) if reduction.chi is not None else None,
-            "epsilon_reduced": (
-                list(reduction.epsilon) if reduction.epsilon is not None else None
-            ),
-        }
-
-    if not stop_after_genericity:
-        window = None
-        if requested & {"window", "hilbert", "regular_sequence", "quiver", "koszul"}:
-            box = 1
-            for k in range(rep.torus_rank):
-                box *= sum(abs(w[k]) for w in rep.half_weights) + 1
-            if box > budget.max_box:
-                raise ResourceBudgetError(
-                    f"window bounding box has {box} candidates, budget {budget.max_box}"
-                )
-            window = enumerate_window(zono, epsilon)
-            if len(window.points) > budget.max_window:
-                raise ResourceBudgetError(
-                    f"window has {len(window.points)} points, budget {budget.max_window}"
-                )
-        if "window" in requested:
-            report_sections["window"] = {
-                "epsilon": list(epsilon),
-                "count": len(window.points),
-                "points": [list(p) for p in window.points],
-            }
-
-        quadrics = moment_quadrics(rep, problem.xi)
-        if "quadrics" in requested:
-            report_sections["quadrics"] = {
-                "xi": list(problem.xi),
-                "items": [
-                    {
-                        "index": q.index,
-                        "coefficients": list(q.coefficients),
-                        "shift": q.shift,
-                        "string": q.as_string(),
-                    }
-                    for q in quadrics
-                ],
-            }
-
-        alg = None
-        if requested & GRADED_ANALYSES:
-            alg = GradedQuiverAlgebra(rep, window, problem.truncation, quadrics)
-
-        if "regular_sequence" in requested:
-            rs = verify_regular_sequence(alg)
-            report_sections["regular_sequence"] = {
-                "passed": rs.passed,
-                "upto": rs.upto,
-                "num_quadrics": rs.num_quadrics,
-                "weights": [list(w) for w in rs.weights],
-                "first_failure": None if rs.first_failure is None else {
-                    "degree": rs.first_failure.degree,
-                    "weight": list(rs.first_failure.weight),
-                    "got": rs.first_failure.got,
-                    "expected": rs.first_failure.expected,
-                },
-            }
-            checks.append({
-                "name": "regular_sequence",
-                "status": "PASS" if rs.passed else "FAIL",
-                "detail": None if rs.passed else (
-                    f"first failure at degree {rs.first_failure.degree}"
-                ),
-            })
-
-        if "codimension" in requested:
-            base = reduction.reduced if reduction is not None else rep
-            xi_red = problem.xi
-            if reduction is not None:
-                for st in reduction.steps:
-                    xi_red = tuple(dot(xi_red, u) for u in st.projection)
-            est = singular_codim_estimate(
-                base, xi_red, max_pairs=budget.max_codim_pairs
-            )
-            report_sections["codimension"] = {
-                "on_reduced": reduction is not None and not reduction.is_trivial,
-                "estimate": est.estimate,
-                "fiber_dim": est.fiber_dim,
-                "bad_subset": list(est.bad_subset) if est.bad_subset is not None else None,
-                "bad_rank": est.bad_rank,
-            }
-
-        if "hilbert" in requested:
-            report_sections["hilbert"] = {
-                "truncation": problem.truncation,
-                "vertices": [list(p) for p in window.points],
-                "matrices": [
-                    [list(row) for row in mat] for mat in alg.hilbert_matrices()
-                ],
-            }
-
-        if "quiver" in requested:
-            pres = quiver_presentation(alg)
-            report_sections["quiver"] = {
-                "vertices": [list(p) for p in pres.vertices],
-                "arrows": [
-                    {
-                        "source": a.source,
-                        "target": a.target,
-                        "label": a.label,
-                        "monomial": list(a.monomial),
-                    }
-                    for a in pres.arrows
-                ],
-                "relations": [
-                    {
-                        "source": r.source,
-                        "target": r.target,
-                        "terms": [
-                            {"coefficient": c, "path": list(path)}
-                            for c, path in r.terms
-                        ],
-                        "string": r.as_string(pres.arrows),
-                    }
-                    for r in pres.relations
-                ],
-            }
-
-        if "koszul" in requested:
-            section = {}
-            for side, algebra in (("quotient", alg), ("ambient", alg.ambient())):
-                ledger = koszul_check(algebra, depth=problem.depth)
-                numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
-                section[side] = {
-                    "status": ledger.status,
-                    "depth": ledger.depth,
-                    "degree_bound": ledger.degree_bound,
-                    "first_violation": (
-                        list(ledger.first_violation) if ledger.first_violation else None
-                    ),
-                    "all_exhausted": ledger.all_exhausted,
-                    "resolutions": [
-                        {
-                            "vertex": r.vertex,
-                            "steps": [
-                                [list(g) for g in step] for step in r.steps
-                            ],
-                            "status": r.status,
-                            "violation": list(r.violation) if r.violation else None,
-                            "exhausted": r.exhausted,
-                        }
-                        for r in ledger.resolutions
-                    ],
-                    "numeric": {
-                        "upto": numeric.upto,
-                        "consistent": numeric.consistent,
-                        "first_negative": (
-                            list(numeric.first_negative)
-                            if numeric.first_negative else None
-                        ),
-                    },
-                }
-            report_sections["koszul"] = section
-            quotient = section["quotient"]
-            if quotient["status"] == "violation" or not quotient["numeric"]["consistent"]:
-                status = "FAIL"
-            elif quotient["status"] == "truncation_limited":
-                status = "INCONCLUSIVE"
-            else:
-                status = "PASS"
-            checks.append({
-                "name": "koszul_quotient",
-                "status": status,
-                "detail": None if status == "PASS" else (
-                    "resolution not linear" if status == "FAIL" else
-                    "truncation too small for the requested depth"
-                ),
-            })
-
-    exit_code = 2 if any(c["status"] == "FAIL" for c in checks) else 0
+    exit_code = 2 if any(c["status"] == "FAIL" for c in ctx.checks) else 0
     return Report(
         input=_echo_input(problem),
         engine={"name": "hypertoric", "version": ENGINE_VERSION},
-        sections=report_sections,
-        checks=checks,
+        sections=sections,
+        checks=ctx.checks,
         exit_code=exit_code,
     )

@@ -227,6 +227,50 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     assert sorted(buckets) == list(range(9))
 
 
+# check names a single-analysis run reports when chi and epsilon are generic
+SINGLE_ANALYSIS_CHECKS = {
+    "validation": ["faithful"],
+    "genericity": ["chi_generic", "epsilon_generic"],
+    "regular_sequence": ["regular_sequence"],
+    "koszul": ["koszul_quotient"],
+}
+
+
+def _text_blocks(report, name):
+    return [b for b in report.to_text().split("\n\n") if b.startswith(f"== {name} ==")]
+
+
+@pytest.mark.parametrize(
+    "name, drop_epsilon, generic",
+    [
+        ("conifold", False, True),
+        ("hexagon", False, True),
+        ("hexagon_bad_chi", False, False),
+        ("reduction_pair", False, True),
+        ("reduction_pair", True, True),
+    ],
+    ids=["conifold", "hexagon", "hexagon_bad_chi", "reduction_pair", "reduction_pair-auto-epsilon"],
+)
+def test_single_analysis_matches_full_run(problems_dir, name, drop_epsilon, generic):
+    """An analysis computes the same section whichever others are requested."""
+    data = json.loads((problems_dir / f"{name}.json").read_text())
+    if drop_epsilon:
+        del data["epsilon"]
+    data.update(truncation=4, depth=2, analyses=list(ANALYSES))
+    full = run(parse_problem(data))
+    for analysis in ANALYSES:
+        single = run(parse_problem(dict(data, analyses=[analysis])))
+        assert single.sections.get(analysis) == full.sections.get(analysis), analysis
+        assert _text_blocks(single, analysis) == _text_blocks(full, analysis), analysis
+        if generic or analysis == "validation":
+            expected = SINGLE_ANALYSIS_CHECKS.get(analysis, [])
+        else:
+            # the genericity gate stops every analysis but validation
+            expected = ["chi_generic", "epsilon_generic"]
+        assert [c["name"] for c in single.checks] == expected, analysis
+        assert single.exit_code == (0 if generic or analysis == "validation" else 2)
+
+
 def test_text_rendering_smoke():
     text = run(conifold_problem()).to_text()
     assert "== checks ==" in text
@@ -278,6 +322,8 @@ def test_cli_budget_exceeded_exits_four(problems_dir, capsys):
         ("--depth", "0"),
         ("--budget", "truncation=0"),
         ("--budget", "window=-1"),
+        ("--analyses", ","),
+        ("--analyses", ""),
     ],
 )
 def test_cli_overrides_below_minimum_exit_three(problems_dir, capsys, flags):
@@ -328,6 +374,9 @@ def test_golden_reports(problems_dir, golden_dir):
         assert report.to_json() == golden
 
 
-def test_golden_text(problems_dir, golden_dir):
-    report = run(load_problem(str(problems_dir / "conifold.json")))
-    assert report.to_text() == (golden_dir / "conifold_report.txt").read_text()
+@pytest.mark.parametrize(
+    "name", ["conifold", "hexagon", "hexagon_bad_chi", "reduction_pair"]
+)
+def test_golden_text(problems_dir, golden_dir, name):
+    report = run(load_problem(str(problems_dir / f"{name}.json")))
+    assert report.to_text() == (golden_dir / f"{name}_report.txt").read_text()
