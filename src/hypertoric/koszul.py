@@ -7,28 +7,39 @@ reducing each syzygy slice against the multiples of the generators already
 chosen.  Two independent signals are produced: the degrees in the generator
 ledger (linear resolution or not) and the sign pattern of the inverted
 Hilbert series.
+
+All arithmetic is on integers.  A table per (degree, vertex) slice of a
+projective gives its basis labels and, per summand, the quotient piece that
+products land in; a product of a basis monomial by an algebra monomial is
+read from that piece's relation pivots as an integer row over one scale.
+Span rows may be rescaled freely, while the columns of one differential
+share a common multiplier.  Tables live only while their slice is resolved.
+Because each step's generators span its syzygies in every slice up to the
+bound, the syzygy dimensions of the next step follow from the previous
+ones, and a differential's kernel is only formed in the slices where the
+multiples of the generators chosen so far fall short of that dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add
 
 from .algebra import GradedQuiverAlgebra, Monomial, hilbert_inverse_coefficients
-from .lattice import IncrementalEchelon, sparse_kernel
+from .lattice import IncrementalEchelon, SparseRow, sparse_kernel
 
-# a projective summand is (vertex index, degree shift); a slice layout lists
-# the basis labels (summand index, monomial) of one (degree, vertex) slice
+# a projective summand is (vertex index, degree shift); an element of a
+# projective is a tuple of terms (summand index, monomial, coefficient)
 Summand = tuple[int, int]
-SliceVector = dict[int, Fraction]
+Term = tuple[int, Monomial, int]
 
 
 @dataclass(frozen=True)
 class StepGenerator:
     vertex: int
     degree: int
-    vector: tuple[tuple[int, Fraction], ...]
+    terms: tuple[Term, ...]
 
 
 @dataclass(frozen=True)
@@ -56,26 +67,77 @@ class VertexResolution:
         return tuple(len(step) for step in self.steps)
 
 
-def _slice_layout(
-    alg: GradedQuiverAlgebra, summands: list[Summand], n: int, u: int
-) -> list[tuple[int, Monomial]]:
-    layout: list[tuple[int, Monomial]] = []
-    for t, (vt, shift) in enumerate(summands):
-        if n - shift < 0:
-            continue
-        for mono in alg.basis(vt, u, n - shift):
-            layout.append((t, mono))
-    return layout
+class _Slice:
+    """The (degree n, vertex u) slice of a projective with given summands.
 
+    labels lists the basis as (summand index, representative monomial), in
+    column order.  targets[t] is None when summand t has no degree there,
+    else (monomial index, relation pivots, column of each representative)
+    of the quotient piece alg.piece(v_t, u, n - shift_t).
+    """
 
-def _integer_rows(rows: list[SliceVector]) -> list[dict[int, int]]:
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        scale = lcm(*(f.denominator for f in row.values()))
-        out.append({c: int(f * scale) for c, f in row.items()})
-    return out
+    __slots__ = ("labels", "targets")
+
+    def __init__(self, alg: GradedQuiverAlgebra, summands: list[Summand], n: int, u: int):
+        self.labels: list[tuple[int, Monomial]] = []
+        self.targets: list[tuple[dict, dict, dict[int, int]] | None] = []
+        for t, (vt, shift) in enumerate(summands):
+            if n < shift:
+                self.targets.append(None)
+                continue
+            piece = alg.piece(vt, u, n - shift)
+            columns = {}
+            for mono in piece.representatives:
+                columns[piece._index[mono]] = len(self.labels)
+                self.labels.append((t, mono))
+            self.targets.append((piece._index, piece._pivots, columns))
+
+    def times(self, terms: tuple[Term, ...], lam: Monomial) -> tuple[SparseRow, int]:
+        """Right-multiply an element by lam into this slice: (row, scale).
+
+        The product is row / scale; scale is the lcm of the relation pivots
+        the product passed through.
+        """
+        out: SparseRow = {}
+        scale = 1
+        for t, mono, coeff in terms:
+            index, pivots, columns = self.targets[t]
+            col = index[tuple(map(add, mono, lam))]
+            row = pivots.get(col)
+            if row is None:
+                hits = ((columns[col], coeff * scale),)
+            else:
+                d = row[col]
+                if scale % d:
+                    up = d // gcd(scale, d)
+                    out = {c: v * up for c, v in out.items()}
+                    scale *= up
+                f = coeff * (scale // d)
+                hits = ((columns[c], -f * v) for c, v in row.items() if c != col)
+            for c, v in hits:
+                w = out.get(c, 0) + v
+                if w:
+                    out[c] = w
+                else:
+                    out.pop(c, None)
+        return out, scale
+
+    def kernel(
+        self, gens: list[StepGenerator], labels: list[tuple[int, Monomial]]
+    ) -> list[SparseRow]:
+        """Kernel of the map into this slice sending label (t, lam) to gens[t] * lam.
+
+        All columns are brought to one common scale: scaling them
+        separately would change the kernel.
+        """
+        images = [self.times(gens[t].terms, lam) for t, lam in labels]
+        common = lcm(*(scale for _, scale in images))
+        rows: dict[int, SparseRow] = {}
+        for col, (image, scale) in enumerate(images):
+            f = common // scale
+            for r, v in image.items():
+                rows.setdefault(r, {})[col] = v * f
+        return sparse_kernel(rows.values(), len(labels))
 
 
 def minimal_resolution(
@@ -103,50 +165,55 @@ def minimal_resolution(
     # state describing d: P_current -> P_previous
     p_summands: list[Summand] = [(vertex_index, 0)]
     map_gens: list[StepGenerator] | None = None  # None: syzygies = radical of P_0
-    pp_summands: list[Summand] | None = None
+    pp_summands: list[Summand] = []
+    # syzygy slice dimensions of the previous step; its generators span
+    # those syzygies in every slice up to the bound, so they are the ranks
+    # of the current differential
+    image_dims: dict[tuple[int, int], int] = {}
 
     for step in range(1, depth + 1):
         if step > bound:
             status = "truncation_limited"
             break
         found: list[StepGenerator] = []
+        syzygy_dims: dict[tuple[int, int], int] = {}
         min_shift = min(shift for _, shift in p_summands)
         for n in range(max(min_shift, 1), bound + 1):
             for u in range(nv):
-                dom_layout = _slice_layout(alg, p_summands, n, u)
-                if not dom_layout:
+                dom = _Slice(alg, p_summands, n, u)
+                dim = len(dom.labels) - image_dims.get((n, u), 0)
+                if not dim:
+                    continue
+                syzygy_dims[n, u] = dim
+                # span of the multiples of generators chosen so far; what is
+                # left over in this slice needs new generators.  Multiples of
+                # syzygies are syzygies, so a span of the syzygy dimension
+                # is the whole syzygy slice.
+                span = IncrementalEchelon()
+                multiples = (
+                    dom.times(g.terms, lam)[0]
+                    for g in found
+                    if g.degree <= n
+                    for lam in alg.basis(g.vertex, u, n - g.degree)
+                )
+                for row in multiples:
+                    if span.rank == dim:
+                        break
+                    span.add(row)
+                if span.rank == dim:
                     continue
                 if map_gens is None:
                     # radical of the rank-one projective: every positive slice
-                    mvecs: list[SliceVector] = [
-                        {c: Fraction(1)} for c in range(len(dom_layout))
-                    ]
+                    syzygies: list[SparseRow] = [{c: 1} for c in range(len(dom.labels))]
                 else:
-                    mvecs = _kernel_slice(
-                        alg, map_gens, pp_summands, p_summands, dom_layout, n, u
-                    )
-                if not mvecs:
-                    continue
-                # span of the multiples of generators chosen so far; what is
-                # left over in this slice needs new generators
-                span = IncrementalEchelon()
-                for g in found:
-                    if g.degree > n:
-                        continue
-                    src_layout = _slice_layout(alg, p_summands, g.degree, g.vertex)
-                    for lam in alg.basis(g.vertex, u, n - g.degree):
-                        prod = _multiply_vector(
-                            alg, dict(g.vector), src_layout, lam, dom_layout
-                        )
-                        for irow in _integer_rows([prod]):
-                            span.add(irow)
-                for vec in mvecs:
-                    remainder = None
-                    for irow in _integer_rows([vec]):
-                        remainder = span.add(irow)
-                    if remainder:
+                    cod = _Slice(alg, pp_summands, n, u)
+                    syzygies = cod.kernel(map_gens, dom.labels)
+                for vec in syzygies:
+                    if span.rank < dim and span.add(vec):
                         found.append(StepGenerator(
-                            vertex=u, degree=n, vector=tuple(sorted(vec.items()))
+                            vertex=u,
+                            degree=n,
+                            terms=tuple((*dom.labels[c], v) for c, v in sorted(vec.items())),
                         ))
         if not found:
             exhausted = True
@@ -157,7 +224,8 @@ def minimal_resolution(
             status = "violation"
             violation = (step, bad.degree)
             break
-        pp_summands = list(p_summands)
+        image_dims = syzygy_dims
+        pp_summands = p_summands
         map_gens = found
         p_summands = [(g.vertex, g.degree) for g in found]
 
@@ -170,53 +238,6 @@ def minimal_resolution(
         violation=violation,
         exhausted=exhausted,
     )
-
-
-def _multiply_vector(
-    alg: GradedQuiverAlgebra,
-    vector: dict[int, Fraction],
-    src_layout: list[tuple[int, Monomial]],
-    lam: Monomial,
-    dst_layout: list[tuple[int, Monomial]],
-) -> SliceVector:
-    """Right-multiply an element of a projective slice by a basis monomial."""
-    index = {label: c for c, label in enumerate(dst_layout)}
-    out: SliceVector = {}
-    for col, coeff in vector.items():
-        t, mono = src_layout[col]
-        for m2, c2 in alg.ring.multiply(mono, lam).items():
-            dst = index[(t, m2)]
-            v = out.get(dst, Fraction(0)) + coeff * c2
-            if v:
-                out[dst] = v
-            elif dst in out:
-                del out[dst]
-    return out
-
-
-def _kernel_slice(
-    alg: GradedQuiverAlgebra,
-    gens: list[StepGenerator],
-    codomain_summands: list[Summand],
-    domain_summands: list[Summand],
-    dom_layout: list[tuple[int, Monomial]],
-    n: int,
-    u: int,
-) -> list[SliceVector]:
-    """Kernel of the differential on the (n, u) slice of the domain."""
-    cod_layout = _slice_layout(alg, codomain_summands, n, u)
-    cod_index = {label: c for c, label in enumerate(cod_layout)}
-    columns: list[SliceVector] = []
-    for t, lam in dom_layout:
-        g = gens[t]
-        src_layout = _slice_layout(alg, codomain_summands, g.degree, g.vertex)
-        image = _multiply_vector(alg, dict(g.vector), src_layout, lam, cod_layout)
-        columns.append(image)
-    rows: list[SliceVector] = [{} for _ in cod_layout]
-    for col, image in enumerate(columns):
-        for r, v in image.items():
-            rows[r][col] = v
-    return sparse_kernel(_integer_rows(rows), len(dom_layout))
 
 
 # ---------------------------------------------------------------------------

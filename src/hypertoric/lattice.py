@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionError
@@ -376,16 +376,21 @@ def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     return piv
 
 
-def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of {x : row . x = 0 for all rows}, one vector per free column."""
+def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
+    """Basis of {x : row . x = 0 for all rows}, one vector per free column.
+
+    Each vector is the rational one with a 1 at its free column, scaled by
+    the lcm of its denominators to integers.
+    """
     piv = sparse_rref(rows)
     basis = []
     for free in range(ncols):
         if free in piv:
             continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        for p, row in piv.items():
-            if free in row:
-                vec[p] = Fraction(-row[free], row[p])
+        hits = [(p, row) for p, row in piv.items() if free in row]
+        scale = lcm(*(row[p] // gcd(row[p], row[free]) for p, row in hits))
+        vec: SparseRow = {free: scale}
+        for p, row in hits:
+            vec[p] = -row[free] * scale // row[p]
         basis.append(vec)
     return basis

@@ -4,6 +4,10 @@ import pytest
 
 from hypertoric import (
     GradedQuiverAlgebra,
+    SymplecticRep,
+    build_zonotope,
+    enumerate_window,
+    find_generic_direction,
     koszul_check,
     minimal_resolution,
     numerical_koszul_consistency,
@@ -129,3 +133,56 @@ def test_numeric_inconsistency_ambient(rep_a, window_a):
     report = numerical_koszul_consistency(alg.hilbert_matrices())
     assert not report.consistent
     assert report.first_negative == (3, 0, 1, -2)
+
+
+# Ledgers of the rank-2 four-pair rep at N=6, depth 4 (the pipeline's window
+# for chi (3, 1), whose epsilon comes from find_generic_direction).  Its
+# quotient slices have relation pivots 2, 4 and 8, never 1, so any change
+# that rescales the columns of one differential separately shows up here.
+# Quotient: the vertices of each step's generators; step k sits in degree k.
+FOUR_PAIR_QUOTIENT = (
+    ((0,), (1, 3, 4), (0, 4, 5, 6), (1, 3, 4), (0,)),
+    ((1,), (0, 2, 3, 4, 5), (1, 1, 1, 3, 4, 4, 5, 6), (0, 2, 3, 4, 5), (1,)),
+    ((2,), (1, 4, 5), (2, 3, 4, 6), (1, 4, 5), (2,)),
+    ((3,), (0, 1, 4, 6), (1, 2, 3, 3, 4, 5), (0, 1, 4, 6), (3,)),
+    ((4,), (0, 1, 2, 3, 5, 6), (0, 1, 1, 2, 3, 4, 4, 4, 4, 5), (0, 1, 2, 3, 5, 6), (4,)),
+    ((5,), (1, 2, 4, 6), (0, 1, 3, 4, 5, 5), (1, 2, 4, 6), (5,)),
+    ((6,), (3, 4, 5), (0, 1, 2, 6), (3, 4, 5), (6,)),
+)
+# Ambient: (vertex, degree) of every generator, and the violation per vertex.
+FOUR_PAIR_AMBIENT = (
+    ((((0, 0),), ((1, 1), (3, 1), (4, 1), (0, 2))), (1, 2)),
+    ((((1, 0),), ((0, 1), (2, 1), (3, 1), (4, 1), (5, 1)),
+      ((1, 2), (3, 2), (4, 2), (4, 2), (5, 2), (6, 2),
+       (0, 3), (2, 3), (3, 3), (4, 3), (4, 3), (5, 3))), (2, 3)),
+    ((((2, 0),), ((1, 1), (4, 1), (5, 1), (2, 2))), (1, 2)),
+    ((((3, 0),), ((0, 1), (1, 1), (4, 1), (6, 1)),
+      ((1, 2), (2, 2), (4, 2), (5, 2), (0, 3), (1, 3), (4, 3), (6, 3))), (2, 3)),
+    ((((4, 0),), ((0, 1), (1, 1), (2, 1), (3, 1), (5, 1), (6, 1)),
+      ((0, 2), (1, 2), (1, 2), (2, 2), (3, 2), (4, 2), (4, 2), (5, 2),
+       (0, 3), (1, 3), (1, 3), (2, 3), (3, 3), (5, 3), (6, 3))), (2, 3)),
+    ((((5, 0),), ((1, 1), (2, 1), (4, 1), (6, 1)),
+      ((0, 2), (1, 2), (3, 2), (4, 2), (1, 3), (2, 3), (4, 3), (6, 3))), (2, 3)),
+    ((((6, 0),), ((3, 1), (4, 1), (5, 1), (6, 2))), (1, 2)),
+)
+
+
+def test_four_pair_frozen_ledgers():
+    rep = SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1)))
+    zono = build_zonotope(rep)
+    quo = GradedQuiverAlgebra(rep, enumerate_window(zono, find_generic_direction(zono)), 6)
+
+    quotient = koszul_check(quo, depth=4)
+    assert quotient.status == "linear" and quotient.first_violation is None
+    for res, vertices in zip(quotient.resolutions, FOUR_PAIR_QUOTIENT, strict=True):
+        assert res.status == "linear" and not res.exhausted
+        assert res.steps == tuple(
+            tuple((v, k) for v in step) for k, step in enumerate(vertices)
+        )
+
+    ambient = koszul_check(quo.ambient(), depth=4)
+    assert ambient.status == "violation"
+    assert ambient.first_violation == (0, 1, 2)
+    for res, (steps, violation) in zip(ambient.resolutions, FOUR_PAIR_AMBIENT, strict=True):
+        assert res.status == "violation" and not res.exhausted
+        assert (res.steps, res.violation) == (steps, violation)

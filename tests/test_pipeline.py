@@ -347,6 +347,22 @@ def test_cli_non_faithful_exits_three(tmp_path, capsys):
     assert "input invalid" in capsys.readouterr().err
 
 
+def test_cli_unsplittable_reduction_exits_three(tmp_path, capsys):
+    # chi and epsilon are generic, but the half-weights do not generate the
+    # character lattice, so the reduction cannot split off its non-generic
+    # pair: every run that reduces exits 3, runs that do not reduce pass
+    f = tmp_path / "split.json"
+    f.write_text(json.dumps({
+        "torus_rank": 2,
+        "half_weights": [[2, 0], [0, 1], [0, 1]],
+        "chi": [1, 1],
+        "epsilon": [1, 2],
+    }))
+    assert main(["run", str(f)]) == 3
+    assert "cannot split off a non-generic pair" in capsys.readouterr().err
+    assert main(["run", str(f), "--analyses", "genericity,window,hilbert"]) == 0
+
+
 def test_cli_bad_flags(problems_dir, capsys):
     assert main(["run", str(problems_dir / "conifold.json"), "--analyses", "bogus"]) == 3
     assert main(["run", str(problems_dir / "conifold.json"), "--budget", "nope=1"]) == 3
