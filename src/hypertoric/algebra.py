@@ -6,14 +6,20 @@ All computations happen in one (degree, weight) slice at a time, where the
 moment-map quadrics impose finitely many linear relations on monomials.  An
 algebra is assembled from the slices whose weights are differences of window
 characters, with one vertex per window point.
+
+Everything here is integer arithmetic.  A slice keeps its relations in
+reduced echelon form, and QuotientPiece.reduce writes any monomial of the
+slice as an integer row over the representatives and a denominator.  The
+quiver relations are the kernel of those products (lattice.column_kernel),
+the same product and kernel that the minimal resolutions use.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, lcm
+from math import comb
+from operator import add
 
 from .errors import (
     DimensionError,
@@ -21,13 +27,7 @@ from .errors import (
     ResourceBudgetError,
     UnsupportedShiftError,
 )
-from .lattice import (
-    IntVec,
-    content,
-    nullspace,
-    sparse_rref,
-    vec_sub,
-)
+from .lattice import IntVec, SparseRow, column_kernel, sparse_rref, vec_sub
 from .reps import MomentQuadric, SymplecticRep, moment_quadrics
 from .zonotope import CharacterWindow
 
@@ -54,6 +54,9 @@ class QuotientPiece:
 
     monomials is the full lex-sorted ambient basis; representatives are the
     non-pivot monomials, which descend to a basis of the quotient slice.
+    _positions maps each representative to its position; _relations maps
+    each pivot monomial to its reduced relation row, keyed by column in
+    monomials until its first reduce and by representative position after.
     """
 
     degree: int
@@ -61,8 +64,8 @@ class QuotientPiece:
     monomials: tuple[Monomial, ...]
     representatives: tuple[Monomial, ...]
     relation_rank: int
-    _index: dict = field(repr=False)
-    _pivots: dict = field(repr=False)
+    _positions: dict[Monomial, int] = field(repr=False)
+    _relations: dict[Monomial, SparseRow | tuple[SparseRow, int]] = field(repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -72,17 +75,26 @@ class QuotientPiece:
     def dim(self) -> int:
         return len(self.representatives)
 
-    def reduce(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        """Expand a monomial of this slice over the representative basis."""
-        col = self._index[mono]
-        row = self._pivots.get(col)
-        if row is None:
-            return {mono: Fraction(1)}
-        out = {}
-        for c, v in row.items():
-            if c != col:
-                out[self.monomials[c]] = Fraction(-v, row[col])
-        return out
+    def reduce(self, mono: Monomial) -> tuple[SparseRow, int]:
+        """A monomial of this slice as (row, denominator) over the representatives.
+
+        The monomial equals the sum of row[p] * representatives[p], divided
+        by the denominator.  Relation rows are shared: do not modify them.
+        """
+        pos = self._positions.get(mono)
+        if pos is not None:
+            return {pos: 1}, 1
+        rel = self._relations[mono]
+        if isinstance(rel, dict):
+            row: SparseRow = {}
+            for c, v in rel.items():
+                m = self.monomials[c]
+                if m == mono:
+                    denominator = v
+                else:
+                    row[self._positions[m]] = -v
+            rel = self._relations[mono] = (row, denominator)
+        return rel
 
 
 class SliceRing:
@@ -158,9 +170,9 @@ class SliceRing:
         if cached is not None:
             return cached
         mons = self.monomials(n, w)
-        index = {m: c for c, m in enumerate(mons)}
         rows = []
         if self.quadrics and n >= 2:
+            index = {m: c for c, m in enumerate(mons)}
             e = self.rep.num_pairs
             # each quadric has weight zero, so its multiples in this slice
             # come from degree n-2 monomials of the same weight
@@ -185,20 +197,14 @@ class SliceRing:
             monomials=mons,
             representatives=reps,
             relation_rank=len(pivots),
-            _index=index,
-            _pivots=pivots,
+            _positions=dict(zip(reps, range(len(reps)))),
+            _relations={mons[c]: row for c, row in pivots.items()},
         )
         self._pieces[key] = piece
         return piece
 
     def dim(self, n: int, w: IntVec) -> int:
         return self.piece(n, w).dim
-
-    def reduce(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        return self.piece(sum(mono), self.weight_of(mono)).reduce(mono)
-
-    def multiply(self, m1: Monomial, m2: Monomial) -> dict[Monomial, Fraction]:
-        return self.reduce(tuple(a + b for a, b in zip(m1, m2)))
 
     def ambient(self) -> SliceRing:
         """The ring without relations, on this ring's monomial buckets."""
@@ -332,14 +338,8 @@ class GradedQuiverAlgebra:
             tuple(self.dim(i, j, n) for j in range(v)) for i in range(v)
         )
 
-    def hilbert_matrices(self, upto: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
-        if upto is None:
-            upto = self.degree_bound
-        if upto > self.degree_bound:
-            raise ResourceBudgetError(
-                f"requested degree {upto} exceeds the algebra bound {self.degree_bound}"
-            )
-        return [self.hilbert_matrix(n) for n in range(upto + 1)]
+    def hilbert_matrices(self) -> list[tuple[tuple[int, ...], ...]]:
+        return [self.hilbert_matrix(n) for n in range(self.degree_bound + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +420,15 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
             if not paths:
                 continue
             piece = alg.piece(i, k, 2)
-            coord = {m: r for r, m in enumerate(piece.representatives)}
-            rows = [[Fraction(0)] * len(paths) for _ in range(piece.dim)]
-            for col, (a, b) in enumerate(paths):
-                prod = alg.ring.multiply(arrows[a].monomial, arrows[b].monomial)
-                for m, c in prod.items():
-                    rows[coord[m]][col] += c
-            for vec in nullspace(rows, len(paths)):
-                scale = lcm(*(f.denominator for f in vec)) if vec else 1
-                ints = [int(f * scale) for f in vec]
-                g = content(ints)
-                if g:
-                    ints = [x // g for x in ints]
-                lead = next((x for x in ints if x), 0)
-                if lead < 0:
-                    ints = [-x for x in ints]
-                terms = tuple(
-                    (c, paths[idx]) for idx, c in enumerate(ints) if c
-                )
-                if terms:
-                    relations.append(Relation(i, k, terms))
+            columns = [
+                piece.reduce(tuple(map(add, arrows[a].monomial, arrows[b].monomial)))
+                for a, b in paths
+            ]
+            # kernel vectors are primitive; only the sign is normalised
+            for vec in column_kernel(columns):
+                sign = -1 if vec[min(vec)] < 0 else 1
+                terms = tuple((sign * vec[c], paths[c]) for c in sorted(vec))
+                relations.append(Relation(i, k, terms))
     return QuiverPresentation(
         vertices=alg.vertices,
         arrows=tuple(arrows),

@@ -11,9 +11,10 @@ Hilbert series.
 All arithmetic is on integers.  A table per (degree, vertex) slice of a
 projective gives its basis labels and, per summand, the quotient piece that
 products land in; a product of a basis monomial by an algebra monomial is
-read from that piece's relation pivots as an integer row over one scale.
-Span rows may be rescaled freely, while the columns of one differential
-share a common multiplier.  Tables live only while their slice is resolved.
+that piece's reduce, an integer row over a denominator.  Span rows may be
+rescaled freely, while a differential's kernel is taken by
+lattice.column_kernel, which brings its columns to one common multiplier.
+Tables live only while their slice is resolved.
 Because each step's generators span its syzygies in every slice up to the
 bound, the syzygy dimensions of the next step follow from the previous
 ones, and a differential's kernel is only formed in the slices where the
@@ -23,11 +24,16 @@ multiples of the generators chosen so far fall short of that dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
-from .algebra import GradedQuiverAlgebra, Monomial, hilbert_inverse_coefficients
-from .lattice import IncrementalEchelon, SparseRow, sparse_kernel
+from .algebra import (
+    GradedQuiverAlgebra,
+    Monomial,
+    QuotientPiece,
+    hilbert_inverse_coefficients,
+)
+from .lattice import IncrementalEchelon, SparseRow, column_kernel
 
 # a projective summand is (vertex index, degree shift); an element of a
 # projective is a tuple of terms (summand index, monomial, coefficient)
@@ -72,79 +78,51 @@ class _Slice:
 
     labels lists the basis as (summand index, representative monomial), in
     column order.  targets[t] is None when summand t has no degree there,
-    else (monomial index, relation pivots, column of each representative)
-    of the quotient piece alg.piece(v_t, u, n - shift_t).
+    else the quotient piece alg.piece(v_t, u, n - shift_t) and the column
+    of its first representative.
     """
 
     __slots__ = ("labels", "targets")
 
     def __init__(self, alg: GradedQuiverAlgebra, summands: list[Summand], n: int, u: int):
         self.labels: list[tuple[int, Monomial]] = []
-        self.targets: list[tuple[dict, dict, dict[int, int]] | None] = []
+        self.targets: list[tuple[QuotientPiece, int] | None] = []
         for t, (vt, shift) in enumerate(summands):
             if n < shift:
                 self.targets.append(None)
                 continue
             piece = alg.piece(vt, u, n - shift)
-            columns = {}
-            for mono in piece.representatives:
-                columns[piece._index[mono]] = len(self.labels)
-                self.labels.append((t, mono))
-            self.targets.append((piece._index, piece._pivots, columns))
+            self.targets.append((piece, len(self.labels)))
+            self.labels.extend((t, mono) for mono in piece.representatives)
 
     def times(self, terms: tuple[Term, ...], lam: Monomial) -> tuple[SparseRow, int]:
         """Right-multiply an element by lam into this slice: (row, scale).
 
-        The product is row / scale; scale is the lcm of the relation pivots
-        the product passed through.
+        The product is row / scale; scale is the lcm of the denominators
+        of the reductions the product passed through.
         """
         out: SparseRow = {}
         scale = 1
         for t, mono, coeff in terms:
-            index, pivots, columns = self.targets[t]
-            col = index[tuple(map(add, mono, lam))]
-            row = pivots.get(col)
-            if row is None:
-                hits = ((columns[col], coeff * scale),)
-            else:
-                d = row[col]
-                if scale % d:
-                    up = d // gcd(scale, d)
-                    out = {c: v * up for c, v in out.items()}
-                    scale *= up
-                f = coeff * (scale // d)
-                hits = ((columns[c], -f * v) for c, v in row.items() if c != col)
-            for c, v in hits:
-                w = out.get(c, 0) + v
+            piece, offset = self.targets[t]
+            row, d = piece.reduce(tuple(map(add, mono, lam)))
+            if scale % d:
+                up = d // gcd(scale, d)
+                out = {c: v * up for c, v in out.items()}
+                scale *= up
+            f = coeff * (scale // d)
+            for p, v in row.items():
+                c = offset + p
+                w = out.get(c, 0) + f * v
                 if w:
                     out[c] = w
                 else:
                     out.pop(c, None)
         return out, scale
 
-    def kernel(
-        self, gens: list[StepGenerator], labels: list[tuple[int, Monomial]]
-    ) -> list[SparseRow]:
-        """Kernel of the map into this slice sending label (t, lam) to gens[t] * lam.
-
-        All columns are brought to one common scale: scaling them
-        separately would change the kernel.
-        """
-        images = [self.times(gens[t].terms, lam) for t, lam in labels]
-        common = lcm(*(scale for _, scale in images))
-        rows: dict[int, SparseRow] = {}
-        for col, (image, scale) in enumerate(images):
-            f = common // scale
-            for r, v in image.items():
-                rows.setdefault(r, {})[col] = v * f
-        return sparse_kernel(rows.values(), len(labels))
-
 
 def minimal_resolution(
-    alg: GradedQuiverAlgebra,
-    vertex_index: int,
-    depth: int,
-    degree_bound: int | None = None,
+    alg: GradedQuiverAlgebra, vertex_index: int, depth: int
 ) -> VertexResolution:
     """Resolve the simple at one vertex by minimal projectives.
 
@@ -153,9 +131,7 @@ def minimal_resolution(
     first non-linear step, when a syzygy module vanishes inside the
     truncation window, or when the window is too short to continue.
     """
-    bound = alg.degree_bound if degree_bound is None else degree_bound
-    if bound > alg.degree_bound:
-        bound = alg.degree_bound
+    bound = alg.degree_bound
     nv = alg.num_vertices
     steps: list[tuple[tuple[int, int], ...]] = [((vertex_index, 0),)]
     status = "linear"
@@ -207,7 +183,9 @@ def minimal_resolution(
                     syzygies: list[SparseRow] = [{c: 1} for c in range(len(dom.labels))]
                 else:
                     cod = _Slice(alg, pp_summands, n, u)
-                    syzygies = cod.kernel(map_gens, dom.labels)
+                    syzygies = column_kernel(
+                        [cod.times(map_gens[t].terms, lam) for t, lam in dom.labels]
+                    )
                 for vec in syzygies:
                     if span.rank < dim and span.add(vec):
                         found.append(StepGenerator(
@@ -263,17 +241,10 @@ def default_depth(alg: GradedQuiverAlgebra) -> int:
     return min(max(2 * e - 2 * s, 2), 4)
 
 
-def koszul_check(
-    alg: GradedQuiverAlgebra,
-    depth: int | None = None,
-    degree_bound: int | None = None,
-) -> KoszulReport:
+def koszul_check(alg: GradedQuiverAlgebra, depth: int) -> KoszulReport:
     """Resolve every vertex simple and aggregate the linearity verdicts."""
-    if depth is None:
-        depth = default_depth(alg)
     resolutions = tuple(
-        minimal_resolution(alg, v, depth, degree_bound)
-        for v in range(alg.num_vertices)
+        minimal_resolution(alg, v, depth) for v in range(alg.num_vertices)
     )
     status = "linear"
     first_violation = None
@@ -285,7 +256,7 @@ def koszul_check(
         status = "truncation_limited"
     return KoszulReport(
         depth=depth,
-        degree_bound=degree_bound if degree_bound is not None else alg.degree_bound,
+        degree_bound=alg.degree_bound,
         resolutions=resolutions,
         status=status,
         first_violation=first_violation,

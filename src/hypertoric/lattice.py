@@ -1,8 +1,11 @@
 """Exact integer and rational linear algebra for small dense and sparse systems.
 
-Everything runs on Python ints and fractions.Fraction so that all downstream
-predicates (membership, rank, genericity) are exact equality tests.  Matrices
-are lists of rows; vectors are tuples.  Nothing here touches floating point.
+Dense elimination (rank, int_inverse) runs on fractions.Fraction; the sparse
+echelon forms and kernels behind slices, products and resolutions run on
+Python ints only.  All downstream predicates (membership, rank,
+genericity) are therefore exact equality tests.  Dense matrices are lists of rows,
+sparse rows are {column: value} dicts, vectors are tuples.  Nothing here
+touches floating point.
 """
 
 from __future__ import annotations
@@ -112,23 +115,6 @@ def rank(vectors: Iterable[Sequence]) -> int:
             raise DimensionError("rank of ragged matrix")
     _, pivots = rref(rows)
     return len(pivots)
-
-
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows * x = 0}, one vector per free column, ascending."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    red, pivots = rref(mat)
-    pivset = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivset:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, p in zip(red, pivots):
-            vec[p] = -r[free]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +296,12 @@ def _eliminate(row: SparseRow, pivot_row: SparseRow, col: int) -> SparseRow:
     return _normalize_sparse(out)
 
 
-def sparse_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Row echelon form of sparse integer rows; returns {pivot column: row}.
-
-    Pivots are chosen at the smallest column index, so with lexicographically
-    sorted column labels the eliminated columns are the lex-earliest ones.
-    """
-    piv: dict[int, SparseRow] = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        while r:
-            j = min(r)
-            if j in piv:
-                r = _eliminate(r, piv[j], j)
-            else:
-                r = _normalize_sparse(r)
-                if r[j] < 0:
-                    r = {c: -v for c, v in r.items()}
-                piv[j] = r
-                break
-    return piv
-
-
 class IncrementalEchelon:
     """Echelon form that accepts rows one at a time.
 
     add() reduces the row against the pivots collected so far; a nonzero
     remainder is stored as a new pivot row and returned, a full reduction
-    returns None.
+    returns None.  Pivots are chosen at the smallest column index.
     """
 
     def __init__(self):
@@ -362,6 +326,18 @@ class IncrementalEchelon:
         return len(self.pivots)
 
 
+def sparse_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Row echelon form of sparse integer rows; returns {pivot column: row}.
+
+    With lexicographically sorted column labels the eliminated columns are
+    the lex-earliest ones.
+    """
+    echelon = IncrementalEchelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.pivots
+
+
 def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """Fully reduced echelon form: each pivot column occurs in one row only."""
     piv = sparse_echelon(rows)
@@ -380,7 +356,7 @@ def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
     """Basis of {x : row . x = 0 for all rows}, one vector per free column.
 
     Each vector is the rational one with a 1 at its free column, scaled by
-    the lcm of its denominators to integers.
+    the lcm of its denominators to integers, so its entries are coprime.
     """
     piv = sparse_rref(rows)
     basis = []
@@ -394,3 +370,18 @@ def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
             vec[p] = -row[free] * scale // row[p]
         basis.append(vec)
     return basis
+
+
+def column_kernel(columns: Sequence[tuple[SparseRow, int]]) -> list[SparseRow]:
+    """sparse_kernel of the matrix whose j-th column is row_j / denominator_j.
+
+    All columns are brought to one common multiplier: scaling them
+    separately would change the kernel.
+    """
+    common = lcm(*(d for _, d in columns))
+    rows: dict[int, SparseRow] = {}
+    for j, (column, d) in enumerate(columns):
+        f = common // d
+        for r, v in column.items():
+            rows.setdefault(r, {})[j] = v * f
+    return sparse_kernel(rows.values(), len(columns))

@@ -1,7 +1,7 @@
 """Graded slices, Hilbert blocks, regular sequences, quiver presentations."""
 
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,10 @@ from hypertoric import (
     MomentQuadric,
     ResourceBudgetError,
     SliceRing,
+    SymplecticRep,
     UnsupportedShiftError,
+    build_zonotope,
+    enumerate_window,
     hilbert_inverse_coefficients,
     hom_dimension,
     moment_quadrics,
@@ -73,11 +76,15 @@ def test_hilbert_blocks_conifold(rep_a):
 
 
 def test_reduce_collapses_quadric(rep_a):
-    ring = quotient_ring(rep_a)
+    piece = quotient_ring(rep_a).piece(2, (0,))
     x1y1 = (1, 0, 1, 0)
     x2y2 = (0, 1, 0, 1)
-    assert ring.reduce(x2y2) == {x1y1: Fraction(-1)}
-    assert ring.reduce(x1y1) == {x1y1: Fraction(1)}
+    at = piece.representatives.index(x1y1)
+    assert x2y2 not in piece.representatives
+    assert piece.reduce(x2y2) == ({at: -1}, 1)
+    # the second call reads the relation row re-keyed by the first
+    assert piece.reduce(x2y2) == ({at: -1}, 1)
+    assert piece.reduce(x1y1) == ({at: 1}, 1)
 
 
 def test_reduce_idempotent_on_representatives(rep_b):
@@ -85,16 +92,17 @@ def test_reduce_idempotent_on_representatives(rep_b):
     for n in range(4):
         for w in ring.bucket(n):
             piece = ring.piece(n, w)
-            for mono in piece.representatives:
-                assert ring.reduce(mono) == {mono: Fraction(1)}
+            for pos, mono in enumerate(piece.representatives):
+                assert piece.reduce(mono) == ({pos: 1}, 1)
 
 
 def test_multiply_respects_relations(rep_a):
-    ring = quotient_ring(rep_a)
+    piece = quotient_ring(rep_a).piece(2, (0,))
     x1, x2 = (1, 0, 0, 0), (0, 1, 0, 0)
     y1, y2 = (0, 0, 1, 0), (0, 0, 0, 1)
-    assert ring.multiply(x1, y1) == {(1, 0, 1, 0): Fraction(1)}
-    assert ring.multiply(x2, y2) == {(1, 0, 1, 0): Fraction(-1)}
+    at = piece.representatives.index((1, 0, 1, 0))
+    assert piece.reduce(tuple(map(add, x1, y1))) == ({at: 1}, 1)
+    assert piece.reduce(tuple(map(add, x2, y2))) == ({at: -1}, 1)
 
 
 def test_piece_rank_accounting(rep_b):
@@ -232,20 +240,62 @@ def test_quiver_presentation_hexagon(rep_b, window_b):
     assert {(r.source, r.target) for r in pres.relations} == {(0, 0), (1, 1), (2, 2)}
 
 
+def test_quiver_presentation_frozen_pivot_two():
+    """Rank one, three pairs: the quadric's degree-2 pivots are 2, not 1."""
+    rep = SymplecticRep(1, ((-1,), (1,), (2,)))
+    alg = GradedQuiverAlgebra(rep, enumerate_window(build_zonotope(rep), (-1,)), 2)
+    pres = quiver_presentation(alg)
+    assert len(pres.arrows) == 16
+    rendered = [(r.source, r.target, r.as_string(pres.arrows)) for r in pres.relations]
+    assert rendered == [
+        (0, 0, "y1*x1 - x2*y2 - 2*x3*y3"),
+        (0, 2, "y1*x2 - x2*y1"),
+        (0, 3, "y1*x3 - x3*y1"),
+        (0, 3, "x2*x3 - x3*x2"),
+        (1, 1, "y2*y1 - y1*y2"),
+        (1, 1, "x1*y1 - y1*x1"),
+        (1, 1, "y2*x2 - x2*y2"),
+        (1, 1, "x1*x2 - x2*x1"),
+        (1, 1, "y2*x2 - x1*y1 + 2*x3*y3"),
+        (1, 2, "y2*x3 - x3*y2"),
+        (1, 2, "x1*x3 - x3*x1"),
+        (1, 3, "y1*x2 - x2*y1"),
+        (2, 0, "y2*x1 - x1*y2"),
+        (2, 1, "y3*y1 - y1*y3"),
+        (2, 1, "y3*x2 - x2*y3"),
+        (2, 2, "2*y3*x3 + y2*x2 - x1*y1"),
+        (2, 2, "y2*y1 - y1*y2"),
+        (2, 2, "2*y3*x3 + y2*x2 - y1*x1"),
+        (2, 2, "y2*x2 - x2*y2"),
+        (2, 2, "x1*x2 - x2*x1"),
+        (3, 0, "y3*y2 - y2*y3"),
+        (3, 0, "y3*x1 - x1*y3"),
+        (3, 1, "y2*x1 - x1*y2"),
+        (3, 3, "2*y3*x3 + y2*x2 - x1*y1"),
+    ]
+
+
 def relation_vanishes(alg, pres, rel):
-    total: dict = {}
+    piece = alg.piece(rel.source, rel.target, 2)
+    products = []
     for coeff, (a_idx, b_idx) in rel.terms:
         first = pres.arrows[a_idx]
         second = pres.arrows[b_idx]
         assert first.target == second.source
-        prod = alg.ring.multiply(first.monomial, second.monomial)
-        for mono, c in prod.items():
-            total[mono] = total.get(mono, Fraction(0)) + coeff * c
+        row, d = piece.reduce(tuple(map(add, first.monomial, second.monomial)))
+        products.append((coeff, row, d))
+    common = lcm(*(d for _, _, d in products))
+    total: dict = {}
+    for coeff, row, d in products:
+        for pos, c in row.items():
+            total[pos] = total.get(pos, 0) + coeff * c * (common // d)
     return all(c == 0 for c in total.values())
 
 
 def test_relations_vanish_in_quotient(rep_a, rep_b, window_a, window_b):
-    for rep, window in ((rep_a, window_a), (rep_b, window_b)):
+    rep_c = SymplecticRep(1, ((-1,), (1,), (2,)))
+    window_c = enumerate_window(build_zonotope(rep_c), (-1,))
+    for rep, window in ((rep_a, window_a), (rep_b, window_b), (rep_c, window_c)):
         alg = GradedQuiverAlgebra(rep, window, 4)
         pres = quiver_presentation(alg)
         for rel in pres.relations:

@@ -104,12 +104,6 @@ def test_truncation_limited_status(rep_a, window_a):
         assert res.betti_counts == (1, 2, 1)
 
 
-def test_degree_bound_clamped_to_algebra(rep_a, window_a):
-    alg = GradedQuiverAlgebra(rep_a, window_a, 4)
-    res = minimal_resolution(alg, 0, 2, degree_bound=100)
-    assert res.degree_bound == 4
-
-
 def test_euler_identity_frozen_cases(rep_a, rep_b, window_a, window_b):
     for rep, window in ((rep_a, window_a), (rep_b, window_b)):
         quo = GradedQuiverAlgebra(rep, window, 6)
