@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedShiftError,
 )
 from .lattice import IntVec, SparseRow, column_kernel, sparse_rref, vec_sub
-from .reps import MomentQuadric, SymplecticRep, moment_quadrics
+from .reps import MomentQuadric, SymplecticRep, moment_quadrics, signed_sum
 from .zonotope import CharacterWindow
 
 Monomial = tuple[int, ...]
@@ -373,21 +373,10 @@ class Relation:
     terms: tuple[tuple[int, tuple[int, int]], ...]
 
     def as_string(self, arrows: tuple[Arrow, ...]) -> str:
-        parts = []
-        for coeff, (a, b) in self.terms:
-            word = f"{arrows[a].label}*{arrows[b].label}"
-            if not parts:
-                if coeff == 1:
-                    parts.append(word)
-                elif coeff == -1:
-                    parts.append(f"-{word}")
-                else:
-                    parts.append(f"{coeff}*{word}")
-            else:
-                sign = "+" if coeff > 0 else "-"
-                mag = abs(coeff)
-                parts.append(f"{sign} {word}" if mag == 1 else f"{sign} {mag}*{word}")
-        return " ".join(parts)
+        return signed_sum(
+            (coeff, f"{arrows[a].label}*{arrows[b].label}")
+            for coeff, (a, b) in self.terms
+        )
 
 
 @dataclass(frozen=True)

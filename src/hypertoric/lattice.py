@@ -1,16 +1,16 @@
-"""Exact integer and rational linear algebra for small dense and sparse systems.
+"""Exact integer linear algebra for small dense and sparse systems.
 
-Dense elimination (rank, int_inverse) runs on fractions.Fraction; the sparse
-echelon forms and kernels behind slices, products and resolutions run on
-Python ints only.  All downstream predicates (membership, rank,
-genericity) are therefore exact equality tests.  Dense matrices are lists of rows,
-sparse rows are {column: value} dicts, vectors are tuples.  Nothing here
-touches floating point.
+Everything runs on Python ints.  Lattice bases and Smith invariant factors
+come from unimodular row and column operations on dense matrices; ranks,
+inverses, echelon forms and kernels over Q come from one sparse integer
+echelon that keeps its rows primitive.  All downstream predicates
+(membership, rank, genericity) are therefore exact equality tests.  Dense
+matrices are lists of rows, sparse rows are {column: value} dicts, vectors
+are tuples.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -69,52 +69,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-# ---------------------------------------------------------------------------
-# dense rational elimination
-
-
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form.  Returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        pv = mat[row][col]
-        mat[row] = [x / pv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return mat[:row], pivots
-
-
-def rank(vectors: Iterable[Sequence]) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    for r in rows:
-        if len(r) != n:
-            raise DimensionError("rank of ragged matrix")
-    _, pivots = rref(rows)
-    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +176,12 @@ def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(f for f in factors if f)
 
 
-def int_inverse(mat: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Inverse of a unimodular integer matrix, as integer rows."""
-    n = len(mat)
-    for r in mat:
-        if len(r) != n:
-            raise DimensionError("inverse of non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = []
-    for row in red:
-        tail = row[n:]
-        if any(x.denominator != 1 for x in tail):
-            raise ValueError("matrix is not unimodular")
-        inv.append(tuple(int(x) for x in tail))
-    return inv
-
-
 def hyperplane_normals(vectors: Sequence[IntVec], dim: int | None = None) -> list[IntVec]:
     """Canonical primitive normals of every hyperplane spanned by the input.
 
-    A hyperplane counts when some subset of the vectors has rank dim-1 and
-    spans it.  For dim <= 1 there are no such hyperplanes (the origin is not
-    counted), so the list is empty.
+    A hyperplane counts when some dim-1 of the vectors span it, that is when
+    their integer kernel is one line.  For dim <= 1 there are no such
+    hyperplanes (the origin is not counted), so the list is empty.
     """
     if dim is None:
         if not vectors:
@@ -261,8 +195,6 @@ def hyperplane_normals(vectors: Sequence[IntVec], dim: int | None = None) -> lis
     dirs = sorted({primitive(v) for v in vectors if any(v)})
     normals = set()
     for sub in combinations(dirs, dim - 1):
-        if rank(sub) != dim - 1:
-            continue
         ker = int_kernel_basis(sub, dim)
         if len(ker) == 1:
             normals.add(primitive(ker[0]))
@@ -350,6 +282,34 @@ def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
             row = {c: -v for c, v in row.items()}
         piv[j] = row
     return piv
+
+
+def rank(vectors: Iterable[Sequence[int]]) -> int:
+    """Rank over Q of integer vectors of one length."""
+    rows = [tuple(v) for v in vectors]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionError("rank of ragged matrix")
+    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
+
+
+def int_inverse(mat: Sequence[Sequence[int]]) -> list[IntVec]:
+    """Inverse of a unimodular integer matrix, as integer rows.
+
+    Fully reduces [mat | I].  Reduced rows are primitive, so the inverse is
+    integral exactly when every pivot is 1.
+    """
+    n = len(mat)
+    for r in mat:
+        if len(r) != n:
+            raise DimensionError("inverse of non-square matrix")
+    piv = sparse_rref(
+        {**dict(enumerate(row)), n + i: 1} for i, row in enumerate(mat)
+    )
+    if any(j not in piv for j in range(n)):
+        raise ValueError("matrix is singular")
+    if any(piv[j][j] != 1 for j in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(piv[j].get(n + c, 0) for c in range(n)) for j in range(n)]
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:

@@ -189,6 +189,15 @@ def _monomial_weight(rep: SymplecticRep, mono: tuple[int, ...]) -> IntVec:
     return tuple(acc)
 
 
+@lru_cache(maxsize=64)
+def _monomials_by_weight(rep: SymplecticRep, n: int) -> dict[IntVec, tuple]:
+    """Degree-n exponent vectors grouped by weight, in enumeration order."""
+    groups: dict[IntVec, list] = {}
+    for m in _exponent_vectors(n, 2 * rep.num_pairs):
+        groups.setdefault(_monomial_weight(rep, m), []).append(m)
+    return {w: tuple(ms) for w, ms in groups.items()}
+
+
 def _dense_rank(rows: list[list[Fraction]]) -> int:
     if not rows:
         return 0
@@ -235,14 +244,12 @@ def oracle_block_dimension(
         raise DimensionError("window characters must match the torus rank")
     w = tuple(b - a for a, b in zip(mu, mu_prime))
     e = rep.num_pairs
-    mons = [m for m in _exponent_vectors(n, 2 * e) if _monomial_weight(rep, m) == w]
+    mons = _monomials_by_weight(rep, n).get(w, ())
     if not with_quadrics:
         return len(mons)
     index = {m: c for c, m in enumerate(mons)}
     rows: list[list[Fraction]] = []
-    for base in _exponent_vectors(n - 2, 2 * e):
-        if _monomial_weight(rep, base) != w:
-            continue
+    for base in _monomials_by_weight(rep, n - 2).get(w, ()):
         for j in range(s):
             row = [Fraction(0)] * len(mons)
             for i in range(e):

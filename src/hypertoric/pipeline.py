@@ -29,12 +29,13 @@ from .errors import (
     UnsupportedShiftError,
 )
 from .koszul import koszul_check, numerical_koszul_consistency
-from .lattice import IntVec, dot
+from .lattice import IntVec
 from .reps import (
     MomentQuadric,
     ReductionResult,
     SymplecticRep,
     moment_quadrics,
+    project_vec,
     reduce_to_generic,
     require_valid,
     singular_codim_estimate,
@@ -279,7 +280,7 @@ def _codimension(ctx: _Context):
     red = ctx.reduction
     xi = ctx.problem.xi
     for step in red.steps:
-        xi = tuple(dot(xi, u) for u in step.projection)
+        xi = project_vec(xi, step.projection)
     est = singular_codim_estimate(
         red.reduced, xi, max_pairs=ctx.budget.max_codim_pairs
     )

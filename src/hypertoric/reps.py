@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import Iterable
 
 from .errors import (
     DimensionError,
@@ -94,10 +96,8 @@ STANDING_ASSUMPTIONS = (
 
 def validate(rep: SymplecticRep) -> ValidationReport:
     s = rep.torus_rank
-    wr = rank(rep.half_weights) if rep.half_weights else 0
-    if s == 0:
-        wr = 0
-    inv = smith_invariant_factors(list(rep.half_weights)) if rep.half_weights else ()
+    inv = smith_invariant_factors(rep.half_weights)
+    wr = len(inv)
     strict = (wr == s) and all(f == 1 for f in inv)
     return ValidationReport(
         torus_rank=s,
@@ -122,6 +122,25 @@ def require_valid(rep: SymplecticRep) -> ValidationReport:
 # moment-map quadrics
 
 
+def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
+    """Render sum c*word over (c, word) pairs, skipping zero coefficients.
+
+    The first term carries its sign; later ones are joined by " + " or
+    " - ".  A coefficient of magnitude 1 is not written.
+    """
+    parts: list[str] = []
+    for c, word in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        term = word if mag == 1 else f"{mag}*{word}"
+        if parts:
+            parts.append(f"{'+' if c > 0 else '-'} {term}")
+        else:
+            parts.append(term if c > 0 else f"-{term}")
+    return " ".join(parts)
+
+
 @dataclass(frozen=True)
 class MomentQuadric:
     """One coordinate of the quadratic moment map: sum_i c_i x_i y_i - shift."""
@@ -131,30 +150,14 @@ class MomentQuadric:
     shift: int | Fraction = 0
 
     def as_string(self) -> str:
-        parts: list[str] = []
-        for i, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            mono = f"x{i + 1}*y{i + 1}"
-            if not parts:
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-            else:
-                sign = "+" if c > 0 else "-"
-                mag = abs(c)
-                term = mono if mag == 1 else f"{mag}*{mono}"
-                parts.append(f"{sign} {term}")
+        text = signed_sum(
+            (c, f"x{i + 1}*y{i + 1}") for i, c in enumerate(self.coefficients)
+        )
         if self.shift:
-            if not parts:
-                parts.append(str(-self.shift))
-            else:
-                sign = "-" if self.shift > 0 else "+"
-                parts.append(f"{sign} {abs(self.shift)}")
-        return " ".join(parts) if parts else "0"
+            if not text:
+                return str(-self.shift)
+            text += f" {'-' if self.shift > 0 else '+'} {abs(self.shift)}"
+        return text or "0"
 
 
 def moment_quadrics(rep: SymplecticRep, xi: IntVec | None = None) -> tuple[MomentQuadric, ...]:
@@ -190,15 +193,11 @@ def nongeneric_pair(rep: SymplecticRep) -> tuple[IntVec, int] | None:
     half-weight except beta_i, or None when no such pair exists.
     """
     s = rep.torus_rank
-    if s == 0:
-        return None
     for i in range(rep.num_pairs):
         others = [w for j, w in enumerate(rep.half_weights) if j != i]
-        if (rank(others) if others else 0) <= s - 1:
-            kernel = int_kernel_basis(others, s)
-            if kernel:
-                normal = min(primitive(v) for v in kernel)
-                return normal, i
+        kernel = int_kernel_basis(others, s)
+        if kernel:
+            return min(primitive(v) for v in kernel), i
     return None
 
 
@@ -259,7 +258,7 @@ class ReductionResult:
         return tuple(self.lift_point(p) for p in points)
 
 
-def _project_vec(v: IntVec, projection: tuple[IntVec, ...]) -> IntVec:
+def project_vec(v: IntVec, projection: tuple[IntVec, ...]) -> IntVec:
     return tuple(dot(v, u) for u in projection)
 
 
@@ -309,7 +308,7 @@ def reduce_to_generic(
         lift = int_inverse(change)
         projection = tuple(complement)
         new_weights = tuple(
-            _project_vec(w, projection)
+            project_vec(w, projection)
             for j, w in enumerate(current.half_weights)
             if j != i
         )
@@ -324,9 +323,9 @@ def reduce_to_generic(
         )
         current = SymplecticRep(s - 1, new_weights)
         if chi is not None:
-            chi = _project_vec(chi, projection)
+            chi = project_vec(chi, projection)
         if epsilon is not None:
-            epsilon = _project_vec(epsilon, projection)
+            epsilon = project_vec(epsilon, projection)
     return ReductionResult(
         original=rep,
         reduced=current,
@@ -378,11 +377,14 @@ def singular_codim_estimate(
     if len(xi) != s:
         raise DimensionError(f"moment value has length {len(xi)}, expected {s}")
     fiber_dim = 2 * e - s
+    # row scaling keeps ranks, so xi enters the span test as an integer row
+    scale = lcm(*(x.denominator for x in xi))
+    xi = tuple(int(x * scale) for x in xi)
     best: tuple[int, tuple[int, ...], int] | None = None
     for size in range(e + 1):
         for subset in combinations(range(e), size):
             vecs = [rep.half_weights[i] for i in subset]
-            r = rank(vecs) if vecs else 0
+            r = rank(vecs)
             if r >= s:
                 continue
             if any(xi) and rank(vecs + [xi]) != r:

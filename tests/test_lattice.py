@@ -1,4 +1,8 @@
-"""Unit tests for the exact integer/rational linear algebra layer."""
+"""Unit tests for the exact integer linear algebra layer.
+
+Ranks are checked against the oracle's dense Fraction elimination, which
+shares no code with the sparse echelon under test.
+"""
 
 from fractions import Fraction
 from math import gcd
@@ -17,7 +21,6 @@ from hypertoric.lattice import (
     int_kernel_basis,
     primitive,
     rank,
-    rref,
     smith_invariant_factors,
     sparse_echelon,
     sparse_kernel,
@@ -25,9 +28,14 @@ from hypertoric.lattice import (
     vec_sub,
     xgcd,
 )
+from hypertoric.oracle import _dense_rank
 
 ints = st.integers(-30, 30)
 small_vec = st.lists(ints, min_size=1, max_size=5).map(tuple)
+
+
+def dense_rank(mat) -> int:
+    return _dense_rank([[Fraction(x) for x in row] for row in mat])
 
 
 def small_matrix(max_rows=4, max_cols=4):
@@ -75,13 +83,10 @@ def test_vector_ops_dimension_guard():
         dot((1, 2), (1, 2, 3))
     with pytest.raises(DimensionError):
         vec_sub((1, 2, 3), (1, 2))
-
-
-def test_rref_known():
-    rows, pivots = rref([(2, 4), (1, 2)])
-    assert len(rows) == 1
-    assert pivots == [0]
-    assert rows[0][1] / rows[0][0] == Fraction(2)
+    with pytest.raises(DimensionError):
+        rank([(1, 2), (1,)])
+    with pytest.raises(DimensionError):
+        int_inverse([(1, 0), (0,)])
 
 
 @given(small_matrix())
@@ -93,14 +98,14 @@ def test_rank_row_scaling_invariant(mat):
 @given(small_matrix())
 def test_sparse_rank_matches_dense(mat):
     sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    assert len(sparse_echelon(sparse)) == rank(mat)
+    assert len(sparse_echelon(sparse)) == rank(mat) == dense_rank(mat)
 
 
 @given(small_matrix())
 def test_int_kernel_basis_annihilates(mat):
     ncols = len(mat[0])
     basis = int_kernel_basis(mat, ncols)
-    assert len(basis) == ncols - rank(mat)
+    assert len(basis) == ncols - dense_rank(mat)
     for v in basis:
         assert all(isinstance(x, int) for x in v)
         for row in mat:
@@ -129,6 +134,46 @@ def test_int_inverse_rejects_non_unimodular():
         int_inverse(((2, 0), (0, 1)))
 
 
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def elementary_products(draw):
+    """A unimodular matrix built from random elementary row operations."""
+    n = draw(st.integers(1, 4))
+    mat = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            mat[i] = [-x for x in mat[i]]
+        elif draw(st.booleans()):
+            mat[i], mat[j] = mat[j], mat[i]
+        else:
+            k = draw(st.integers(-3, 3))
+            mat[i] = [x + k * y for x, y in zip(mat[i], mat[j])]
+    return mat
+
+
+@given(elementary_products(), st.data())
+def test_int_inverse_elementary_products(mat, data):
+    n = len(mat)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = int_inverse(mat)
+    assert matmul(mat, inv) == matmul(inv, mat) == identity
+    i = data.draw(st.integers(0, n - 1))
+    doubled = [[2 * x for x in row] if r == i else row for r, row in enumerate(mat)]
+    with pytest.raises(ValueError, match="not unimodular"):
+        int_inverse(doubled)
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(-3, 3))
+    dependent = [[k * x for x in mat[j]] if r == i else row for r, row in enumerate(mat)]
+    if i == j:
+        dependent[i] = [0] * n
+    with pytest.raises(ValueError, match="singular"):
+        int_inverse(dependent)
+
+
 def test_smith_invariant_factors_known():
     assert smith_invariant_factors([(1, 0), (0, 1)]) == (1, 1)
     assert smith_invariant_factors([(2, 0), (0, 3)]) == (1, 6)
@@ -139,7 +184,7 @@ def test_smith_invariant_factors_known():
 @given(small_matrix(max_rows=3, max_cols=3))
 def test_smith_divisibility_chain(mat):
     factors = smith_invariant_factors(mat)
-    assert len(factors) == rank(mat)
+    assert len(factors) == dense_rank(mat)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
 
@@ -165,7 +210,7 @@ def test_sparse_kernel_annihilates(mat):
     ncols = len(mat[0])
     sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
     kernel = sparse_kernel(sparse, ncols)
-    assert len(kernel) == ncols - rank(mat)
+    assert len(kernel) == ncols - dense_rank(mat)
     for vec in kernel:
         # primitive: the quiver relations are not divided by their content
         assert content(list(vec.values())) == 1
@@ -179,7 +224,7 @@ def test_incremental_echelon_tracks_rank(mat):
     ech = IncrementalEchelon()
     for row in mat:
         ech.add({j: x for j, x in enumerate(row) if x})
-    assert ech.rank == rank(mat)
+    assert ech.rank == dense_rank(mat)
 
 
 def test_incremental_echelon_dependent_row_returns_none():

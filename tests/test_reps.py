@@ -18,6 +18,7 @@ from hypertoric import (
     singular_codim_estimate,
     validate,
 )
+from hypertoric.oracle import _dense_rank
 from hypertoric.reps import STANDING_ASSUMPTIONS
 
 
@@ -63,6 +64,15 @@ def test_validate_faithful_but_not_strict():
     assert v.faithful
     assert not v.strictly_faithful
     assert v.invariant_factors == (2,)
+
+
+def test_validate_weight_rank_matches_oracle(corpus):
+    # every corpus rep has full rank; dropping a pair can lose it
+    for entry in corpus:
+        rep = entry.rep
+        for r in [rep] + [rep.drop_pair(i) for i in range(rep.num_pairs)]:
+            rows = [[Fraction(x) for x in w] for w in r.half_weights]
+            assert validate(r).weight_rank == _dense_rank(rows)
 
 
 def test_standing_assumptions_documented():
@@ -226,6 +236,13 @@ def test_codim_nonzero_level_skips_missed_strata(rep_a):
     est = singular_codim_estimate(rep_a, xi=(1,))
     assert est.estimate is None
     assert est.bad_subset is None
+
+
+def test_codim_fractional_level(rep_b):
+    half = Fraction(1, 2)
+    est = singular_codim_estimate(rep_b, xi=(half, half))
+    assert (est.estimate, est.bad_subset, est.bad_rank) == (3, (2,), 1)
+    assert singular_codim_estimate(rep_b, xi=(half, Fraction(1, 3))).estimate is None
 
 
 def test_codim_trivial_rep():
