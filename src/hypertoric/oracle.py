@@ -199,26 +199,47 @@ def _monomials_by_weight(rep: SymplecticRep, n: int) -> dict[IntVec, tuple]:
 
 
 def _dense_rank(rows: list[list[Fraction]]) -> int:
-    if not rows:
-        return 0
+    """Rank by forward elimination; each step touches only the pivot row's nonzeros."""
     mat = [row[:] for row in rows]
-    ncols = len(mat[0])
     r = 0
-    for col in range(ncols):
+    for col in range(len(mat[0]) if mat else 0):
         piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        pivot = [(k, v * inv) for k, v in enumerate(mat[r]) if v]
+        for row in mat[r + 1:]:
+            f = row[col]
+            if f:
+                for k, v in pivot:
+                    row[k] -= f * v
         r += 1
         if r == len(mat):
             break
     return r
+
+
+@lru_cache(maxsize=4096)
+def _quadric_span_rank(rep: SymplecticRep, w: IntVec, n: int) -> int:
+    """Rank of the moment-quadric multiples inside the degree-n, weight-w monomials."""
+    e = rep.num_pairs
+    index = {m: c for c, m in enumerate(_monomials_by_weight(rep, n).get(w, ()))}
+    rows: list[list[Fraction]] = []
+    for base in _monomials_by_weight(rep, n - 2).get(w, ()):
+        for j in range(rep.torus_rank):
+            row = [Fraction(0)] * len(index)
+            for i in range(e):
+                c = rep.half_weights[i][j]
+                if c == 0:
+                    continue
+                prod = list(base)
+                prod[i] += 1
+                prod[e + i] += 1
+                row[index[tuple(prod)]] += c
+            if any(row):
+                rows.append(row)
+    return _dense_rank(rows)
 
 
 def oracle_block_dimension(
@@ -243,23 +264,7 @@ def oracle_block_dimension(
     if len(mu) != s or len(mu_prime) != s:
         raise DimensionError("window characters must match the torus rank")
     w = tuple(b - a for a, b in zip(mu, mu_prime))
-    e = rep.num_pairs
     mons = _monomials_by_weight(rep, n).get(w, ())
     if not with_quadrics:
         return len(mons)
-    index = {m: c for c, m in enumerate(mons)}
-    rows: list[list[Fraction]] = []
-    for base in _monomials_by_weight(rep, n - 2).get(w, ()):
-        for j in range(s):
-            row = [Fraction(0)] * len(mons)
-            for i in range(e):
-                c = rep.half_weights[i][j]
-                if c == 0:
-                    continue
-                prod = list(base)
-                prod[i] += 1
-                prod[e + i] += 1
-                row[index[tuple(prod)]] += c
-            if any(row):
-                rows.append(row)
-    return len(mons) - _dense_rank(rows)
+    return len(mons) - _quadric_span_rank(rep, w, n)

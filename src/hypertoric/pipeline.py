@@ -10,12 +10,11 @@ byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-
-import jsonschema
 
 from . import __version__ as ENGINE_VERSION
 from .algebra import (
@@ -490,13 +489,48 @@ def _parse_xi_entry(raw) -> Fraction:
         raise ProblemFormatError(f"xi entry {raw!r} has a zero denominator", "xi") from None
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "null": type(None)}
+
+
+def _check_schema(value, schema: dict, path: tuple = ()) -> None:
+    """Check `value` against the draft-07 keywords that PROBLEM_SCHEMA uses.
+
+    One rule is stricter than draft-07: only an `int` (never a bool, nor an
+    integral float such as 6.0) is an integer, so no float reaches the engine.
+    """
+    at = ".".join(map(str, path)) or None
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and (isinstance(value, bool)
+                  or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))):
+        raise ProblemFormatError(f"{value!r} is not of type {', '.join(map(repr, types))}", at)
+    if "enum" in schema and value not in schema["enum"]:
+        raise ProblemFormatError(f"{value!r} is not one of {schema['enum']!r}", at)
+    if "minimum" in schema and isinstance(value, int) and value < schema["minimum"]:
+        raise ProblemFormatError(f"{value!r} is less than the minimum of {schema['minimum']}", at)
+    if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
+        raise ProblemFormatError(f"{value!r} does not match {schema['pattern']!r}", at)
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ProblemFormatError(f"{value!r} is too short", at)
+        for idx, item in enumerate(value):
+            _check_schema(item, schema.get("items", {}), path + (idx,))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                raise ProblemFormatError(f"{key!r} is a required property", at)
+        extra = [key for key in value if key not in props]
+        if extra and schema.get("additionalProperties") is False:
+            raise ProblemFormatError(f"additional properties are not allowed: {extra!r}", at)
+        for key, sub in props.items():
+            if key in value:
+                _check_schema(value[key], sub, path + (key,))
+
+
 def parse_problem(data: dict) -> ProblemFile:
     """Validate a decoded problem object and normalize defaults."""
-    try:
-        jsonschema.validate(data, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or None
-        raise ProblemFormatError(exc.message, path) from exc
+    _check_schema(data, PROBLEM_SCHEMA)
     s = data["torus_rank"]
     hw = tuple(tuple(row) for row in data["half_weights"])
     for idx, row in enumerate(hw):

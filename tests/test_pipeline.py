@@ -340,6 +340,30 @@ def test_cli_invalid_input_exits_three(tmp_path, capsys):
     assert main(["run", str(not_json)]) == 3
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"truncation": 6.0},
+        {"depth": 2.0},
+        {"torus_rank": 1.0},
+        {"chi": [1.0]},
+        {"half_weights": [[1.0], [1]]},
+        {"epsilon": [1.0]},
+    ],
+)
+def test_cli_integral_float_exits_three(tmp_path, capsys, mutation):
+    # draft-07 counts 6.0 as an integer; the problem format does not, so no
+    # float reaches the engine or the report
+    data = dict(CONIFOLD)
+    data.update(mutation)
+    f = tmp_path / "float.json"
+    f.write_text(json.dumps(data))
+    assert main(["run", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and "is not of type 'integer'" in captured.err
+
+
 def test_cli_non_faithful_exits_three(tmp_path, capsys):
     f = tmp_path / "nf.json"
     f.write_text(json.dumps({"torus_rank": 2, "half_weights": [[1, 0], [2, 0]], "chi": [0, 0]}))
@@ -381,6 +405,24 @@ def test_cli_subprocess_entry(problems_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["exit_code"] == 0
+
+
+def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
+    # the runtime has no third-party dependency: jsonschema is test-only
+    imported = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypertoric.cli; assert 'jsonschema' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert imported.returncode == 0, imported.stderr
+    blocked = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['jsonschema'] = None; from hypertoric import cli; "
+         "sys.exit(cli.main(['run', 'problems/conifold.json']))"],
+        capture_output=True, text=True, cwd=problems_dir.parent,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == (golden_dir / "conifold_report.json").read_text()
 
 
 def test_golden_reports(problems_dir, golden_dir):
