@@ -7,6 +7,12 @@ moment-map quadrics impose finitely many linear relations on monomials.  An
 algebra is assembled from the slices whose weights are differences of window
 characters, with one vertex per window point.
 
+A slice lists only its own monomials.  With z_i = x_i y_i, C[x,y] is free
+over C[z] (Hausel-Sturmfels): a degree-n monomial of weight w is
+x^{c+} y^{c-} z^m for exactly one sign vector c with sum_i c_i beta_i = w
+and one z-part m with |c|_1 + 2|m| = n.  The ring caches sign vectors by
+norm and weight, and multiplies them by the z-parts.
+
 Everything here is integer arithmetic.  A slice keeps its relations in
 reduced echelon form, and QuotientPiece.reduce writes any monomial of the
 slice as an integer row over the representatives and a denominator.  The
@@ -18,8 +24,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DimensionError,
@@ -124,39 +131,46 @@ class SliceRing:
         self.rep = rep
         self.quadrics = tuple(quadrics)
         self.max_degree = max_degree
-        self._buckets: dict[int, dict[IntVec, tuple[Monomial, ...]]] = {}
+        self._signs: dict[int, dict[IntVec, tuple[Monomial, ...]]] = {}
+        self._monomials: dict[tuple[int, IntVec], tuple[Monomial, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def weight_of(self, mono: Monomial) -> IntVec:
-        e = self.rep.num_pairs
-        s = self.rep.torus_rank
-        hw = self.rep.half_weights
-        return tuple(
-            sum((mono[i] - mono[e + i]) * hw[i][k] for i in range(e))
-            for k in range(s)
-        )
+    def _sign_vectors(self, k: int) -> dict[IntVec, tuple[Monomial, ...]]:
+        """x^{c+} y^{c-} for every integer c with |c|_1 = k, grouped by weight."""
+        cached = self._signs.get(k)
+        if cached is None:
+            columns = list(zip(*self.rep.half_weights))
+            grouped: dict[IntVec, list[Monomial]] = {}
+            for a in _compositions(k, self.rep.num_pairs):
+                for c in product(*[(v, -v) if v else (0,) for v in a]):
+                    mono = tuple([v if v > 0 else 0 for v in c] + [-v if v < 0 else 0 for v in c])
+                    weight = tuple([sum(map(mul, c, col)) for col in columns])
+                    grouped.setdefault(weight, []).append(mono)
+            cached = self._signs[k] = {w: tuple(ms) for w, ms in grouped.items()}
+        return cached
 
-    def bucket(self, n: int) -> dict[IntVec, tuple[Monomial, ...]]:
-        """All degree-n monomials grouped by weight; lists stay lex-sorted."""
-        if n < 0:
-            return {}
+    def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
+        """The degree-n, weight-w monomials in lex order."""
         if self.max_degree is not None and n > self.max_degree:
             raise ResourceBudgetError(
                 f"slice degree {n} exceeds the configured bound {self.max_degree}"
             )
-        cached = self._buckets.get(n)
+        w = tuple(w)
+        cached = self._monomials.get((n, w))
         if cached is None:
-            grouped: dict[IntVec, list[Monomial]] = {}
-            for mono in _compositions(n, self.rep.space_dim):
-                grouped.setdefault(self.weight_of(mono), []).append(mono)
-            cached = {w: tuple(ms) for w, ms in grouped.items()}
-            self._buckets[n] = cached
+            cached = self._monomials[(n, w)] = self._enumerate(n, w)
         return cached
 
-    def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
-        return self.bucket(n).get(tuple(w), ())
+    def _enumerate(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
+        mons = []
+        for k in range(n % 2, n + 1, 2):
+            signs = self._sign_vectors(k).get(w)
+            if signs:
+                zs = [m + m for m in _compositions((n - k) // 2, self.rep.num_pairs)]
+                mons.extend(tuple(map(add, c, z)) for c in signs for z in zs)
+        return tuple(sorted(mons))
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
         return len(self.monomials(n, w))
@@ -207,14 +221,17 @@ class SliceRing:
         return self.piece(n, w).dim
 
     def ambient(self) -> SliceRing:
-        """The ring without relations, on this ring's monomial buckets."""
+        """The ring without relations, on this ring's monomial caches."""
         ring = SliceRing(self.rep, (), self.max_degree)
-        ring._buckets = self._buckets
+        ring._signs = self._signs
+        ring._monomials = self._monomials
         return ring
 
 
 def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
-    """Monomials of total degree n and torus weight w in the full ring."""
+    """Monomials of total degree n and torus weight w in the full ring.
+
+    The benchmark's oracle check (bench/checks.py) is its caller."""
     return SliceRing(rep).ambient_dim(n, tuple(w))
 
 

@@ -1,5 +1,6 @@
 """Graded slices, Hilbert blocks, regular sequences, quiver presentations."""
 
+from itertools import product
 from math import comb, lcm
 from operator import add
 
@@ -23,10 +24,17 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
+from hypertoric.oracle import _monomials_by_weight
 
 
 def quotient_ring(rep, upto=8):
     return SliceRing(rep, moment_quadrics(rep), max_degree=upto)
+
+
+def weight_box(rep, n):
+    """Every weight a degree-n monomial can have, and a margin of absent ones."""
+    reach = [n * max(abs(b[t]) for b in rep.half_weights) for t in range(rep.torus_rank)]
+    return list(product(*(range(-r - 1, r + 2) for r in reach)))
 
 
 # -- ambient slices ----------------------------------------------------------
@@ -43,21 +51,44 @@ def test_ambient_dims_conifold(rep_a):
 @pytest.mark.parametrize("n", range(5))
 def test_bucket_counts_every_monomial(rep_b, n):
     ring = SliceRing(rep_b)
-    total = sum(len(m) for m in ring.bucket(n).values())
+    slices = [ring.monomials(n, w) for w in weight_box(rep_b, n)]
+    assert all(sum(m) == n for ms in slices for m in ms)
+    total = sum(len(ms) for ms in slices)
+    assert total == len({m for ms in slices for m in ms})
     assert total == comb(n + 2 * rep_b.num_pairs - 1, 2 * rep_b.num_pairs - 1)
 
 
 def test_bucket_respects_degree_budget(rep_a):
     ring = SliceRing(rep_a, max_degree=3)
-    ring.bucket(3)
+    ring.monomials(3, (1,))
     with pytest.raises(ResourceBudgetError):
-        ring.bucket(4)
+        ring.monomials(4, (0,))
+    with pytest.raises(ResourceBudgetError):
+        ring.ambient().monomials(4, (2,))
 
 
 def test_monomial_weight(rep_b):
     ring = SliceRing(rep_b)
     # x1 * y3^2 has weight (1,0) - 2*(1,1)
-    assert ring.weight_of((1, 0, 0, 0, 0, 2)) == (-1, -2)
+    assert (1, 0, 0, 0, 0, 2) in ring.monomials(3, (-1, -2))
+    assert (1, 0, 0, 0, 0, 2) not in ring.monomials(3, (1, 2))
+
+
+def test_monomials_match_oracle(rep_a, rep_b, corpus):
+    """Sign vectors times z-parts list exactly the oracle's weight groups."""
+    repeated = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
+    for rep in [rep_a, rep_b, repeated] + [entry.rep for entry in corpus]:
+        ring = SliceRing(rep)
+        for n in range(7):
+            oracle = _monomials_by_weight(rep, n)
+            box = weight_box(rep, n)
+            assert set(oracle) <= set(box)
+            for w in box:
+                assert ring.monomials(n, w) == tuple(sorted(oracle.get(w, ())))
+    conifold = SliceRing(rep_a)
+    assert conifold.monomials(1, (0,)) == ()  # parity mismatch
+    assert conifold.monomials(2, (4,)) == ()  # weight out of reach
+    assert conifold.monomials(2, (2,)) == ((0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0))
 
 
 def test_nonzero_shift_rejected_in_graded_ring(rep_a):
@@ -90,7 +121,7 @@ def test_reduce_collapses_quadric(rep_a):
 def test_reduce_idempotent_on_representatives(rep_b):
     ring = quotient_ring(rep_b, upto=4)
     for n in range(4):
-        for w in ring.bucket(n):
+        for w in weight_box(rep_b, n):
             piece = ring.piece(n, w)
             for pos, mono in enumerate(piece.representatives):
                 assert piece.reduce(mono) == ({pos: 1}, 1)
@@ -108,9 +139,10 @@ def test_multiply_respects_relations(rep_a):
 def test_piece_rank_accounting(rep_b):
     ring = quotient_ring(rep_b, upto=4)
     for n in range(5):
-        for w, monos in ring.bucket(n).items():
+        for w in weight_box(rep_b, n):
             piece = ring.piece(n, w)
-            assert piece.ambient_dim == len(monos)
+            assert piece.monomials is ring.monomials(n, w)
+            assert piece.ambient_dim == len(piece.monomials)
             assert piece.dim == piece.ambient_dim - piece.relation_rank
             assert piece.dim == len(piece.representatives)
 
@@ -179,8 +211,8 @@ def test_ambient_algebra_shares_monomials(rep_b, window_b):
     fresh = GradedQuiverAlgebra(rep_b, window_b, 4, quadrics=())
     assert amb.hilbert_matrices() == fresh.hilbert_matrices()
     for n in range(5):
-        for w, monos in quo.ring.bucket(n).items():
-            assert amb.ring.monomials(n, w) is monos
+        for w in weight_box(rep_b, n):
+            assert amb.ring.monomials(n, w) is quo.ring.monomials(n, w)
 
 
 # -- window algebra and its quiver ------------------------------------------

@@ -197,34 +197,36 @@ def test_reduction_section_on_split_rep():
 
 
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
-    """Regular-sequence scan and Hilbert blocks share one ring."""
+    """Regular-sequence scan, Hilbert blocks and both resolutions share one ring."""
     eliminations = []
-    buckets = []
+    enumerations = []
     sparse_rref = algebra.sparse_rref
-    compositions = algebra._compositions
+    enumerate_slice = algebra.SliceRing._enumerate
 
     def counting_rref(rows):
         eliminations.append(1)
         return sparse_rref(rows)
 
-    def counting_compositions(n, parts):
-        if parts == 6:  # top-level calls only: hexagon has 6 coordinates
-            buckets.append(n)
-        return compositions(n, parts)
+    def counting_enumerate(ring, n, w):
+        enumerations.append((n, w))
+        return enumerate_slice(ring, n, w)
 
     monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
-    monkeypatch.setattr(algebra, "_compositions", counting_compositions)
+    monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
     problem = replace(
         load_problem(str(problems_dir / "hexagon.json")),
         truncation=8,
-        analyses=("hilbert", "regular_sequence"),
+        depth=2,
+        analyses=("hilbert", "regular_sequence", "koszul"),
     )
     report = run(problem)
     assert report.sections["regular_sequence"]["passed"]
     points = report.sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
-    assert len(eliminations) == 9 * len(weights)
-    assert sorted(buckets) == list(range(9))
+    # each slice of each ring is eliminated once: the quotient and the ambient
+    assert len(eliminations) == 2 * 9 * len(weights)
+    # and its monomials are listed once, for both rings together
+    assert sorted(enumerations) == sorted((n, w) for n in range(9) for w in weights)
 
 
 # check names a single-analysis run reports when chi and epsilon are generic
