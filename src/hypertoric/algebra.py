@@ -13,11 +13,14 @@ x^{c+} y^{c-} z^m for exactly one sign vector c with sum_i c_i beta_i = w
 and one z-part m with |c|_1 + 2|m| = n.  The ring caches sign vectors by
 norm and weight, and multiplies them by the z-parts.
 
-Everything here is integer arithmetic.  A slice keeps its relations in
-reduced echelon form, and QuotientPiece.reduce writes any monomial of the
-slice as an integer row over the representatives and a denominator.  The
-quiver relations are the kernel of those products (lattice.column_kernel),
-the same product and kernel that the minimal resolutions use.
+Everything here is integer arithmetic.  A slice is built with the forward
+echelon of its relations, which fixes its rank and representatives; the
+Hilbert blocks and the regular-sequence scan read nothing else.  The first
+QuotientPiece.reduce that needs a relation back-substitutes the whole
+slice once, and from then on reduce writes any monomial of the slice as an
+integer row over the representatives and a denominator.  The quiver
+relations are the kernel of those products (lattice.column_kernel), the
+same product and kernel that the minimal resolutions use.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from .errors import (
     ResourceBudgetError,
     UnsupportedShiftError,
 )
-from .lattice import IntVec, SparseRow, column_kernel, sparse_rref, vec_sub
+from .lattice import (
+    IntVec,
+    SparseRow,
+    back_substitute,
+    column_kernel,
+    sparse_echelon,
+    vec_sub,
+)
 from .reps import MomentQuadric, SymplecticRep, moment_quadrics, signed_sum
 from .zonotope import CharacterWindow
 
@@ -61,9 +71,12 @@ class QuotientPiece:
 
     monomials is the full lex-sorted ambient basis; representatives are the
     non-pivot monomials, which descend to a basis of the quotient slice.
-    _positions maps each representative to its position; _relations maps
-    each pivot monomial to its reduced relation row, keyed by column in
-    monomials until its first reduce and by representative position after.
+    _positions maps each representative to its position.  _relations holds
+    the forward echelon of the relations, keyed by pivot column, until a
+    reduce first needs a relation and back-substitutes it.  From then on it
+    maps each pivot monomial to its reduced relation row, keyed by column
+    in monomials until that row's first reduce and by representative
+    position after.
     """
 
     degree: int
@@ -72,7 +85,7 @@ class QuotientPiece:
     representatives: tuple[Monomial, ...]
     relation_rank: int
     _positions: dict[Monomial, int] = field(repr=False)
-    _relations: dict[Monomial, SparseRow | tuple[SparseRow, int]] = field(repr=False)
+    _relations: dict[int | Monomial, SparseRow | tuple[SparseRow, int]] = field(repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -91,7 +104,10 @@ class QuotientPiece:
         pos = self._positions.get(mono)
         if pos is not None:
             return {pos: 1}, 1
-        rel = self._relations[mono]
+        rel = self._relations.get(mono)
+        if rel is None:
+            self._back_substitute()
+            rel = self._relations[mono]
         if isinstance(rel, dict):
             row: SparseRow = {}
             for c, v in rel.items():
@@ -102,6 +118,14 @@ class QuotientPiece:
                     row[self._positions[m]] = -v
             rel = self._relations[mono] = (row, denominator)
         return rel
+
+    def _back_substitute(self) -> None:
+        """Replace the echelon by the reduced rows, keyed by pivot monomial."""
+        rels = self._relations
+        if isinstance(next(iter(rels), None), int):
+            reduced = [(self.monomials[c], row) for c, row in back_substitute(rels).items()]
+            rels.clear()
+            rels.update(reduced)
 
 
 class SliceRing:
@@ -203,7 +227,7 @@ class SliceRing:
                         row[col] = row.get(col, 0) + c
                     if row:
                         rows.append(row)
-        pivots = sparse_rref(rows)
+        pivots = sparse_echelon(rows)
         reps = tuple(m for c, m in enumerate(mons) if c not in pivots)
         piece = QuotientPiece(
             degree=n,
@@ -212,7 +236,7 @@ class SliceRing:
             representatives=reps,
             relation_rank=len(pivots),
             _positions=dict(zip(reps, range(len(reps)))),
-            _relations={mons[c]: row for c, row in pivots.items()},
+            _relations=pivots,
         )
         self._pieces[key] = piece
         return piece
@@ -317,6 +341,8 @@ class GradedQuiverAlgebra:
         self.window = window
         self.degree_bound = degree_bound
         self.ring = SliceRing(rep, quadrics, max_degree=degree_bound)
+        pts = window.points
+        self._weights = [[vec_sub(b, a) for b in pts] for a in pts]
 
     @property
     def quadrics(self) -> tuple[MomentQuadric, ...]:
@@ -337,11 +363,10 @@ class GradedQuiverAlgebra:
         return len(self.window.points)
 
     def weight(self, i: int, j: int) -> IntVec:
-        pts = self.window.points
-        return vec_sub(pts[j], pts[i])
+        return self._weights[i][j]
 
     def piece(self, i: int, j: int, n: int) -> QuotientPiece:
-        return self.ring.piece(n, self.weight(i, j))
+        return self.ring.piece(n, self._weights[i][j])
 
     def basis(self, i: int, j: int, n: int) -> tuple[Monomial, ...]:
         return self.piece(i, j, n).representatives

@@ -1,7 +1,8 @@
 """Graded slices, Hilbert blocks, regular sequences, quiver presentations."""
 
+from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import add
 
 import pytest
@@ -24,7 +25,8 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.oracle import _monomials_by_weight
+from hypertoric.lattice import sparse_rref
+from hypertoric.oracle import _dense_rank, _monomials_by_weight
 
 
 def quotient_ring(rep, upto=8):
@@ -125,6 +127,67 @@ def test_reduce_idempotent_on_representatives(rep_b):
             piece = ring.piece(n, w)
             for pos, mono in enumerate(piece.representatives):
                 assert piece.reduce(mono) == ({pos: 1}, 1)
+
+
+def quadric_multiples(rep, n, w, columns):
+    """Every moment quadric times every degree n-2 monomial of weight w, as dense rows."""
+    e = rep.num_pairs
+    index = {m: c for c, m in enumerate(columns)}
+    rows = []
+    for base in _monomials_by_weight(rep, n - 2).get(w, ()) if n >= 2 else ():
+        for j in range(rep.torus_rank):
+            row = [0] * len(columns)
+            for i in range(e):
+                prod = list(base)
+                prod[i] += 1
+                prod[e + i] += 1
+                row[index[tuple(prod)]] += rep.half_weights[i][j]
+            rows.append(row)
+    return rows
+
+
+def test_reduce_matches_oracle(rep_a, rep_b, corpus):
+    """d * m - sum_p row[p] * rep_p lies in the quadric span, for every monomial."""
+    four_pair = SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1)))
+    checked = 0
+    for rep in [rep_a, rep_b, four_pair] + [entry.rep for entry in corpus]:
+        ring = quotient_ring(rep, upto=5)
+        for n in range(6):
+            for w, mons in _monomials_by_weight(rep, n).items():
+                columns = sorted(mons)
+                piece = ring.piece(n, w)
+                span = quadric_multiples(rep, n, w, columns)
+                residuals = []
+                for m in columns:
+                    row, d = piece.reduce(m)
+                    assert d > 0 and gcd(d, *row.values()) == 1
+                    assert set(row) <= set(range(piece.dim))
+                    res = [d if c == m else 0 for c in columns]
+                    for p, v in row.items():
+                        res[columns.index(piece.representatives[p])] -= v
+                    residuals.append(res)
+                to_fraction = [[Fraction(v) for v in r] for r in span]
+                assert _dense_rank(to_fraction + [[Fraction(v) for v in r] for r in residuals]) \
+                    == _dense_rank(to_fraction), (rep, n, w)
+                checked += len(columns)
+    assert checked > 10000
+
+
+def test_reduce_deep_slice_matches_rref():
+    """The deferred back-substitution gives the rows of a full sparse_rref."""
+    rep = SymplecticRep(1, ((1,), (1,), (1,)))
+    piece = quotient_ring(rep, upto=16).piece(16, (0,))
+    rows = [
+        {c: v for c, v in enumerate(row) if v}
+        for row in quadric_multiples(rep, 16, (0,), piece.monomials)
+    ]
+    position = {m: p for p, m in enumerate(piece.representatives)}
+    got = {c: piece.reduce(m) for c, m in enumerate(piece.monomials) if m not in position}
+    pivots = sparse_rref(rows)
+    assert piece.relation_rank == len(pivots) == len(got) > 1000
+    for c, row in pivots.items():
+        expected = {position[piece.monomials[k]]: -v for k, v in row.items() if k != c}
+        assert got[c] == (expected, row[c])
 
 
 def test_multiply_respects_relations(rep_a):

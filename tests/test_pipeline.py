@@ -197,36 +197,70 @@ def test_reduction_section_on_split_rep():
 
 
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
-    """Regular-sequence scan, Hilbert blocks and both resolutions share one ring."""
-    eliminations = []
-    enumerations = []
-    sparse_rref = algebra.sparse_rref
-    enumerate_slice = algebra.SliceRing._enumerate
+    """Regular-sequence scan, Hilbert blocks and both resolutions share one ring.
 
-    def counting_rref(rows):
-        eliminations.append(1)
-        return sparse_rref(rows)
+    Each slice is eliminated to echelon form once per ring, and
+    back-substituted only when a product first lands on one of its relations.
+    """
+    echelons = []
+    enumerations = []
+    substituted = []
+    landed = set()
+    sparse_echelon = algebra.sparse_echelon
+    enumerate_slice = algebra.SliceRing._enumerate
+    back_substitute = algebra.QuotientPiece._back_substitute
+    reduce = algebra.QuotientPiece.reduce
+
+    def counting_echelon(rows):
+        echelons.append(1)
+        return sparse_echelon(rows)
 
     def counting_enumerate(ring, n, w):
         enumerations.append((n, w))
         return enumerate_slice(ring, n, w)
 
-    monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
+    def counting_back_substitute(piece):
+        substituted.append((piece.degree, piece.weight))
+        back_substitute(piece)
+
+    def landing_reduce(piece, mono):
+        if mono not in piece.representatives:
+            landed.add((piece.degree, piece.weight))
+        return reduce(piece, mono)
+
+    monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
     monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
-    problem = replace(
-        load_problem(str(problems_dir / "hexagon.json")),
-        truncation=8,
-        depth=2,
-        analyses=("hilbert", "regular_sequence", "koszul"),
-    )
-    report = run(problem)
+    monkeypatch.setattr(algebra.QuotientPiece, "_back_substitute", counting_back_substitute)
+    monkeypatch.setattr(algebra.QuotientPiece, "reduce", landing_reduce)
+
+    def run_hexagon(*analyses):
+        for log in (echelons, enumerations, substituted, landed):
+            log.clear()
+        problem = load_problem(str(problems_dir / "hexagon.json"))
+        return run(replace(problem, truncation=8, depth=2, analyses=analyses))
+
+    report = run_hexagon("hilbert", "regular_sequence")
     assert report.sections["regular_sequence"]["passed"]
     points = report.sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
+    # the scan and the blocks read ranks only: one echelon per slice, no
+    # back-substitution
+    assert len(echelons) == 9 * len(weights)
+    assert substituted == []
+
+    # the quiver reduces paths of length two
+    run_hexagon("quiver")
+    assert substituted and {n for n, _ in substituted} == {2}
+    assert sorted(substituted) == sorted(landed)
+
+    report = run_hexagon("hilbert", "regular_sequence", "koszul")
     # each slice of each ring is eliminated once: the quotient and the ambient
-    assert len(eliminations) == 2 * 9 * len(weights)
+    assert len(echelons) == 2 * 9 * len(weights)
     # and its monomials are listed once, for both rings together
     assert sorted(enumerations) == sorted((n, w) for n in range(9) for w in weights)
+    # a slice is back-substituted once, and only if a product landed on a relation
+    assert sorted(substituted) == sorted(landed)
+    assert 0 < len(landed) < 9 * len(weights)
 
 
 # check names a single-analysis run reports when chi and epsilon are generic
