@@ -13,14 +13,15 @@ x^{c+} y^{c-} z^m for exactly one sign vector c with sum_i c_i beta_i = w
 and one z-part m with |c|_1 + 2|m| = n.  The ring caches sign vectors by
 norm and weight, and multiplies them by the z-parts.
 
-Everything here is integer arithmetic.  A slice is built with the forward
-echelon of its relations, which fixes its rank and representatives; the
-Hilbert blocks and the regular-sequence scan read nothing else.  The first
-QuotientPiece.reduce that needs a relation back-substitutes the whole
-slice once, and from then on reduce writes any monomial of the slice as an
-integer row over the representatives and a denominator.  The quiver
-relations are the kernel of those products (lattice.column_kernel), the
-same product and kernel that the minimal resolutions use.
+Everything here is integer arithmetic.  A slice's relations are the
+quadric multiples that land in it (_relation_rows).  Building a slice
+eliminates them to echelon form for its rank and representatives, which is
+all the Hilbert blocks and the regular-sequence scan read, and drops them.
+The first QuotientPiece.reduce that needs a relation forms them again and
+fully reduces them once; from then on reduce writes any monomial of the
+slice as an integer row over the representatives and a denominator.  The
+quiver relations are the kernel of those products (lattice.column_kernel),
+the same product and kernel that the minimal resolutions use.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .errors import (
 from .lattice import (
     IntVec,
     SparseRow,
-    back_substitute,
     column_kernel,
     sparse_echelon,
+    sparse_rref,
     vec_sub,
 )
 from .reps import MomentQuadric, SymplecticRep, moment_quadrics, signed_sum
@@ -65,18 +66,46 @@ def _compositions(n: int, parts: int):
             yield (head,) + tail
 
 
+def _relation_rows(
+    quadrics: tuple[MomentQuadric, ...],
+    bases: tuple[Monomial, ...],
+    monomials: tuple[Monomial, ...],
+):
+    """Each quadric times each base monomial, as a sparse row over monomials.
+
+    A quadric has weight zero, so its multiples in a degree-n slice come
+    from the degree n-2 monomials of the same weight.
+    """
+    if not bases:
+        return
+    index = {m: c for c, m in enumerate(monomials)}
+    e = len(bases[0]) // 2
+    for base in bases:
+        for q in quadrics:
+            row: SparseRow = {}
+            for i, c in enumerate(q.coefficients):
+                if c == 0:
+                    continue
+                prod = list(base)
+                prod[i] += 1
+                prod[e + i] += 1
+                col = index[tuple(prod)]
+                row[col] = row.get(col, 0) + c
+            if row:
+                yield row
+
+
 @dataclass(frozen=True, eq=False)
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
     monomials is the full lex-sorted ambient basis; representatives are the
     non-pivot monomials, which descend to a basis of the quotient slice.
-    _positions maps each representative to its position.  _relations holds
-    the forward echelon of the relations, keyed by pivot column, until a
-    reduce first needs a relation and back-substitutes it.  From then on it
-    maps each pivot monomial to its reduced relation row, keyed by column
-    in monomials until that row's first reduce and by representative
-    position after.
+    _positions maps each representative to its position.  _quadrics and
+    _bases (the degree n-2 monomials of the same weight) regenerate the
+    relations.  _relations stays empty until a reduce first needs a
+    relation; then it maps every pivot monomial to its fully reduced
+    relation, as (row over representative positions, denominator).
     """
 
     degree: int
@@ -85,7 +114,9 @@ class QuotientPiece:
     representatives: tuple[Monomial, ...]
     relation_rank: int
     _positions: dict[Monomial, int] = field(repr=False)
-    _relations: dict[int | Monomial, SparseRow | tuple[SparseRow, int]] = field(repr=False)
+    _quadrics: tuple[MomentQuadric, ...] = field(repr=False)
+    _bases: tuple[Monomial, ...] = field(repr=False)
+    _relations: dict[Monomial, tuple[SparseRow, int]] = field(repr=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -104,28 +135,14 @@ class QuotientPiece:
         pos = self._positions.get(mono)
         if pos is not None:
             return {pos: 1}, 1
-        rel = self._relations.get(mono)
-        if rel is None:
-            self._back_substitute()
-            rel = self._relations[mono]
-        if isinstance(rel, dict):
-            row: SparseRow = {}
-            for c, v in rel.items():
-                m = self.monomials[c]
-                if m == mono:
-                    denominator = v
-                else:
-                    row[self._positions[m]] = -v
-            rel = self._relations[mono] = (row, denominator)
-        return rel
-
-    def _back_substitute(self) -> None:
-        """Replace the echelon by the reduced rows, keyed by pivot monomial."""
         rels = self._relations
-        if isinstance(next(iter(rels), None), int):
-            reduced = [(self.monomials[c], row) for c, row in back_substitute(rels).items()]
-            rels.clear()
-            rels.update(reduced)
+        if not rels:
+            mons, positions = self.monomials, self._positions
+            rows = _relation_rows(self._quadrics, self._bases, mons)
+            for c, row in sparse_rref(rows).items():
+                denominator = row.pop(c)
+                rels[mons[c]] = ({positions[mons[k]]: -v for k, v in row.items()}, denominator)
+        return rels[mono]
 
 
 class SliceRing:
@@ -208,26 +225,8 @@ class SliceRing:
         if cached is not None:
             return cached
         mons = self.monomials(n, w)
-        rows = []
-        if self.quadrics and n >= 2:
-            index = {m: c for c, m in enumerate(mons)}
-            e = self.rep.num_pairs
-            # each quadric has weight zero, so its multiples in this slice
-            # come from degree n-2 monomials of the same weight
-            for base in self.monomials(n - 2, w):
-                for q in self.quadrics:
-                    row: dict[int, int] = {}
-                    for i, c in enumerate(q.coefficients):
-                        if c == 0:
-                            continue
-                        prod = list(base)
-                        prod[i] += 1
-                        prod[e + i] += 1
-                        col = index[tuple(prod)]
-                        row[col] = row.get(col, 0) + c
-                    if row:
-                        rows.append(row)
-        pivots = sparse_echelon(rows)
+        bases = self.monomials(n - 2, w) if self.quadrics and n >= 2 else ()
+        pivots = sparse_echelon(_relation_rows(self.quadrics, bases, mons))
         reps = tuple(m for c, m in enumerate(mons) if c not in pivots)
         piece = QuotientPiece(
             degree=n,
@@ -236,7 +235,9 @@ class SliceRing:
             representatives=reps,
             relation_rank=len(pivots),
             _positions=dict(zip(reps, range(len(reps)))),
-            _relations=pivots,
+            _quadrics=self.quadrics,
+            _bases=bases,
+            _relations={},
         )
         self._pieces[key] = piece
         return piece

@@ -3,8 +3,7 @@
 Everything runs on Python ints.  Lattice bases and Smith invariant factors
 come from unimodular row and column operations on dense matrices; ranks,
 inverses, echelon forms and kernels over Q come from one sparse integer
-echelon that keeps its rows primitive; back_substitute turns it into the
-reduced form when a caller needs one.  All downstream predicates
+echelon that keeps its rows primitive.  All downstream predicates
 (membership, rank, genericity) are therefore exact equality tests.  Dense
 matrices are lists of rows, sparse rows are {column: value} dicts, vectors
 are tuples.  Nothing here touches floating point.
@@ -272,12 +271,11 @@ def sparse_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
 
 
 def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Fully reduced echelon form: each pivot column occurs in one row only."""
-    return back_substitute(sparse_echelon(rows))
+    """Fully reduced echelon form: each pivot column occurs in one row only.
 
-
-def back_substitute(piv: dict[int, SparseRow]) -> dict[int, SparseRow]:
-    """Reduce an echelon form in place, from the last pivot up, and return it."""
+    The echelon is back-substituted in place, from the last pivot up.
+    """
+    piv = sparse_echelon(rows)
     for j in sorted(piv, reverse=True):
         row = piv[j]
         targets = [c for c in row if c != j and c in piv]

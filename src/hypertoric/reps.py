@@ -61,10 +61,6 @@ class SymplecticRep:
         return len(self.half_weights)
 
     @property
-    def space_dim(self) -> int:
-        return 2 * len(self.half_weights)
-
-    @property
     def weights(self) -> tuple[IntVec, ...]:
         """All 2e weights: beta_1..beta_e, then -beta_1..-beta_e."""
         return self.half_weights + tuple(vec_neg(w) for w in self.half_weights)

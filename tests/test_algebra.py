@@ -174,7 +174,7 @@ def test_reduce_matches_oracle(rep_a, rep_b, corpus):
 
 
 def test_reduce_deep_slice_matches_rref():
-    """The deferred back-substitution gives the rows of a full sparse_rref."""
+    """reduce gives the rows of a full sparse_rref of the slice's relations."""
     rep = SymplecticRep(1, ((1,), (1,), (1,)))
     piece = quotient_ring(rep, upto=16).piece(16, (0,))
     rows = [

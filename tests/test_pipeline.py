@@ -1,5 +1,6 @@
 """Problem parsing, report assembly, exit codes, CLI wiring."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypertoric.errors import (
     ResourceBudgetError,
     UnsupportedShiftError,
 )
+from hypertoric.lattice import dot, hyperplane_normals
 from hypertoric.pipeline import (
     ANALYSES,
     PROBLEM_SCHEMA,
@@ -199,42 +201,47 @@ def test_reduction_section_on_split_rep():
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     """Regular-sequence scan, Hilbert blocks and both resolutions share one ring.
 
-    Each slice is eliminated to echelon form once per ring, and
-    back-substituted only when a product first lands on one of its relations.
+    Each slice is eliminated to echelon form once per ring, and its fully
+    reduced relations are formed only when a product first lands on one.
     """
     echelons = []
     enumerations = []
-    substituted = []
+    rrefs = []
+    reduced = []
     landed = set()
     sparse_echelon = algebra.sparse_echelon
+    sparse_rref = algebra.sparse_rref
     enumerate_slice = algebra.SliceRing._enumerate
-    back_substitute = algebra.QuotientPiece._back_substitute
     reduce = algebra.QuotientPiece.reduce
 
     def counting_echelon(rows):
         echelons.append(1)
         return sparse_echelon(rows)
 
+    def counting_rref(rows):
+        rrefs.append(1)
+        return sparse_rref(rows)
+
     def counting_enumerate(ring, n, w):
         enumerations.append((n, w))
         return enumerate_slice(ring, n, w)
 
-    def counting_back_substitute(piece):
-        substituted.append((piece.degree, piece.weight))
-        back_substitute(piece)
-
     def landing_reduce(piece, mono):
+        key = (piece.degree, piece.weight)
         if mono not in piece.representatives:
-            landed.add((piece.degree, piece.weight))
-        return reduce(piece, mono)
+            landed.add(key)
+        before = len(rrefs)
+        result = reduce(piece, mono)
+        reduced.extend([key] * (len(rrefs) - before))
+        return result
 
     monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
+    monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
     monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
-    monkeypatch.setattr(algebra.QuotientPiece, "_back_substitute", counting_back_substitute)
     monkeypatch.setattr(algebra.QuotientPiece, "reduce", landing_reduce)
 
     def run_hexagon(*analyses):
-        for log in (echelons, enumerations, substituted, landed):
+        for log in (echelons, enumerations, rrefs, reduced, landed):
             log.clear()
         problem = load_problem(str(problems_dir / "hexagon.json"))
         return run(replace(problem, truncation=8, depth=2, analyses=analyses))
@@ -244,23 +251,61 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     points = report.sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
     # the scan and the blocks read ranks only: one echelon per slice, no
-    # back-substitution
+    # reduced relations
     assert len(echelons) == 9 * len(weights)
-    assert substituted == []
+    assert rrefs == []
 
     # the quiver reduces paths of length two
     run_hexagon("quiver")
-    assert substituted and {n for n, _ in substituted} == {2}
-    assert sorted(substituted) == sorted(landed)
+    assert reduced and {n for n, _ in reduced} == {2}
+    assert len(rrefs) == len(reduced)
+    assert sorted(reduced) == sorted(landed)
 
     report = run_hexagon("hilbert", "regular_sequence", "koszul")
     # each slice of each ring is eliminated once: the quotient and the ambient
     assert len(echelons) == 2 * 9 * len(weights)
     # and its monomials are listed once, for both rings together
     assert sorted(enumerations) == sorted((n, w) for n in range(9) for w in weights)
-    # a slice is back-substituted once, and only if a product landed on a relation
-    assert sorted(substituted) == sorted(landed)
+    # a slice's relations are reduced once, and only if a product landed on one
+    assert len(rrefs) == len(reduced)
+    assert sorted(reduced) == sorted(landed)
     assert 0 < len(landed) < 9 * len(weights)
+
+
+def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
+    """Finished rings are freed by reference counting, not the cyclic collector."""
+    problems = [
+        replace(
+            load_problem(str(problems_dir / f"{name}.json")),
+            truncation=6, depth=2, analyses=ANALYSES,
+        )
+        for name in ("conifold", "hexagon")
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for problem in problems:
+            assert run(problem).exit_code == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_window_algebra_independent_of_chi_chamber(problems_dir):
+    """The window uses epsilon alone: chi in another generic chamber gives the same algebra."""
+    data = json.loads((problems_dir / "hexagon.json").read_text())
+    data.update(truncation=4, depth=2)
+    normals = hyperplane_normals([tuple(w) for w in data["half_weights"]])
+    assert data["epsilon"] == [2, 1]
+    chambers = set()
+    sections = []
+    for chi in ([2, 1], [1, 2], [2, -1]):
+        report = run(parse_problem(dict(data, chi=chi)))
+        assert report.sections["genericity"]["chi"]["generic"]
+        chambers.add(tuple(dot(chi, v) > 0 for v in normals))
+        sections.append({k: report.sections[k] for k in ("window", "hilbert", "quiver", "koszul")})
+    assert len(chambers) == 3
+    assert sections[0] == sections[1] == sections[2]
 
 
 # check names a single-analysis run reports when chi and epsilon are generic
