@@ -66,12 +66,7 @@ from .koszul import (
     minimal_resolution,
     numerical_koszul_consistency,
 )
-from .oracle import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    oracle_block_dimension,
-    oracle_lattice_points,
-)
+from .oracle import oracle_block_dimension, oracle_lattice_points
 from .pipeline import (
     ANALYSES,
     Budget,
@@ -88,7 +83,6 @@ __all__ = [
     "Budget",
     "CharacterWindow",
     "CodimEstimate",
-    "DEFAULT_BUDGET",
     "DegenerateZonotopeError",
     "DimensionError",
     "Facet",
@@ -100,7 +94,6 @@ __all__ = [
     "NonFaithfulError",
     "NonGenericError",
     "NumericalKoszulReport",
-    "OracleBudget",
     "ProblemFile",
     "ProblemFormatError",
     "QuiverPresentation",

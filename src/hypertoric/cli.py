@@ -1,33 +1,21 @@
 """Command-line driver around the analysis pipeline.
 
 Exit codes: 0 all checks pass, 2 a mathematical check failed (witness in
-the report), 3 invalid input, 4 resource budget exceeded.
+the report); an error raised by the engine exits with the code its class
+declares in errors.py (3 invalid input, 4 resource budget exceeded).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
-from .errors import (
-    DegenerateZonotopeError,
-    DimensionError,
-    NonFaithfulError,
-    ProblemFormatError,
-    ReductionError,
-    ResourceBudgetError,
-    UnsupportedShiftError,
-)
+from .errors import HypertoricError, ProblemFormatError
 from .pipeline import ANALYSES, Budget, load_problem, run
 
-_BUDGET_KEYS = {
-    "truncation": "max_truncation",
-    "depth": "max_depth",
-    "window": "max_window",
-    "codim_pairs": "max_codim_pairs",
-    "box": "max_box",
-}
+# --budget keys are the Budget fields without their max_ prefix
+_BUDGET_KEYS = {f.name.removeprefix("max_"): f.name for f in fields(Budget)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default json)",
     )
     runp.add_argument(
-        "--budget", metavar="K=V,...",
+        "--budget", metavar="K=V,...", default="",
         help="override work limits; keys: " + ",".join(sorted(_BUDGET_KEYS)),
     )
     return parser
@@ -88,32 +76,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    overrides = {"truncation": args.truncation, "depth": args.depth}
+    if args.analyses is not None:
+        names = (a.strip() for a in args.analyses.split(","))
+        overrides["analyses"] = tuple(a for a in names if a)
     try:
-        problem = load_problem(args.file)
-        if args.analyses is not None:
-            names = (a.strip() for a in args.analyses.split(","))
-            problem = replace(problem, analyses=tuple(a for a in names if a))
-        if args.truncation is not None:
-            problem = replace(problem, truncation=args.truncation)
-        if args.depth is not None:
-            problem = replace(problem, depth=args.depth)
-        budget = _parse_budget(args.budget) if args.budget else Budget()
-        report = run(problem, budget)
-    except ProblemFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except (
-        NonFaithfulError,
-        ReductionError,
-        UnsupportedShiftError,
-        DegenerateZonotopeError,
-        DimensionError,
-    ) as exc:
-        print(f"input invalid: {exc}", file=sys.stderr)
-        return 3
-    except ResourceBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 4
+        problem = replace(
+            load_problem(args.file),
+            **{k: v for k, v in overrides.items() if v is not None},
+        )
+        report = run(problem, _parse_budget(args.budget))
+    except HypertoricError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     output = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(output)
     return report.exit_code

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .errors import ResourceBudgetError
 from .lattice import IntVec
-from .oracle import DEFAULT_BUDGET, oracle_lattice_points
+from .oracle import oracle_lattice_points
 from .reps import SymplecticRep, validate
 from .zonotope import build_zonotope, enumerate_window, find_generic_direction
 
@@ -28,17 +28,13 @@ class CorpusEntry:
 
 
 @lru_cache(maxsize=8)
-def fixed_corpus(
-    count: int = 24,
-    seed: int = DEFAULT_SEED,
-    max_window: int = 8,
-) -> tuple[CorpusEntry, ...]:
+def fixed_corpus(count: int = 24, seed: int = DEFAULT_SEED) -> tuple[CorpusEntry, ...]:
     """Strictly faithful reps with s <= 2, e <= 4, entries in [-2, 2].
 
     The draw order is fixed by the seed; candidates are skipped when they
-    are not strictly faithful, when their window is empty or larger than
-    max_window, when the oracle refuses them, or when they repeat an
-    accepted weight matrix.
+    are not strictly faithful, when their window is empty or has more than
+    8 points, when the oracle refuses them, or when they repeat an accepted
+    weight matrix.
     """
     rng = random.Random(seed)
     entries: list[CorpusEntry] = []
@@ -59,10 +55,10 @@ def fixed_corpus(
         zono = build_zonotope(rep)
         epsilon = find_generic_direction(zono)
         window = enumerate_window(zono, epsilon)
-        if not 1 <= len(window.points) <= max_window:
+        if not 1 <= len(window.points) <= 8:
             continue
         try:
-            oracle_lattice_points(rep, epsilon, DEFAULT_BUDGET)
+            oracle_lattice_points(rep, epsilon)
         except ResourceBudgetError:
             continue
         seen.add(hw)

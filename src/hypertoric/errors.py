@@ -1,10 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class declares the command line's exit code and stderr label for it:
+every HypertoricError exits 3 unless a subclass says otherwise.
+"""
 
 from __future__ import annotations
 
 
 class HypertoricError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
+    label = "input invalid"
 
 
 class DimensionError(HypertoricError, ValueError):
@@ -41,6 +48,9 @@ class ReductionError(HypertoricError, ValueError):
 class ResourceBudgetError(HypertoricError, RuntimeError):
     """A configured size or work budget would be exceeded."""
 
+    exit_code = 4
+    label = "budget exceeded"
+
 
 class MalformedAlgebraError(HypertoricError, ValueError):
     """A graded algebra violates a structural assumption (e.g. degree-0 not identity)."""
@@ -52,6 +62,8 @@ class UnsupportedShiftError(HypertoricError, ValueError):
 
 class ProblemFormatError(HypertoricError, ValueError):
     """A problem file fails schema or consistency validation."""
+
+    label = "input error"
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field

@@ -61,8 +61,6 @@ class VertexResolution:
     """
 
     vertex: int
-    depth: int
-    degree_bound: int
     steps: tuple[tuple[tuple[int, int], ...], ...]
     status: str
     violation: tuple[int, int] | None
@@ -209,8 +207,6 @@ def minimal_resolution(
 
     return VertexResolution(
         vertex=vertex_index,
-        depth=depth,
-        degree_bound=bound,
         steps=tuple(steps),
         status=status,
         violation=violation,
@@ -268,7 +264,6 @@ class NumericalKoszulReport:
     upto: int
     consistent: bool
     first_negative: tuple[int, int, int, int] | None
-    inverse_coefficients: tuple
 
 
 def numerical_koszul_consistency(matrices) -> NumericalKoszulReport:
@@ -295,7 +290,4 @@ def numerical_koszul_consistency(matrices) -> NumericalKoszulReport:
         upto=len(coeffs) - 1,
         consistent=first_negative is None,
         first_negative=first_negative,
-        inverse_coefficients=tuple(
-            tuple(tuple(row) for row in mat) for mat in coeffs
-        ),
     )

@@ -11,7 +11,6 @@ types and the representation container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -22,33 +21,22 @@ from .lattice import IntVec
 from .reps import SymplecticRep
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard limits; the oracle refuses anything beyond them."""
-
-    max_rank: int = 3
-    max_pairs: int = 5
-    max_degree: int = 8
-    max_radius: int = 16
-    max_rows: int = 50000
-
-    def __post_init__(self):
-        for name in ("max_rank", "max_pairs", "max_degree", "max_radius", "max_rows"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+# hard limits; the oracle refuses anything beyond them
+MAX_RANK = 3
+MAX_PAIRS = 5
+MAX_DEGREE = 8
+MAX_RADIUS = 16
+MAX_ROWS = 50000
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def _check_rep(rep: SymplecticRep, budget: OracleBudget):
-    if rep.torus_rank > budget.max_rank:
+def _check_rep(rep: SymplecticRep):
+    if rep.torus_rank > MAX_RANK:
         raise ResourceBudgetError(
-            f"oracle limit: torus rank {rep.torus_rank} > {budget.max_rank}"
+            f"oracle limit: torus rank {rep.torus_rank} > {MAX_RANK}"
         )
-    if rep.num_pairs > budget.max_pairs:
+    if rep.num_pairs > MAX_PAIRS:
         raise ResourceBudgetError(
-            f"oracle limit: {rep.num_pairs} coordinate pairs > {budget.max_pairs}"
+            f"oracle limit: {rep.num_pairs} coordinate pairs > {MAX_PAIRS}"
         )
 
 
@@ -77,8 +65,7 @@ def _is_trivial(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _zonotope_conditions(rep: SymplecticRep, budget: OracleBudget
-                         ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _zonotope_conditions(rep: SymplecticRep) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Affine conditions 0 <= b_0 + b . x equivalent to zonotope membership."""
     s = rep.torus_rank
     weights = rep.weights
@@ -111,10 +98,8 @@ def _zonotope_conditions(rep: SymplecticRep, budget: OracleBudget
                 a, b = _norm_row(a, b)
                 if not _is_trivial(a, b):
                     keep.add((a, b))
-            if len(keep) > budget.max_rows:
-                raise ResourceBudgetError(
-                    f"projection produced more than {budget.max_rows} rows"
-                )
+            if len(keep) > MAX_ROWS:
+                raise ResourceBudgetError(f"projection produced more than {MAX_ROWS} rows")
         rows = keep
     return tuple(sorted((b[0], b[1:]) for a, b in rows))
 
@@ -133,24 +118,18 @@ def _certified_radius(conditions, epsilon: IntVec) -> Fraction:
     return Fraction(1, worst)
 
 
-def oracle_lattice_points(
-    rep: SymplecticRep,
-    epsilon: IntVec,
-    budget: OracleBudget = DEFAULT_BUDGET,
-) -> set[IntVec]:
+def oracle_lattice_points(rep: SymplecticRep, epsilon: IntVec) -> set[IntVec]:
     """Reference enumeration of the tilted half-zonotope lattice points."""
-    _check_rep(rep, budget)
+    _check_rep(rep)
     s = rep.torus_rank
     if len(epsilon) != s:
         raise DimensionError(f"tilt has length {len(epsilon)}, expected {s}")
-    conditions = _zonotope_conditions(rep, budget)
+    conditions = _zonotope_conditions(rep)
     r = _certified_radius(conditions, epsilon)
     bounds = [sum(abs(w[k]) for w in rep.half_weights) // 2 for k in range(s)]
     for bnd in bounds:
-        if bnd > budget.max_radius:
-            raise ResourceBudgetError(
-                f"bounding box radius {bnd} exceeds {budget.max_radius}"
-            )
+        if bnd > MAX_RADIUS:
+            raise ResourceBudgetError(f"bounding box radius {bnd} exceeds {MAX_RADIUS}")
     points: set[IntVec] = set()
     for p in product(*(range(-b, b + 1) for b in bounds)):
         shifted = [2 * c - r * eps for c, eps in zip(p, epsilon)]
@@ -248,16 +227,15 @@ def oracle_block_dimension(
     mu_prime: IntVec,
     n: int,
     with_quadrics: bool,
-    budget: OracleBudget = DEFAULT_BUDGET,
 ) -> int:
     """Dimension of the degree-n block between two window characters.
 
     Counts monomials of weight mu_prime - mu; in quotient mode the span of
     all moment-quadric multiples is removed by dense row reduction.
     """
-    _check_rep(rep, budget)
-    if n > budget.max_degree:
-        raise ResourceBudgetError(f"oracle limit: degree {n} > {budget.max_degree}")
+    _check_rep(rep)
+    if n > MAX_DEGREE:
+        raise ResourceBudgetError(f"oracle limit: degree {n} > {MAX_DEGREE}")
     if n < 0:
         return 0
     s = rep.torus_rank

@@ -92,10 +92,7 @@ class _Context:
 
     @cached_property
     def window(self) -> CharacterWindow:
-        box = prod(
-            sum(abs(w[k]) for w in self.rep.half_weights) + 1
-            for k in range(self.rep.torus_rank)
-        )
+        box = prod(map(len, self.zonotope.window_ranges()))
         if box > self.budget.max_box:
             raise ResourceBudgetError(
                 f"window bounding box has {box} candidates, budget {self.budget.max_box}"

@@ -227,7 +227,6 @@ class ReductionStep:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    original: SymplecticRep
     reduced: SymplecticRep
     steps: tuple[ReductionStep, ...]
     chi: IntVec | None = None
@@ -269,7 +268,7 @@ def reduce_to_generic(
     (all Smith invariant factors 1); otherwise the split direction cannot be
     made an exact lattice factor and ReductionError is raised.
     """
-    report = require_valid(rep)
+    require_valid(rep)
     steps: list[ReductionStep] = []
     current = rep
     while True:
@@ -323,7 +322,6 @@ def reduce_to_generic(
         if epsilon is not None:
             epsilon = project_vec(epsilon, projection)
     return ReductionResult(
-        original=rep,
         reduced=current,
         steps=tuple(steps),
         chi=chi,

@@ -32,6 +32,17 @@ class Zonotope:
     flat_normals: tuple[IntVec, ...]
     facets: tuple[Facet, ...]
 
+    def window_ranges(self) -> list[range]:
+        """The candidate values of each coordinate p_k of a window point.
+
+        Doubled points lie in the bounding box sum |beta_ik|, so p_k is at
+        most half that; enumerate_window tests the product of these ranges.
+        """
+        radii = (
+            sum(abs(w[k]) for w in self.half_generators) // 2 for k in range(self.dimension)
+        )
+        return [range(-r, r + 1) for r in radii]
+
     def support(self, normal: IntVec) -> int:
         """Largest value of normal . x over the zonotope."""
         return sum(abs(dot(normal, w)) for w in self.half_generators)
@@ -121,14 +132,8 @@ def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:
     witness = zono.generic_witness(epsilon)
     if witness is not None:
         raise NonGenericError("tilt direction", witness)
-    s = zono.dimension
-    # doubled points lie in the bounding box sum |beta_ik|, so p_k is at
-    # most half that
-    bounds = [
-        sum(abs(w[k]) for w in zono.half_generators) // 2 for k in range(s)
-    ]
     points = []
-    for p in product(*(range(-b, b + 1) for b in bounds)):
+    for p in product(*zono.window_ranges()):
         doubled = tuple(2 * c for c in p)
         if zono.perturbed_contains(doubled, epsilon, check=False):
             points.append(p)

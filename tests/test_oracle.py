@@ -13,22 +13,17 @@ from hypertoric import (
     SymplecticRep,
     build_zonotope,
     enumerate_window,
+    oracle,
     oracle_block_dimension,
     oracle_lattice_points,
     validate,
 )
-from hypertoric.oracle import DEFAULT_BUDGET, OracleBudget
 
 
 def test_budget_defaults():
-    assert DEFAULT_BUDGET.max_rank == 3
-    assert DEFAULT_BUDGET.max_pairs == 5
-    assert DEFAULT_BUDGET.max_degree == 8
-
-
-def test_budget_positivity_enforced():
-    with pytest.raises(ValueError):
-        OracleBudget(max_rank=0)
+    assert oracle.MAX_RANK == 3
+    assert oracle.MAX_PAIRS == 5
+    assert oracle.MAX_DEGREE == 8
 
 
 def test_budget_rank_guard():

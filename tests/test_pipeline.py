@@ -2,14 +2,15 @@
 
 import gc
 import json
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from hypertoric import algebra
+from hypertoric import algebra, cli, errors
 from hypertoric.cli import main
 from hypertoric.errors import (
     ProblemFormatError,
@@ -468,6 +469,68 @@ def test_cli_unsplittable_reduction_exits_three(tmp_path, capsys):
     assert main(["run", str(f), "--analyses", "genericity,window,hilbert"]) == 0
 
 
+ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values()
+     if isinstance(c, type) and issubclass(c, errors.HypertoricError)),
+    key=lambda c: c.__name__,
+)
+
+# constructor arguments of the classes that take more than a message
+ERROR_ARGS = {errors.NonFaithfulError: (1,), errors.NonGenericError: ("chi", (1,))}
+
+
+def test_error_classes_declare_exit_codes():
+    table = {c.__name__: (c.exit_code, c.label) for c in ERROR_CLASSES}
+    assert table.pop("ResourceBudgetError") == (4, "budget exceeded")
+    assert table.pop("ProblemFormatError") == (3, "input error")
+    assert "HypertoricError" in table
+    assert set(table.values()) == {(3, "input invalid")}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_cli_maps_every_error_class_to_its_exit_code(problems_dir, capsys, monkeypatch, cls):
+    def fail(*args):
+        raise cls(*ERROR_ARGS.get(cls, ("boom",)))
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["run", str(problems_dir / "conifold.json")]) == cls.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{cls.label}: ")
+
+
+BUDGET_KEYS = [f.name.removeprefix("max_") for f in fields(Budget)]
+
+
+@pytest.mark.parametrize("key", BUDGET_KEYS)
+def test_cli_every_budget_key_trips(problems_dir, capsys, key):
+    assert main(["run", str(problems_dir / "conifold.json"), "--budget", f"{key}=1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded:")
+
+
+def test_cli_help_lists_budget_keys(capsys):
+    assert main(["run", "--help"]) == 0
+    listed = re.search(r"keys:\s+(\S+)", capsys.readouterr().out).group(1)
+    assert sorted(listed.split(",")) == sorted(BUDGET_KEYS)
+
+
+def test_cli_box_budget_counts_tested_candidates(tmp_path, capsys):
+    # the half-weights sum to 3, so 2p lies in [-3, 3] and the window
+    # tests p = -1, 0, 1
+    f = tmp_path / "three_pairs.json"
+    f.write_text(json.dumps({"torus_rank": 1, "half_weights": [[1], [1], [1]], "chi": [1]}))
+    argv = ["run", str(f), "--analyses", "window", "--budget"]
+    assert main([*argv, "box=3"]) == 0
+    capsys.readouterr()
+    assert main([*argv, "box=2"]) == 4
+    assert capsys.readouterr().err == (
+        "budget exceeded: window bounding box has 3 candidates, budget 2\n"
+    )
+
+
 def test_cli_bad_flags(problems_dir, capsys):
     assert main(["run", str(problems_dir / "conifold.json"), "--analyses", "bogus"]) == 3
     assert main(["run", str(problems_dir / "conifold.json"), "--budget", "nope=1"]) == 3
@@ -479,13 +542,25 @@ def test_cli_usage_errors_map_to_three(capsys):
 
 
 def test_cli_subprocess_entry(problems_dir):
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypertoric", "run", str(problems_dir / "conifold.json")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["exit_code"] == 0
+    conifold = str(problems_dir / "conifold.json")
+    cases = [
+        ((conifold,), 0),
+        ((str(problems_dir / "hexagon_bad_chi.json"),), 2),
+        ((conifold, "--N", "1"), 3),
+        ((conifold, "--N", "20"), 4),
+    ]
+    for args, code in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypertoric", "run", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code < 3:
+            assert json.loads(proc.stdout)["exit_code"] == code
+        else:
+            assert proc.stdout == ""
 
 
 def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
