@@ -101,7 +101,7 @@ class QuotientPiece:
 
     monomials is the full lex-sorted ambient basis; representatives are the
     non-pivot monomials, which descend to a basis of the quotient slice.
-    _positions maps each representative to its position.  _quadrics and
+    position() looks up a representative's index.  _quadrics and
     _bases (the degree n-2 monomials of the same weight) regenerate the
     relations.  _relations stays empty until a reduce first needs a
     relation; then it maps every pivot monomial to its fully reduced
@@ -126,13 +126,19 @@ class QuotientPiece:
     def dim(self) -> int:
         return len(self.representatives)
 
+    def position(self, mono: Monomial) -> int | None:
+        """The index of mono among the representatives; None if it is none."""
+        return self._positions.get(mono)
+
     def reduce(self, mono: Monomial) -> tuple[SparseRow, int]:
         """A monomial of this slice as (row, denominator) over the representatives.
 
         The monomial equals the sum of row[p] * representatives[p], divided
-        by the denominator.  Relation rows are shared: do not modify them.
+        by the denominator.  A pivot monomial's row is supported on
+        representatives that come after it in lex order.  Relation rows
+        are shared: do not modify them.
         """
-        pos = self._positions.get(mono)
+        pos = self.position(mono)
         if pos is not None:
             return {pos: 1}, 1
         rels = self._relations

@@ -19,6 +19,22 @@ Because each step's generators span its syzygies in every slice up to the
 bound, the syzygy dimensions of the next step follow from the previous
 ones, and a differential's kernel is only formed in the slices where the
 multiples of the generators chosen so far fall short of that dimension.
+
+Most slices are certified without forming a product, by counting leading
+columns (the leading-term argument of Green's noncommutative Groebner
+bases).  A slice's columns are (summand, representative), the
+representatives in lex order, and lex order is translation-invariant.  A
+reduced monomial is supported on representatives that come after it
+(QuotientPiece.reduce).  So if an element's smallest label is (t, m) and
+m + lam is a representative of summand t's piece, the product by lam has
+its smallest column at (t, m + lam): one tuple add and one lookup
+(_Slice.leading_column).  Rows with distinct smallest columns are
+independent, and the multiples of syzygies are syzygies, so as many
+distinct columns as the syzygy dimension prove that the multiples span the
+slice.  Where the count falls short the products are formed as before, and
+the pivot rows of that span whose columns were not counted join the
+elements counted in the later slices of the step.  They are multiples of
+the generators, so the ledger does not depend on them.
 """
 
 from __future__ import annotations
@@ -43,6 +59,12 @@ Term = tuple[int, Monomial, int]
 
 @dataclass(frozen=True)
 class StepGenerator:
+    """An element of a projective at (vertex, degree), terms in column order.
+
+    A resolution step holds its generators and the pivot rows carried
+    forward for the leading-column count in this form.
+    """
+
     vertex: int
     degree: int
     terms: tuple[Term, ...]
@@ -93,6 +115,21 @@ class _Slice:
             self.targets.append((piece, len(self.labels)))
             self.labels.extend((t, mono) for mono in piece.representatives)
 
+    def element(self, row: SparseRow) -> tuple[Term, ...]:
+        """A sparse row of this slice as terms in column order."""
+        return tuple((*self.labels[c], v) for c, v in sorted(row.items()))
+
+    def leading_column(self, terms: tuple[Term, ...], lam: Monomial) -> int | None:
+        """The smallest column of times(terms, lam), or None if not predicted.
+
+        terms[0] is the smallest label (t, m); the product has its smallest
+        column at (t, m + lam) whenever m + lam is a representative there.
+        """
+        t, mono, _ = terms[0]
+        piece, offset = self.targets[t]
+        p = piece.position(tuple(map(add, mono, lam)))
+        return None if p is None else offset + p
+
     def times(self, terms: tuple[Term, ...], lam: Monomial) -> tuple[SparseRow, int]:
         """Right-multiply an element by lam into this slice: (row, scale).
 
@@ -117,6 +154,29 @@ class _Slice:
                 else:
                     out.pop(c, None)
         return out, scale
+
+
+def _leading_columns(
+    alg: GradedQuiverAlgebra,
+    dom: _Slice,
+    elements: list[StepGenerator],
+    n: int,
+    u: int,
+    dim: int,
+) -> set[int]:
+    """Distinct predicted smallest columns of the multiples of elements.
+
+    The count stops at dim, which certifies the slice.
+    """
+    counted: set[int] = set()
+    for g in elements:
+        for lam in alg.basis(g.vertex, u, n - g.degree):
+            c = dom.leading_column(g.terms, lam)
+            if c is not None:
+                counted.add(c)
+                if len(counted) == dim:
+                    return counted
+    return counted
 
 
 def minimal_resolution(
@@ -150,6 +210,8 @@ def minimal_resolution(
             status = "truncation_limited"
             break
         found: list[StepGenerator] = []
+        # elements of the span of found whose multiples are counted
+        counted_from: list[StepGenerator] = []
         syzygy_dims: dict[tuple[int, int], int] = {}
         min_shift = min(shift for _, shift in p_summands)
         for n in range(max(min_shift, 1), bound + 1):
@@ -159,6 +221,9 @@ def minimal_resolution(
                 if not dim:
                     continue
                 syzygy_dims[n, u] = dim
+                counted = _leading_columns(alg, dom, counted_from, n, u, dim)
+                if len(counted) == dim:
+                    continue
                 # span of the multiples of generators chosen so far; what is
                 # left over in this slice needs new generators.  Multiples of
                 # syzygies are syzygies, so a span of the syzygy dimension
@@ -167,30 +232,29 @@ def minimal_resolution(
                 multiples = (
                     dom.times(g.terms, lam)[0]
                     for g in found
-                    if g.degree <= n
                     for lam in alg.basis(g.vertex, u, n - g.degree)
                 )
                 for row in multiples:
                     if span.rank == dim:
                         break
                     span.add(row)
-                if span.rank == dim:
-                    continue
-                if map_gens is None:
-                    # radical of the rank-one projective: every positive slice
-                    syzygies: list[SparseRow] = [{c: 1} for c in range(len(dom.labels))]
-                else:
-                    cod = _Slice(alg, pp_summands, n, u)
-                    syzygies = column_kernel(
-                        [cod.times(map_gens[t].terms, lam) for t, lam in dom.labels]
-                    )
-                for vec in syzygies:
-                    if span.rank < dim and span.add(vec):
-                        found.append(StepGenerator(
-                            vertex=u,
-                            degree=n,
-                            terms=tuple((*dom.labels[c], v) for c, v in sorted(vec.items())),
-                        ))
+                if span.rank < dim:
+                    if map_gens is None:
+                        # radical of the rank-one projective: every positive slice
+                        syzygies: list[SparseRow] = [{c: 1} for c in range(len(dom.labels))]
+                    else:
+                        cod = _Slice(alg, pp_summands, n, u)
+                        syzygies = column_kernel(
+                            [cod.times(map_gens[t].terms, lam) for t, lam in dom.labels]
+                        )
+                    for vec in syzygies:
+                        if span.rank < dim and span.add(vec):
+                            found.append(StepGenerator(u, n, dom.element(vec)))
+                counted_from.extend(
+                    StepGenerator(u, n, dom.element(row))
+                    for c, row in span.pivots.items()
+                    if c not in counted
+                )
         if not found:
             exhausted = True
             break

@@ -607,7 +607,8 @@ class Report:
     exit_code: int
 
     def to_json(self) -> str:
-        return json.dumps(_jsonify(self), sort_keys=True, indent=2) + "\n"
+        # run() builds every field from plain JSON values already
+        return json.dumps(vars(self), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"hypertoric {self.engine['version']} report"]

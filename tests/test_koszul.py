@@ -2,6 +2,7 @@
 
 import pytest
 
+from hypertoric import koszul
 from hypertoric import (
     GradedQuiverAlgebra,
     SymplecticRep,
@@ -161,10 +162,17 @@ FOUR_PAIR_AMBIENT = (
 )
 
 
-def test_four_pair_frozen_ledgers():
-    rep = SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1)))
+FOUR_PAIR = SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1)))
+THREE_PAIR = SymplecticRep(1, ((1,), (1,), (1,)))
+
+
+def generic_window(rep):
     zono = build_zonotope(rep)
-    quo = GradedQuiverAlgebra(rep, enumerate_window(zono, find_generic_direction(zono)), 6)
+    return enumerate_window(zono, find_generic_direction(zono))
+
+
+def test_four_pair_frozen_ledgers():
+    quo = GradedQuiverAlgebra(FOUR_PAIR, generic_window(FOUR_PAIR), 6)
 
     quotient = koszul_check(quo, depth=4)
     assert quotient.status == "linear" and quotient.first_violation is None
@@ -180,3 +188,106 @@ def test_four_pair_frozen_ledgers():
     for res, (steps, violation) in zip(ambient.resolutions, FOUR_PAIR_AMBIENT, strict=True):
         assert res.status == "violation" and not res.exhausted
         assert (res.steps, res.violation) == (steps, violation)
+
+
+# Ledgers of three-pair [[1], [1], [1]] at N=8, depth 4, recorded before
+# resolution slices were certified by counting leading columns.
+# Quotient: the vertices of each step's generators; step k sits in degree k.
+THREE_PAIR_QUOTIENT = (
+    ((0,), (1,) * 3, (0, 2, 2, 2), (1,) * 3, (0,)),
+    ((1,), (0,) * 3 + (2,) * 3, (1,) * 10, (0,) * 3 + (2,) * 3, (1,)),
+    ((2,), (1,) * 3, (0, 0, 0, 2), (1,) * 3, (2,)),
+)
+# Ambient: (vertex, degree) of every generator; each violates at (3, 4).
+THREE_PAIR_AMBIENT = (
+    (((0, 0),), ((1, 1),) * 3, ((2, 2),) * 3, ((2, 4),) * 3),
+    (((1, 0),), ((0, 1),) * 3 + ((2, 1),) * 3, ((1, 2),) * 9, ((1, 4),) * 9),
+    (((2, 0),), ((1, 1),) * 3, ((0, 2),) * 3, ((0, 4),) * 3),
+)
+
+
+def test_three_pair_frozen_ledgers_and_product_count(monkeypatch):
+    products = 0
+    times = koszul._Slice.times
+
+    def counting(self, terms, lam):
+        nonlocal products
+        products += 1
+        return times(self, terms, lam)
+
+    monkeypatch.setattr(koszul._Slice, "times", counting)
+    quo = GradedQuiverAlgebra(THREE_PAIR, generic_window(THREE_PAIR), 8)
+
+    quotient = koszul_check(quo, depth=4)
+    assert quotient.status == "linear" and quotient.first_violation is None
+    for res, vertices in zip(quotient.resolutions, THREE_PAIR_QUOTIENT, strict=True):
+        assert res.status == "linear" and not res.exhausted
+        assert res.steps == tuple(
+            tuple((v, k) for v in step) for k, step in enumerate(vertices)
+        )
+
+    ambient = koszul_check(quo.ambient(), depth=4)
+    assert ambient.status == "violation"
+    assert ambient.first_violation == (0, 3, 4)
+    for res, steps in zip(ambient.resolutions, THREE_PAIR_AMBIENT, strict=True):
+        assert res.status == "violation" and not res.exhausted
+        assert (res.steps, res.violation) == (steps, (3, 4))
+
+    # every product spans a slice the leading-column count left open; the
+    # resolutions formed 20,283 before that count existed
+    assert products < 1000
+
+
+def lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, degree_bound):
+    """Conifold, hexagon, four-pair and the corpus, quotient then ambient."""
+    cases = [(rep_a, window_a), (rep_b, window_b), (FOUR_PAIR, generic_window(FOUR_PAIR))]
+    cases += [(e.rep, enumerate_window(build_zonotope(e.rep), e.epsilon)) for e in corpus]
+    for rep, window in cases:
+        quo = GradedQuiverAlgebra(rep, window, degree_bound)
+        yield quo
+        yield quo.ambient()
+
+
+def test_reduce_supported_after_its_monomial(rep_a, rep_b, window_a, window_b, corpus):
+    """Representatives are in lex order and a reduced monomial lives on later ones."""
+    for alg in lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, 5):
+        seen = set()
+        for i in range(alg.num_vertices):
+            for j in range(alg.num_vertices):
+                for n in range(6):
+                    piece = alg.piece(i, j, n)
+                    if id(piece) in seen:
+                        continue
+                    seen.add(id(piece))
+                    reps = piece.representatives
+                    assert list(reps) == sorted(set(reps))
+                    for mono in piece.monomials:
+                        row, _ = piece.reduce(mono)
+                        pos = piece.position(mono)
+                        if pos is None:
+                            assert all(reps[p] > mono for p in row)
+                        else:
+                            assert reps[pos] == mono and row == {pos: 1}
+
+
+def test_leading_column_is_smallest_column_of_product(
+    monkeypatch, rep_a, rep_b, window_a, window_b, corpus
+):
+    """Every column the resolutions count is the product's smallest column."""
+    checked = multi_term = 0
+    leading_column = koszul._Slice.leading_column
+
+    def checking(self, terms, lam):
+        nonlocal checked, multi_term
+        c = leading_column(self, terms, lam)
+        if c is not None:
+            row, _ = self.times(terms, lam)
+            assert min(row) == c
+            checked += 1
+            multi_term += len(terms) > 1
+        return c
+
+    monkeypatch.setattr(koszul._Slice, "leading_column", checking)
+    for alg in lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, 5):
+        koszul_check(alg, depth=4)
+    assert checked and multi_term
