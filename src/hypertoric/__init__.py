@@ -29,7 +29,6 @@ from .reps import (
     ReductionStep,
     SymplecticRep,
     ValidationReport,
-    is_generic_w,
     moment_quadrics,
     nongeneric_pair,
     reduce_to_generic,
@@ -116,7 +115,6 @@ __all__ = [
     "find_generic_direction",
     "hilbert_inverse_coefficients",
     "hom_dimension",
-    "is_generic_w",
     "koszul_check",
     "load_problem",
     "minimal_resolution",

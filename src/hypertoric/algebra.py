@@ -11,7 +11,10 @@ A slice lists only its own monomials.  With z_i = x_i y_i, C[x,y] is free
 over C[z] (Hausel-Sturmfels): a degree-n monomial of weight w is
 x^{c+} y^{c-} z^m for exactly one sign vector c with sum_i c_i beta_i = w
 and one z-part m with |c|_1 + 2|m| = n.  The ring caches sign vectors by
-norm and weight, and multiplies them by the z-parts.
+norm and weight, and z-parts by degree, and multiplies the two.  Sign
+vectors grow one coordinate at a time, depth first, each carrying its
+weight packed into one integer: a norm-k weight has entries in [-b, b] for
+b = k * max |beta_ij|, so sum_j (w_j + b)(2b+1)^j determines it.
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows).  Building a slice
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations_with_replacement
 from math import comb
-from operator import add, mul
+from operator import add
 
 from .errors import (
     DimensionError,
@@ -50,20 +53,6 @@ from .reps import MomentQuadric, SymplecticRep, moment_quadrics, signed_sum
 from .zonotope import CharacterWindow
 
 Monomial = tuple[int, ...]
-
-
-def _compositions(n: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to n, in lex order."""
-    if parts == 0:
-        if n == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, parts - 1):
-            yield (head,) + tail
 
 
 def _relation_rows(
@@ -179,6 +168,7 @@ class SliceRing:
         self.quadrics = tuple(quadrics)
         self.max_degree = max_degree
         self._signs: dict[int, dict[IntVec, tuple[Monomial, ...]]] = {}
+        self._zparts: dict[int, list[Monomial]] = {}
         self._monomials: dict[tuple[int, IntVec], tuple[Monomial, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
@@ -187,15 +177,45 @@ class SliceRing:
     def _sign_vectors(self, k: int) -> dict[IntVec, tuple[Monomial, ...]]:
         """x^{c+} y^{c-} for every integer c with |c|_1 = k, grouped by weight."""
         cached = self._signs.get(k)
+        if cached is not None:
+            return cached
+        weights = self.rep.half_weights
+        if not weights:  # no pairs: only the empty vector, of norm 0
+            return {(): ((),)} if k == 0 else {}
+        bound = k * max((abs(v) for beta in weights for v in beta), default=0)
+        base, digits = 2 * bound + 1, range(self.rep.torus_rank)
+        steps = [sum(v * base**j for j, v in enumerate(beta)) for beta in weights]
+        last = len(steps) - 1
+        grouped: dict[int, list[Monomial]] = {}
+        # depth first over (x part, y part, packed weight, norm left)
+        stack = [((), (), sum(bound * base**j for j in digits), k)]
+        while stack:
+            xs, ys, w, left = stack.pop()
+            i = len(xs)
+            if i < last:
+                stack.append((xs + (0,), ys + (0,), w, left))
+                for v in range(1, left + 1):
+                    stack.append((xs + (v,), ys + (0,), w + v * steps[i], left - v))
+                    stack.append((xs + (0,), ys + (v,), w - v * steps[i], left - v))
+            elif left:
+                grouped.setdefault(w + left * steps[i], []).append((*xs, left, *ys, 0))
+                grouped.setdefault(w - left * steps[i], []).append((*xs, 0, *ys, left))
+            else:
+                grouped.setdefault(w, []).append((*xs, 0, *ys, 0))
+        # tuple() of a list, not of a generator, which over-allocates and shrinks
+        cached = self._signs[k] = {
+            tuple([w // base**j % base - bound for j in digits]): tuple(monos)
+            for w, monos in grouped.items()
+        }
+        return cached
+
+    def _z_parts(self, j: int) -> list[Monomial]:
+        """z^m = x^m y^m for every m with |m|_1 = j."""
+        cached = self._zparts.get(j)
         if cached is None:
-            columns = list(zip(*self.rep.half_weights))
-            grouped: dict[IntVec, list[Monomial]] = {}
-            for a in _compositions(k, self.rep.num_pairs):
-                for c in product(*[(v, -v) if v else (0,) for v in a]):
-                    mono = tuple([v if v > 0 else 0 for v in c] + [-v if v < 0 else 0 for v in c])
-                    weight = tuple([sum(map(mul, c, col)) for col in columns])
-                    grouped.setdefault(weight, []).append(mono)
-            cached = self._signs[k] = {w: tuple(ms) for w, ms in grouped.items()}
+            pairs = range(self.rep.num_pairs)
+            combos = combinations_with_replacement(pairs, j)
+            cached = self._zparts[j] = [tuple([c.count(i) for i in pairs]) * 2 for c in combos]
         return cached
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
@@ -213,10 +233,8 @@ class SliceRing:
     def _enumerate(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
         mons = []
         for k in range(n % 2, n + 1, 2):
-            signs = self._sign_vectors(k).get(w)
-            if signs:
-                zs = [m + m for m in _compositions((n - k) // 2, self.rep.num_pairs)]
-                mons.extend(tuple(map(add, c, z)) for c in signs for z in zs)
+            signs, zs = self._sign_vectors(k).get(w, ()), self._z_parts((n - k) // 2)
+            mons.extend(tuple(map(add, c, z)) for c in signs for z in zs)
         return tuple(sorted(mons))
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
@@ -255,6 +273,7 @@ class SliceRing:
         """The ring without relations, on this ring's monomial caches."""
         ring = SliceRing(self.rep, (), self.max_degree)
         ring._signs = self._signs
+        ring._zparts = self._zparts
         ring._monomials = self._monomials
         return ring
 

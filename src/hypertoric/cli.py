@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields, replace
+from functools import cache
 
 from .errors import HypertoricError, ProblemFormatError
 from .pipeline import ANALYSES, Budget, load_problem, run
@@ -18,7 +19,9 @@ from .pipeline import ANALYSES, Budget, load_problem, run
 _BUDGET_KEYS = {f.name.removeprefix("max_"): f.name for f in fields(Budget)}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by main."""
     parser = argparse.ArgumentParser(
         prog="hypertoric",
         description="Exact zonotope and quiver-algebra analyses of symplectic torus representations.",

@@ -186,7 +186,8 @@ def nongeneric_pair(rep: SymplecticRep) -> tuple[IntVec, int] | None:
     """Find a coordinate pair whose deletion drops the weight span rank.
 
     Returns (normal, i) where the primitive normal annihilates every
-    half-weight except beta_i, or None when no such pair exists.
+    half-weight except beta_i, or None when no such pair exists (deleting
+    any single pair keeps the weights spanning).
     """
     s = rep.torus_rank
     for i in range(rep.num_pairs):
@@ -195,11 +196,6 @@ def nongeneric_pair(rep: SymplecticRep) -> tuple[IntVec, int] | None:
         if kernel:
             return min(primitive(v) for v in kernel), i
     return None
-
-
-def is_generic_w(rep: SymplecticRep) -> bool:
-    """True when deleting any single coordinate pair keeps the weights spanning."""
-    return nongeneric_pair(rep) is None
 
 
 # ---------------------------------------------------------------------------

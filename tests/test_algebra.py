@@ -93,6 +93,46 @@ def test_monomials_match_oracle(rep_a, rep_b, corpus):
     assert conifold.monomials(2, (2,)) == ((0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0))
 
 
+# rank 2 with entries +-2: the weights of +-k e_1 sit at the packing bound
+EDGE_REP = SymplecticRep(2, ((2, -2), (-2, 1), (1, 2), (0, -1)))
+NAMED_REPS = [
+    SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1))),  # four-pair
+    SymplecticRep(1, ((1,), (1,), (1,))),  # three-pair
+    SymplecticRep(2, ((1, 0), (0, 1), (1, 1))),  # hexagon
+    EDGE_REP,
+]
+
+
+def brute_sign_vectors(rep, top):
+    """x^{c+} y^{c-} by weight for each norm k <= top, over all c in [-top, top]^e."""
+    by_norm = [{} for _ in range(top + 1)]
+    columns = list(zip(*rep.half_weights))
+    for c in product(range(-top, top + 1), repeat=rep.num_pairs):
+        k = sum(map(abs, c))
+        if k <= top:
+            w = tuple(sum(map(lambda a, b: a * b, c, col)) for col in columns)
+            mono = tuple(max(v, 0) for v in c) + tuple(max(-v, 0) for v in c)
+            by_norm[k].setdefault(w, set()).add(mono)
+    return by_norm
+
+
+def test_sign_vectors_match_brute_force(corpus):
+    top = 10
+    for rep in NAMED_REPS + [entry.rep for entry in corpus]:
+        ring = SliceRing(rep)
+        for k, want in enumerate(brute_sign_vectors(rep, top)):
+            got = ring._sign_vectors(k)
+            assert all(len(set(ms)) == len(ms) for ms in got.values())
+            assert {w: set(ms) for w, ms in got.items()} == want, (rep, k)
+    # the extreme weights of EDGE_REP are reached
+    extremes = set(SliceRing(EDGE_REP)._sign_vectors(top))
+    assert (2 * top, -2 * top) in extremes and (-2 * top, 2 * top) in extremes
+    # no coordinate pairs: only the empty vector, of norm 0
+    empty = SliceRing(SymplecticRep(0, ()))
+    assert empty._sign_vectors(0) == {(): ((),)}
+    assert empty._sign_vectors(1) == {}
+
+
 def test_nonzero_shift_rejected_in_graded_ring(rep_a):
     shifted = moment_quadrics(rep_a, xi=(1,))
     with pytest.raises(UnsupportedShiftError):

@@ -1,5 +1,6 @@
 """Problem parsing, report assembly, exit codes, CLI wiring."""
 
+import argparse
 import gc
 import json
 import re
@@ -9,9 +10,12 @@ from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypertoric import algebra, cli, errors
 from hypertoric.cli import main
+from hypertoric.corpus import fixed_corpus
 from hypertoric.errors import (
     ProblemFormatError,
     ResourceBudgetError,
@@ -22,6 +26,7 @@ from hypertoric.pipeline import (
     ANALYSES,
     PROBLEM_SCHEMA,
     Budget,
+    Report,
     load_problem,
     parse_problem,
     run,
@@ -360,6 +365,76 @@ def test_text_rendering_smoke():
     assert "x1*y1 + x2*y2" in text
 
 
+# -- JSON report writer ------------------------------------------------------
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def report_with(section) -> Report:
+    return Report(input={}, engine={}, sections={"s": section}, checks=[], exit_code=0)
+
+
+awkward_strings = st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é", " ", "😀", "</"]
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 1, -1, 2**63, -(2**64) - 1, 10**30])
+    | st.text()
+    | awkward_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text() | awkward_strings, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example([[], {}, [[]], {"": {}}, [True, 1, False, 0, None], {"b": 1, "a": [{}]}])
+@example({"é": "\U0001f600", "\x7f": "\x00", "k": [-(2**64), "\u2028"]})
+def test_report_writer_matches_json_dumps(value):
+    report = report_with(value)
+    assert report.to_json() == dumps(vars(report))
+
+
+def test_report_writer_on_corpus_sweep_reports(problems_dir):
+    """Every report of a corpus sweep, as bench/problems.py builds it."""
+    no_koszul = [a for a in ANALYSES if a != "koszul"]
+    problems = [
+        parse_problem({
+            "name": f"corpus-{k:02d}",
+            "torus_rank": entry.rep.torus_rank,
+            "half_weights": [list(w) for w in entry.rep.half_weights],
+            "chi": list(entry.epsilon),
+            "truncation": 8,
+            "analyses": no_koszul,
+        })
+        for k, entry in enumerate(fixed_corpus())
+    ]
+    for name in ("conifold", "hexagon", "hexagon_bad_chi", "reduction_pair"):
+        problems.append(load_problem(str(problems_dir / f"{name}.json")))
+    for problem in problems:
+        report = run(problem)
+        assert report.to_json() == dumps(vars(report))
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1.5])
+def test_report_writer_rejects_non_json_values(value):
+    # floats are refused too: no report value is a float
+    with pytest.raises(TypeError):
+        report_with(value).to_json()
+    with pytest.raises(TypeError):
+        report_with([{"k": value}]).to_json()
+    if not isinstance(value, float):
+        with pytest.raises(TypeError):
+            dumps(value)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -539,6 +614,33 @@ def test_cli_bad_flags(problems_dir, capsys):
 def test_cli_usage_errors_map_to_three(capsys):
     assert main(["run"]) == 3
     assert main(["--help"]) == 0
+
+
+def test_cli_main_repeated_in_process(problems_dir, golden_dir, capsys, monkeypatch):
+    """A sweep calls main again and again in one process, on one parser."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    conifold = str(problems_dir / "conifold.json")
+    golden = (golden_dir / "conifold_report.json").read_text()
+    flags = ["--analyses", "window,hilbert", "--N", "4", "--budget", "truncation=10"]
+    for _ in range(2):
+        assert main(["run", conifold, *flags, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert "== hilbert ==" in out and "== quiver ==" not in out
+        assert main(["run", conifold]) == 0
+        assert capsys.readouterr().out == golden
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: hypertoric")
+        assert main(["run"]) == 3
+        assert "the following arguments are required: file" in capsys.readouterr().err
+    assert built == ["hypertoric", "hypertoric run"]
 
 
 def test_cli_subprocess_entry(problems_dir):
