@@ -7,14 +7,17 @@ moment-map quadrics impose finitely many linear relations on monomials.  An
 algebra is assembled from the slices whose weights are differences of window
 characters, with one vertex per window point.
 
-A slice lists only its own monomials.  With z_i = x_i y_i, C[x,y] is free
-over C[z] (Hausel-Sturmfels): a degree-n monomial of weight w is
-x^{c+} y^{c-} z^m for exactly one sign vector c with sum_i c_i beta_i = w
-and one z-part m with |c|_1 + 2|m| = n.  The ring caches sign vectors by
-norm and weight, and z-parts by degree, and multiplies the two.  Sign
-vectors grow one coordinate at a time, depth first, each carrying its
-weight packed into one integer: a norm-k weight has entries in [-b, b] for
-b = k * max |beta_ij|, so sum_j (w_j + b)(2b+1)^j determines it.
+A slice lists only its own monomials.  A monomial x^a y^b has degree
+|a| + |b| and weight beta.a - beta.b, so the degree-n, weight-w slice is the
+join, over d <= n, of the exponent vectors a of degree d and weight u with
+the exponent vectors b of degree n - d and weight u - w.  The ring keeps one
+table per degree d of the vectors in N^e, grouped by weight and in lex order
+inside each group, and builds a table only when a slice reaches its degree.
+Each weight is packed into one integer, sum_j u_j B^j: for slices up to
+degree P the base B = 2 P max|beta_ij| + 1 keeps every key and every
+difference u - w that a join looks up apart, once weights beyond reach are
+answered empty.  C[x,y] is also free over C[z], z_i = x_i y_i
+(Hausel-Sturmfels); a closed form for the quotient slices would rest on it.
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows).  Building a slice
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 
@@ -167,56 +169,43 @@ class SliceRing:
         self.rep = rep
         self.quadrics = tuple(quadrics)
         self.max_degree = max_degree
-        self._signs: dict[int, dict[IntVec, tuple[Monomial, ...]]] = {}
-        self._zparts: dict[int, list[Monomial]] = {}
+        self._reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
+        self._repack(max_degree or 0)
         self._monomials: dict[tuple[int, IntVec], tuple[Monomial, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
 
-    def _sign_vectors(self, k: int) -> dict[IntVec, tuple[Monomial, ...]]:
-        """x^{c+} y^{c-} for every integer c with |c|_1 = k, grouped by weight."""
-        cached = self._signs.get(k)
-        if cached is not None:
-            return cached
-        weights = self.rep.half_weights
-        if not weights:  # no pairs: only the empty vector, of norm 0
-            return {(): ((),)} if k == 0 else {}
-        bound = k * max((abs(v) for beta in weights for v in beta), default=0)
-        base, digits = 2 * bound + 1, range(self.rep.torus_rank)
-        steps = [sum(v * base**j for j, v in enumerate(beta)) for beta in weights]
-        last = len(steps) - 1
-        grouped: dict[int, list[Monomial]] = {}
-        # depth first over (x part, y part, packed weight, norm left)
-        stack = [((), (), sum(bound * base**j for j in digits), k)]
-        while stack:
-            xs, ys, w, left = stack.pop()
-            i = len(xs)
-            if i < last:
-                stack.append((xs + (0,), ys + (0,), w, left))
-                for v in range(1, left + 1):
-                    stack.append((xs + (v,), ys + (0,), w + v * steps[i], left - v))
-                    stack.append((xs + (0,), ys + (v,), w - v * steps[i], left - v))
-            elif left:
-                grouped.setdefault(w + left * steps[i], []).append((*xs, left, *ys, 0))
-                grouped.setdefault(w - left * steps[i], []).append((*xs, 0, *ys, left))
-            else:
-                grouped.setdefault(w, []).append((*xs, 0, *ys, 0))
-        # tuple() of a list, not of a generator, which over-allocates and shrinks
-        cached = self._signs[k] = {
-            tuple([w // base**j % base - bound for j in digits]): tuple(monos)
-            for w, monos in grouped.items()
-        }
-        return cached
+    def _repack(self, degree: int) -> None:
+        """Pack weights for slices up to this degree, on new exponent tables."""
+        self._packed = degree
+        self._base = 2 * degree * self._reach + 1
+        self._steps = [self._key(beta) for beta in self.rep.half_weights]
+        self._tables: dict[int, dict[int, list[Monomial]]] = {}
 
-    def _z_parts(self, j: int) -> list[Monomial]:
-        """z^m = x^m y^m for every m with |m|_1 = j."""
-        cached = self._zparts.get(j)
-        if cached is None:
-            pairs = range(self.rep.num_pairs)
-            combos = combinations_with_replacement(pairs, j)
-            cached = self._zparts[j] = [tuple([c.count(i) for i in pairs]) * 2 for c in combos]
-        return cached
+    def _key(self, w: IntVec) -> int:
+        return sum(v * self._base**j for j, v in enumerate(w))
+
+    def _table(self, d: int) -> dict[int, list[Monomial]]:
+        """Every v in N^e with |v|_1 = d by packed weight, lex order in each group."""
+        table = self._tables.get(d)
+        if table is None:
+            table = self._tables[d] = {}
+            steps, last = self._steps, len(self._steps) - 1
+            # depth first over (head, packed weight, degree left)
+            stack = [((), 0, d)]
+            while stack:
+                head, key, left = stack.pop()
+                i = len(head)
+                if i > last:
+                    if not left:  # left over only when there are no pairs
+                        table.setdefault(key, []).append(head)
+                    continue
+                # the last coordinate takes what is left; pushed from high to
+                # low, so popped in lex order
+                for v in range(left, -1, -1) if i < last else (left,):
+                    stack.append((head + (v,), key + v * steps[i], left - v))
+        return table
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
         """The degree-n, weight-w monomials in lex order."""
@@ -231,11 +220,22 @@ class SliceRing:
         return cached
 
     def _enumerate(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
+        """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w."""
+        # answered before packing: the key of an unreachable weight may alias
+        if any(abs(c) > n * self._reach for c in w):
+            return ()
+        if n > self._packed:
+            self._repack(n)
+        key = self._key(w)
         mons = []
-        for k in range(n % 2, n + 1, 2):
-            signs, zs = self._sign_vectors(k).get(w, ()), self._z_parts((n - k) // 2)
-            mons.extend(tuple(map(add, c, z)) for c in signs for z in zs)
-        return tuple(sorted(mons))
+        for d in range(n + 1):
+            ys = self._table(n - d)
+            for u, xs in self._table(d).items():
+                bs = ys.get(u - key)
+                if bs:
+                    mons.extend([a + b for a in xs for b in bs])
+        mons.sort()
+        return tuple(mons)
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
         return len(self.monomials(n, w))
@@ -270,11 +270,10 @@ class SliceRing:
         return self.piece(n, w).dim
 
     def ambient(self) -> SliceRing:
-        """The ring without relations, on this ring's monomial caches."""
-        ring = SliceRing(self.rep, (), self.max_degree)
-        ring._signs = self._signs
-        ring._zparts = self._zparts
-        ring._monomials = self._monomials
+        """The ring without relations, on this ring's tables and monomial caches."""
+        ring = copy(self)
+        ring.quadrics = ()
+        ring._pieces = {}
         return ring
 
 

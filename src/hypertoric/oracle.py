@@ -246,3 +246,73 @@ def oracle_block_dimension(
     if not with_quadrics:
         return len(mons)
     return len(mons) - _quadric_span_rank(rep, w, n)
+
+
+# ---------------------------------------------------------------------------
+# the quiver presentation, its relations read as polynomials and as paths
+
+
+def _spans(rows: list[dict], poly: dict) -> bool:
+    """Whether the polynomial lies in the span of the rows, by dense rank."""
+    columns = sorted({m for row in rows + [poly] for m in row})
+    dense = [[Fraction(row.get(m, 0)) for m in columns] for row in rows]
+    return _dense_rank(dense + [[Fraction(poly.get(m, 0)) for m in columns]]) == _dense_rank(dense)
+
+
+def oracle_quiver_problems(rep: SymplecticRep, epsilon: IntVec, presentation) -> list[str]:
+    """What is wrong with a quiver presentation of the window algebra; [] if nothing.
+
+    Reads only the presentation's vertices, the arrows' (source, target,
+    monomial) and the relations' (source, target, terms).  The vertices must
+    be the window's lattice points.  Per (source, target) block, each
+    relation, read as a polynomial, lies in the span of the moment quadrics
+    sum_i beta_ik x_i y_i when the block weight is 0 and is 0 otherwise; the
+    relations are independent as combinations of paths (as polynomials,
+    commuting paths such as y1*x1 - x1*y1 vanish); and they number the
+    length-2 paths minus the block's degree-2 dimension, so none is missing.
+    """
+    _check_rep(rep)
+    e, points, arrows = rep.num_pairs, presentation.vertices, presentation.arrows
+    problems = []
+    if set(points) != oracle_lattice_points(rep, epsilon):
+        problems.append(f"vertices {points} are not the window's lattice points")
+    quadrics = []
+    for k in range(rep.torus_rank):
+        quadric = {}
+        for i, beta in enumerate(rep.half_weights):
+            if beta[k]:
+                quadric[tuple(int(j in (i, e + i)) for j in range(2 * e))] = beta[k]
+        quadrics.append(quadric)
+    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for a, first in enumerate(arrows):
+        for b, second in enumerate(arrows):
+            if first.target == second.source:
+                paths.setdefault((first.source, second.target), []).append((a, b))
+    relations: dict[tuple[int, int], list] = {}
+    for rel in presentation.relations:
+        relations.setdefault((rel.source, rel.target), []).append(rel)
+    for i, mu in enumerate(points):
+        for k, mu_prime in enumerate(points):
+            block, rels = paths.get((i, k), []), relations.get((i, k), [])
+            index = {p: c for c, p in enumerate(block)}
+            rows = []
+            for rel in rels:
+                poly: dict[tuple[int, ...], int] = {}
+                row = [Fraction(0)] * len(block)
+                for coeff, (a, b) in rel.terms:
+                    if (a, b) not in index:
+                        problems.append(f"block ({i}, {k}): path {(a, b)} is not in the block")
+                        continue
+                    row[index[(a, b)]] += coeff
+                    mono = tuple(map(sum, zip(arrows[a].monomial, arrows[b].monomial)))
+                    poly[mono] = poly.get(mono, 0) + coeff
+                rows.append(row)
+                poly = {m: c for m, c in poly.items() if c}
+                if poly and not (mu == mu_prime and _spans(quadrics, poly)):
+                    problems.append(f"block ({i}, {k}): relation {rel.terms} is not zero in degree 2")
+            if _dense_rank(rows) < len(rels):
+                problems.append(f"block ({i}, {k}): the relations are dependent as paths")
+            want = len(block) - oracle_block_dimension(rep, mu, mu_prime, 2, True)
+            if len(rels) != want:
+                problems.append(f"block ({i}, {k}): {len(rels)} relations, expected {want}")
+    return problems

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -77,7 +77,7 @@ def test_monomial_weight(rep_b):
 
 
 def test_monomials_match_oracle(rep_a, rep_b, corpus):
-    """Sign vectors times z-parts list exactly the oracle's weight groups."""
+    """The table join lists exactly the oracle's weight groups."""
     repeated = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
     for rep in [rep_a, rep_b, repeated] + [entry.rep for entry in corpus]:
         ring = SliceRing(rep)
@@ -103,34 +103,48 @@ NAMED_REPS = [
 ]
 
 
-def brute_sign_vectors(rep, top):
-    """x^{c+} y^{c-} by weight for each norm k <= top, over all c in [-top, top]^e."""
-    by_norm = [{} for _ in range(top + 1)]
+def brute_exponent_tables(rep, top):
+    """Every v in N^e with |v|_1 = d <= top, by degree and weight, in lex order."""
+    by_degree = [{} for _ in range(top + 1)]
     columns = list(zip(*rep.half_weights))
-    for c in product(range(-top, top + 1), repeat=rep.num_pairs):
-        k = sum(map(abs, c))
-        if k <= top:
-            w = tuple(sum(map(lambda a, b: a * b, c, col)) for col in columns)
-            mono = tuple(max(v, 0) for v in c) + tuple(max(-v, 0) for v in c)
-            by_norm[k].setdefault(w, set()).add(mono)
-    return by_norm
+    for v in product(range(top + 1), repeat=rep.num_pairs):
+        if sum(v) <= top:
+            w = tuple(sum(map(mul, v, col)) for col in columns)
+            by_degree[sum(v)].setdefault(w, []).append(v)
+    return by_degree
 
 
-def test_sign_vectors_match_brute_force(corpus):
+def test_exponent_tables_match_brute_force(corpus):
     top = 10
-    for rep in NAMED_REPS + [entry.rep for entry in corpus]:
+    empty = SymplecticRep(0, ())  # no pairs: only the empty vector, of degree 0
+    for rep in NAMED_REPS + [entry.rep for entry in corpus] + [empty]:
+        ring = SliceRing(rep, max_degree=top)
+        for d, want in enumerate(brute_exponent_tables(rep, top)):
+            assert ring._table(d) == {ring._key(w): vs for w, vs in want.items()}, (rep, d)
+    assert SliceRing(empty)._table(0) == {0: [()]}
+
+
+def test_unbounded_ring_repacks_for_higher_degrees():
+    """Each degree beyond any packed so far, then a lower one, matches the oracle."""
+    for rep in NAMED_REPS:
         ring = SliceRing(rep)
-        for k, want in enumerate(brute_sign_vectors(rep, top)):
-            got = ring._sign_vectors(k)
-            assert all(len(set(ms)) == len(ms) for ms in got.values())
-            assert {w: set(ms) for w, ms in got.items()} == want, (rep, k)
-    # the extreme weights of EDGE_REP are reached
-    extremes = set(SliceRing(EDGE_REP)._sign_vectors(top))
-    assert (2 * top, -2 * top) in extremes and (-2 * top, 2 * top) in extremes
-    # no coordinate pairs: only the empty vector, of norm 0
-    empty = SliceRing(SymplecticRep(0, ()))
-    assert empty._sign_vectors(0) == {(): ((),)}
-    assert empty._sign_vectors(1) == {}
+        for n in (1, 4, 2, 6):
+            oracle = _monomials_by_weight(rep, n)
+            # the box reaches one step beyond every reachable weight
+            for w in weight_box(rep, n):
+                assert ring.monomials(n, w) == tuple(sorted(oracle.get(w, ()))), (rep, n, w)
+
+
+def test_exponent_tables_bound_the_work():
+    """The blocks of both sides build each exponent vector of degree <= N once."""
+    four_pair = NAMED_REPS[0]
+    quo = GradedQuiverAlgebra(four_pair, enumerate_window(build_zonotope(four_pair), (3, 1)), 8)
+    amb = quo.ambient()
+    quo.hilbert_matrices()
+    amb.hilbert_matrices()
+    assert amb.ring._tables is quo.ring._tables
+    tables = quo.ring._tables.values()
+    assert sum(len(vs) for table in tables for vs in table.values()) <= comb(8 + 4, 4)
 
 
 def test_nonzero_shift_rejected_in_graded_ring(rep_a):

@@ -4,11 +4,14 @@ The oracle deliberately shares no machinery with the engine, so agreement
 here is meaningful evidence rather than a tautology.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import (
+    GradedQuiverAlgebra,
     ResourceBudgetError,
     SymplecticRep,
     build_zonotope,
@@ -16,8 +19,10 @@ from hypertoric import (
     oracle,
     oracle_block_dimension,
     oracle_lattice_points,
+    quiver_presentation,
     validate,
 )
+from hypertoric.oracle import oracle_quiver_problems
 
 
 def test_budget_defaults():
@@ -86,8 +91,6 @@ def test_matches_engine_on_explicit_reps(rep_a, rep_b):
 
 
 def test_block_dims_match_engine_spot(rep_b, window_b):
-    from hypertoric import GradedQuiverAlgebra
-
     quo = GradedQuiverAlgebra(rep_b, window_b, 4)
     amb = GradedQuiverAlgebra(rep_b, window_b, 4, quadrics=())
     for i, mu in enumerate(window_b.points):
@@ -95,3 +98,21 @@ def test_block_dims_match_engine_spot(rep_b, window_b):
             for n in range(5):
                 assert quo.dim(i, j, n) == oracle_block_dimension(rep_b, mu, mup, n, True)
                 assert amb.dim(i, j, n) == oracle_block_dimension(rep_b, mu, mup, n, False)
+
+
+def test_quiver_presentation_matches_oracle(rep_a, rep_b, corpus):
+    four_pair = SymplecticRep(2, ((1, 0), (0, 1), (1, 1), (1, -1)))
+    three_pair = SymplecticRep(1, ((1,), (1,), (1,)))
+    cases = [(rep_a, (1,)), (rep_b, (2, 1)), (four_pair, (3, 1)), (three_pair, (1,))]
+    for rep, eps in cases + [(entry.rep, entry.epsilon) for entry in corpus]:
+        alg = GradedQuiverAlgebra(rep, enumerate_window(build_zonotope(rep), eps), 4)
+        assert oracle_quiver_problems(rep, eps, quiver_presentation(alg)) == [], (rep, eps)
+
+
+def test_quiver_oracle_rejects_a_flipped_sign_and_a_dropped_relation(rep_b, window_b):
+    pres = quiver_presentation(GradedQuiverAlgebra(rep_b, window_b, 4))
+    first, *others = pres.relations
+    (coeff, path), *terms = first.terms
+    flipped = replace(first, terms=((-coeff, path), *terms))
+    assert oracle_quiver_problems(rep_b, (2, 1), replace(pres, relations=(flipped, *others)))
+    assert oracle_quiver_problems(rep_b, (2, 1), replace(pres, relations=tuple(others)))
