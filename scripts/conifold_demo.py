@@ -15,13 +15,11 @@ from hypertoric import (
     build_zonotope,
     enumerate_window,
     koszul_check,
-    moment_quadrics,
-    numerical_koszul_consistency,
     quiver_presentation,
-    singular_codim_estimate,
-    validate,
     verify_regular_sequence,
 )
+from hypertoric.koszul import numerical_koszul_consistency
+from hypertoric.reps import moment_quadrics, singular_codim_estimate, validate
 
 
 def main() -> None:

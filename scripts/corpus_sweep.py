@@ -18,19 +18,29 @@ from hypertoric import (
     koszul_check,
     oracle_block_dimension,
     oracle_lattice_points,
-    reduce_to_generic,
-    singular_codim_estimate,
     verify_regular_sequence,
 )
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.koszul import default_depth
+from hypertoric.oracle import MAX_DEGREE
+from hypertoric.reps import reduce_to_generic, singular_codim_estimate
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=24)
+    parser.add_argument("--count", type=positive_int, default=24)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--upto", type=int, default=4, help="degree bound for block checks")
+    parser.add_argument(
+        "--upto", type=int, default=4, choices=range(2, MAX_DEGREE + 1), metavar="K",
+        help=f"degree bound for block checks, 2 to {MAX_DEGREE} (the oracle's limit)",
+    )
     args = parser.parse_args(argv)
 
     entries = fixed_corpus(count=args.count, seed=args.seed)

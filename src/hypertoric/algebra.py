@@ -13,10 +13,10 @@ join, over d <= n, of the exponent vectors a of degree d and weight u with
 the exponent vectors b of degree n - d and weight u - w.  The ring keeps one
 table per degree d of the vectors in N^e, grouped by weight and in lex order
 inside each group, and builds a table only when a slice reaches its degree.
-Each weight is packed into one integer, sum_j u_j B^j: for slices up to
-degree P the base B = 2 P max|beta_ij| + 1 keeps every key and every
-difference u - w that a join looks up apart, once weights beyond reach are
-answered empty.  C[x,y] is also free over C[z], z_i = x_i y_i
+Each weight is packed into one integer, sum_j u_j B^j: a ring holds slices
+up to its degree bound P, and the base B = 2 P max|beta_ij| + 1 keeps every
+key and every difference u - w that a join looks up apart, once weights
+beyond reach are answered empty.  C[x,y] is also free over C[z], z_i = x_i y_i
 (Hausel-Sturmfels); a closed form for the quotient slices would rest on it.
 
 Everything here is integer arithmetic.  A slice's relations are the
@@ -146,14 +146,16 @@ class SliceRing:
     """Slice-by-slice model of the polynomial ring modulo quadric relations.
 
     Only homogeneous quadrics (shift zero) define a graded quotient; a
-    nonzero shift raises UnsupportedShiftError.
+    nonzero shift raises UnsupportedShiftError.  A slice beyond max_degree
+    raises ResourceBudgetError.
     """
 
     def __init__(
         self,
         rep: SymplecticRep,
         quadrics: tuple[MomentQuadric, ...] = (),
-        max_degree: int | None = None,
+        *,
+        max_degree: int,
     ):
         for q in quadrics:
             if q.shift != 0:
@@ -170,18 +172,13 @@ class SliceRing:
         self.quadrics = tuple(quadrics)
         self.max_degree = max_degree
         self._reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
-        self._repack(max_degree or 0)
+        self._base = 2 * max_degree * self._reach + 1
+        self._steps = [self._key(beta) for beta in rep.half_weights]
+        self._tables: dict[int, dict[int, list[Monomial]]] = {}
         self._monomials: dict[tuple[int, IntVec], tuple[Monomial, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
-
-    def _repack(self, degree: int) -> None:
-        """Pack weights for slices up to this degree, on new exponent tables."""
-        self._packed = degree
-        self._base = 2 * degree * self._reach + 1
-        self._steps = [self._key(beta) for beta in self.rep.half_weights]
-        self._tables: dict[int, dict[int, list[Monomial]]] = {}
 
     def _key(self, w: IntVec) -> int:
         return sum(v * self._base**j for j, v in enumerate(w))
@@ -209,7 +206,7 @@ class SliceRing:
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
         """The degree-n, weight-w monomials in lex order."""
-        if self.max_degree is not None and n > self.max_degree:
+        if n > self.max_degree:
             raise ResourceBudgetError(
                 f"slice degree {n} exceeds the configured bound {self.max_degree}"
             )
@@ -224,8 +221,6 @@ class SliceRing:
         # answered before packing: the key of an unreachable weight may alias
         if any(abs(c) > n * self._reach for c in w):
             return ()
-        if n > self._packed:
-            self._repack(n)
         key = self._key(w)
         mons = []
         for d in range(n + 1):
@@ -281,7 +276,7 @@ def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
     """Monomials of total degree n and torus weight w in the full ring.
 
     The benchmark's oracle check (bench/checks.py) is its caller."""
-    return SliceRing(rep).ambient_dim(n, tuple(w))
+    return SliceRing(rep, max_degree=n).ambient_dim(n, tuple(w))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +381,6 @@ class GradedQuiverAlgebra:
     @property
     def num_vertices(self) -> int:
         return len(self.window.points)
-
-    def weight(self, i: int, j: int) -> IntVec:
-        return self._weights[i][j]
 
     def piece(self, i: int, j: int, n: int) -> QuotientPiece:
         return self.ring.piece(n, self._weights[i][j])

@@ -176,17 +176,13 @@ def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(f for f in factors if f)
 
 
-def hyperplane_normals(vectors: Sequence[IntVec], dim: int | None = None) -> list[IntVec]:
+def hyperplane_normals(vectors: Sequence[IntVec], dim: int) -> list[IntVec]:
     """Canonical primitive normals of every hyperplane spanned by the input.
 
     A hyperplane counts when some dim-1 of the vectors span it, that is when
     their integer kernel is one line.  For dim <= 1 there are no such
     hyperplanes (the origin is not counted), so the list is empty.
     """
-    if dim is None:
-        if not vectors:
-            raise DimensionError("cannot infer ambient dimension from no vectors")
-        dim = len(vectors[0])
     for v in vectors:
         if len(v) != dim:
             raise DimensionError("mixed vector lengths")

@@ -93,7 +93,8 @@ class _Context:
 
     @cached_property
     def window(self) -> CharacterWindow:
-        box = prod(map(len, self.zonotope.window_ranges()))
+        # Python ints: a range's len() overflows beyond ssize_t
+        box = prod(r.stop - r.start for r in self.zonotope.window_ranges())
         if box > self.budget.max_box:
             raise ResourceBudgetError(
                 f"window bounding box has {box} candidates, budget {self.budget.max_box}"
@@ -329,30 +330,10 @@ def _koszul(ctx: _Context):
     for side, algebra in (("quotient", ctx.algebra), ("ambient", ctx.algebra.ambient())):
         ledger = koszul_check(algebra, depth=ctx.problem.depth)
         numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
-        section[side] = {
-            "status": ledger.status,
-            "depth": ledger.depth,
-            "degree_bound": ledger.degree_bound,
-            "first_violation": ledger.first_violation,
-            "all_exhausted": ledger.all_exhausted,
-            "resolutions": [
-                {
-                    "vertex": r.vertex,
-                    "steps": r.steps,
-                    "status": r.status,
-                    "violation": r.violation,
-                    "exhausted": r.exhausted,
-                }
-                for r in ledger.resolutions
-            ],
-            "numeric": {
-                "upto": numeric.upto,
-                "consistent": numeric.consistent,
-                "first_negative": numeric.first_negative,
-            },
-        }
+        # run() normalizes the records, field by field
+        section[side] = dict(vars(ledger), all_exhausted=ledger.all_exhausted, numeric=numeric)
     quotient = section["quotient"]
-    if quotient["status"] == "violation" or not quotient["numeric"]["consistent"]:
+    if quotient["status"] == "violation" or not quotient["numeric"].consistent:
         status, detail = "FAIL", "resolution not linear"
     elif quotient["status"] == "truncation_limited":
         status, detail = "INCONCLUSIVE", "truncation too small for the requested depth"
@@ -485,6 +466,8 @@ def _parse_xi_entry(raw) -> Fraction:
         return Fraction(raw)
     except ZeroDivisionError:
         raise ProblemFormatError(f"xi entry {raw!r} has a zero denominator", "xi") from None
+    except ValueError as exc:  # a numerator or denominator over the digit limit
+        raise ProblemFormatError(f"xi entry: {exc}", "xi") from None
 
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "null": type(None)}
@@ -573,7 +556,9 @@ def load_problem(path: str) -> ProblemFile:
             data = json.load(fh)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and
+        # integers over the interpreter's digit limit
         raise ProblemFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ProblemFormatError("problem file must contain a JSON object")

@@ -65,10 +65,6 @@ class SymplecticRep:
         """All 2e weights: beta_1..beta_e, then -beta_1..-beta_e."""
         return self.half_weights + tuple(vec_neg(w) for w in self.half_weights)
 
-    def drop_pair(self, i: int) -> "SymplecticRep":
-        hw = self.half_weights
-        return SymplecticRep(self.torus_rank, hw[:i] + hw[i + 1:])
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -244,9 +240,6 @@ class ReductionResult:
             n = len(p)
             p = tuple(sum(p[r] * step.lift[r][c] for r in range(n)) for c in range(n))
         return p
-
-    def lift_window(self, points) -> tuple[IntVec, ...]:
-        return tuple(self.lift_point(p) for p in points)
 
 
 def project_vec(v: IntVec, projection: tuple[IntVec, ...]) -> IntVec:

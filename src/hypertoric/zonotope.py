@@ -43,10 +43,6 @@ class Zonotope:
         )
         return [range(-r, r + 1) for r in radii]
 
-    def support(self, normal: IntVec) -> int:
-        """Largest value of normal . x over the zonotope."""
-        return sum(abs(dot(normal, w)) for w in self.half_generators)
-
     def contains(self, x) -> bool:
         if len(x) != self.dimension:
             raise DimensionError(f"point has length {len(x)}, expected {self.dimension}")
@@ -64,9 +60,6 @@ class Zonotope:
             if dot(n, v) == 0:
                 return n
         return None
-
-    def is_generic(self, v: IntVec) -> bool:
-        return self.generic_witness(v) is None
 
     def perturbed_contains(self, x, epsilon: IntVec, *, check: bool = True) -> bool:
         """Membership after an infinitesimal shift of the body along epsilon.

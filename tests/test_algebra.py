@@ -11,22 +11,23 @@ from hypothesis import strategies as st
 
 from hypertoric import (
     GradedQuiverAlgebra,
-    MalformedAlgebraError,
-    MomentQuadric,
-    ResourceBudgetError,
-    SliceRing,
     SymplecticRep,
-    UnsupportedShiftError,
     build_zonotope,
     enumerate_window,
-    hilbert_inverse_coefficients,
     hom_dimension,
-    moment_quadrics,
+    oracle_block_dimension,
     quiver_presentation,
     verify_regular_sequence,
 )
+from hypertoric.algebra import SliceRing, hilbert_inverse_coefficients
+from hypertoric.errors import (
+    MalformedAlgebraError,
+    ResourceBudgetError,
+    UnsupportedShiftError,
+)
 from hypertoric.lattice import sparse_rref
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
+from hypertoric.reps import MomentQuadric, moment_quadrics
 
 
 def quotient_ring(rep, upto=8):
@@ -43,7 +44,7 @@ def weight_box(rep, n):
 
 
 def test_ambient_dims_conifold(rep_a):
-    ring = SliceRing(rep_a)
+    ring = SliceRing(rep_a, max_degree=2)
     assert ring.ambient_dim(0, (0,)) == 1
     assert ring.ambient_dim(1, (1,)) == 2
     assert ring.ambient_dim(2, (0,)) == 4
@@ -52,7 +53,7 @@ def test_ambient_dims_conifold(rep_a):
 
 @pytest.mark.parametrize("n", range(5))
 def test_bucket_counts_every_monomial(rep_b, n):
-    ring = SliceRing(rep_b)
+    ring = SliceRing(rep_b, max_degree=n)
     slices = [ring.monomials(n, w) for w in weight_box(rep_b, n)]
     assert all(sum(m) == n for ms in slices for m in ms)
     total = sum(len(ms) for ms in slices)
@@ -70,7 +71,7 @@ def test_bucket_respects_degree_budget(rep_a):
 
 
 def test_monomial_weight(rep_b):
-    ring = SliceRing(rep_b)
+    ring = SliceRing(rep_b, max_degree=3)
     # x1 * y3^2 has weight (1,0) - 2*(1,1)
     assert (1, 0, 0, 0, 0, 2) in ring.monomials(3, (-1, -2))
     assert (1, 0, 0, 0, 0, 2) not in ring.monomials(3, (1, 2))
@@ -80,14 +81,14 @@ def test_monomials_match_oracle(rep_a, rep_b, corpus):
     """The table join lists exactly the oracle's weight groups."""
     repeated = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
     for rep in [rep_a, rep_b, repeated] + [entry.rep for entry in corpus]:
-        ring = SliceRing(rep)
+        ring = SliceRing(rep, max_degree=6)
         for n in range(7):
             oracle = _monomials_by_weight(rep, n)
             box = weight_box(rep, n)
             assert set(oracle) <= set(box)
             for w in box:
                 assert ring.monomials(n, w) == tuple(sorted(oracle.get(w, ())))
-    conifold = SliceRing(rep_a)
+    conifold = SliceRing(rep_a, max_degree=2)
     assert conifold.monomials(1, (0,)) == ()  # parity mismatch
     assert conifold.monomials(2, (4,)) == ()  # weight out of reach
     assert conifold.monomials(2, (2,)) == ((0, 2, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0))
@@ -101,6 +102,16 @@ NAMED_REPS = [
     SymplecticRep(2, ((1, 0), (0, 1), (1, 1))),  # hexagon
     EDGE_REP,
 ]
+
+
+def test_hom_dimension_matches_oracle(rep_a, rep_b, corpus):
+    """One ring bounded at n per call, from n = 0 (base 1), one weight step beyond reach."""
+    for rep in [rep_a, rep_b, NAMED_REPS[0]] + [entry.rep for entry in corpus]:
+        zero = (0,) * rep.torus_rank
+        for n in range(7):
+            for w in weight_box(rep, n):
+                want = oracle_block_dimension(rep, zero, w, n, False)
+                assert hom_dimension(rep, n, w) == want, (rep, n, w)
 
 
 def brute_exponent_tables(rep, top):
@@ -121,13 +132,13 @@ def test_exponent_tables_match_brute_force(corpus):
         ring = SliceRing(rep, max_degree=top)
         for d, want in enumerate(brute_exponent_tables(rep, top)):
             assert ring._table(d) == {ring._key(w): vs for w, vs in want.items()}, (rep, d)
-    assert SliceRing(empty)._table(0) == {0: [()]}
+    assert SliceRing(empty, max_degree=0)._table(0) == {0: [()]}
 
 
-def test_unbounded_ring_repacks_for_higher_degrees():
-    """Each degree beyond any packed so far, then a lower one, matches the oracle."""
+def test_bounded_ring_answers_degrees_out_of_order():
+    """Degrees asked out of order from one ring, each within its bound, match the oracle."""
     for rep in NAMED_REPS:
-        ring = SliceRing(rep)
+        ring = SliceRing(rep, max_degree=6)
         for n in (1, 4, 2, 6):
             oracle = _monomials_by_weight(rep, n)
             # the box reaches one step beyond every reachable weight
@@ -150,7 +161,7 @@ def test_exponent_tables_bound_the_work():
 def test_nonzero_shift_rejected_in_graded_ring(rep_a):
     shifted = moment_quadrics(rep_a, xi=(1,))
     with pytest.raises(UnsupportedShiftError):
-        SliceRing(rep_a, shifted)
+        SliceRing(rep_a, shifted, max_degree=2)
 
 
 # -- quotient slices ---------------------------------------------------------
@@ -339,8 +350,8 @@ def test_algebra_vertices_and_weights(rep_b, window_b):
     alg = GradedQuiverAlgebra(rep_b, window_b, 4)
     assert alg.vertices == ((0, 0), (1, 0), (1, 1))
     assert alg.num_vertices == 3
-    assert alg.weight(0, 2) == (1, 1)
-    assert alg.weight(2, 0) == (-1, -1)
+    assert alg.piece(0, 2, 0).weight == (1, 1)
+    assert alg.piece(2, 0, 0).weight == (-1, -1)
 
 
 def test_algebra_requires_quadratic_visibility(rep_a, window_a):

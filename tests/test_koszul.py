@@ -2,18 +2,20 @@
 
 import pytest
 
-from hypertoric import koszul
 from hypertoric import (
     GradedQuiverAlgebra,
     SymplecticRep,
     build_zonotope,
     enumerate_window,
-    find_generic_direction,
+    koszul,
     koszul_check,
+)
+from hypertoric.koszul import (
+    default_depth,
     minimal_resolution,
     numerical_koszul_consistency,
 )
-from hypertoric.koszul import default_depth
+from hypertoric.zonotope import find_generic_direction
 
 
 def euler_identity_holds(alg, res, upto):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from hypertoric import (
     GradedQuiverAlgebra,
-    ResourceBudgetError,
     SymplecticRep,
     build_zonotope,
     enumerate_window,
@@ -20,9 +19,10 @@ from hypertoric import (
     oracle_block_dimension,
     oracle_lattice_points,
     quiver_presentation,
-    validate,
 )
+from hypertoric.errors import ResourceBudgetError
 from hypertoric.oracle import oracle_quiver_problems
+from hypertoric.reps import validate
 
 
 def test_budget_defaults():

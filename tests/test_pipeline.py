@@ -92,6 +92,7 @@ def test_parse_rejects_boolean_xi():
         {"unknown_field": 1},
         {"chi": ["a"]},
         {"xi": ["1/0"]},
+        {"xi": ["1/" + "1" * 5000]},  # over the interpreter's integer digit limit
     ],
 )
 def test_parse_rejects_malformed(mutation):
@@ -301,7 +302,7 @@ def test_window_algebra_independent_of_chi_chamber(problems_dir):
     """The window uses epsilon alone: chi in another generic chamber gives the same algebra."""
     data = json.loads((problems_dir / "hexagon.json").read_text())
     data.update(truncation=4, depth=2)
-    normals = hyperplane_normals([tuple(w) for w in data["half_weights"]])
+    normals = hyperplane_normals([tuple(w) for w in data["half_weights"]], 2)
     assert data["epsilon"] == [2, 1]
     chambers = set()
     sections = []
@@ -498,6 +499,25 @@ def test_cli_invalid_input_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [
+        b'{"name": "\xff", "torus_rank": 1, "half_weights": [[1]], "chi": [1]}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"torus_rank": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not-utf8", "nested", "digits"],
+)
+def test_cli_undecodable_file_exits_three(tmp_path, capsys, content):
+    f = tmp_path / "undecodable.json"
+    f.write_bytes(content)
+    assert main(["run", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: invalid JSON: ")
+
+
+@pytest.mark.parametrize(
     "mutation",
     [
         {"truncation": 6.0},
@@ -606,6 +626,19 @@ def test_cli_box_budget_counts_tested_candidates(tmp_path, capsys):
     )
 
 
+def test_cli_box_budget_counts_beyond_machine_sizes(tmp_path, capsys):
+    # 2p lies in [-(10^30 + 1), 10^30 + 1]: more candidates than a range's
+    # len() can return
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"torus_rank": 1, "half_weights": [[10**30], [1]], "chi": [1]}))
+    assert main(["run", str(f), "--analyses", "window"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"budget exceeded: window bounding box has {10**30 + 1} candidates, budget 200000\n"
+    )
+
+
 def test_cli_bad_flags(problems_dir, capsys):
     assert main(["run", str(problems_dir / "conifold.json"), "--analyses", "bogus"]) == 3
     assert main(["run", str(problems_dir / "conifold.json"), "--budget", "nope=1"]) == 3
@@ -665,6 +698,18 @@ def test_cli_subprocess_entry(problems_dir):
             assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flags", [("--upto", "1"), ("--upto", "9"), ("--count", "0")])
+def test_corpus_sweep_rejects_out_of_range_arguments(problems_dir, flags):
+    # --upto runs from the quadrics' degree 2 to the oracle's degree limit
+    proc = subprocess.run(
+        [sys.executable, "scripts/corpus_sweep.py", *flags],
+        capture_output=True, text=True, cwd=problems_dir.parent,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and f"argument {flags[0]}" in proc.stderr
+
+
 def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
     # the runtime has no third-party dependency: jsonschema is test-only
     imported = subprocess.run(
@@ -681,6 +726,29 @@ def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
     )
     assert blocked.returncode == 0, blocked.stderr
     assert blocked.stdout == (golden_dir / "conifold_report.json").read_text()
+
+
+def test_readme_library_tour_runs(problems_dir, capsys):
+    readme = (problems_dir.parent / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "True"
+    assert lines[1] == (
+        "(Relation(source=0, target=0, terms=((1, (0, 2)), (1, (1, 3)))), "
+        "Relation(source=1, target=1, terms=((1, (2, 0)), (1, (3, 1)))))"
+    )
+    assert lines[2:] == ["linear", "violation"]
+
+
+def test_package_exports_the_benchmark_names():
+    # the benchmark's oracle check imports these from the package itself
+    from hypertoric import (  # noqa: F401
+        SymplecticRep,
+        hom_dimension,
+        oracle_block_dimension,
+        oracle_lattice_points,
+    )
 
 
 def test_golden_reports(problems_dir, golden_dir):
