@@ -33,9 +33,9 @@ the same product and kernel that the minimal resolutions use.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .errors import (
     DimensionError,
@@ -86,7 +86,6 @@ def _relation_rows(
                 yield row
 
 
-@dataclass(frozen=True, eq=False)
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
@@ -97,17 +96,33 @@ class QuotientPiece:
     relations.  _relations stays empty until a reduce first needs a
     relation; then it maps every pivot monomial to its fully reduced
     relation, as (row over representative positions, denominator).
+    Pieces compare by identity: a ring builds each slice once.
     """
 
-    degree: int
-    weight: IntVec
-    monomials: tuple[Monomial, ...]
-    representatives: tuple[Monomial, ...]
-    relation_rank: int
-    _positions: dict[Monomial, int] = field(repr=False)
-    _quadrics: tuple[MomentQuadric, ...] = field(repr=False)
-    _bases: tuple[Monomial, ...] = field(repr=False)
-    _relations: dict[Monomial, tuple[SparseRow, int]] = field(repr=False)
+    __slots__ = (
+        "degree", "weight", "monomials", "representatives", "relation_rank",
+        "_positions", "_quadrics", "_bases", "_relations",
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        weight: IntVec,
+        monomials: tuple[Monomial, ...],
+        representatives: tuple[Monomial, ...],
+        relation_rank: int,
+        quadrics: tuple[MomentQuadric, ...],
+        bases: tuple[Monomial, ...],
+    ):
+        self.degree = degree
+        self.weight = weight
+        self.monomials = monomials
+        self.representatives = representatives
+        self.relation_rank = relation_rank
+        self._positions = dict(zip(representatives, range(len(representatives))))
+        self._quadrics = quadrics
+        self._bases = bases
+        self._relations: dict[Monomial, tuple[SparseRow, int]] = {}
 
     @property
     def ambient_dim(self) -> int:
@@ -253,10 +268,8 @@ class SliceRing:
             monomials=mons,
             representatives=reps,
             relation_rank=len(pivots),
-            _positions=dict(zip(reps, range(len(reps)))),
-            _quadrics=self.quadrics,
-            _bases=bases,
-            _relations={},
+            quadrics=self.quadrics,
+            bases=bases,
         )
         self._pieces[key] = piece
         return piece
@@ -283,16 +296,14 @@ def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
 # regular-sequence verification
 
 
-@dataclass(frozen=True)
-class RegSeqFailure:
+class RegSeqFailure(NamedTuple):
     degree: int
     weight: IntVec
     got: int
     expected: int
 
 
-@dataclass(frozen=True)
-class RegSeqReport:
+class RegSeqReport(NamedTuple):
     passed: bool
     upto: int
     num_quadrics: int
@@ -323,7 +334,7 @@ def verify_regular_sequence(alg: GradedQuiverAlgebra) -> RegSeqReport:
             if got != expected:
                 failure = RegSeqFailure(degree=n, weight=w, got=got, expected=expected)
                 break
-        if failure:
+        if failure is not None:
             break
     return RegSeqReport(
         passed=failure is None,
@@ -411,16 +422,14 @@ def _variable_label(rep: SymplecticRep, mono: Monomial) -> str:
     return f"x{pos + 1}" if pos < e else f"y{pos - e + 1}"
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     source: int
     target: int
     label: str
     monomial: Monomial
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """Integer combination of length-2 paths that vanishes in the algebra.
 
     Each term is (coefficient, (first arrow index, second arrow index)),
@@ -438,8 +447,7 @@ class Relation:
         )
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
+class QuiverPresentation(NamedTuple):
     vertices: tuple[IntVec, ...]
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]

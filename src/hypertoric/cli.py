@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
 from functools import cache
 
 from .errors import HypertoricError, ProblemFormatError
 from .pipeline import ANALYSES, Budget, load_problem, run
 
 # --budget keys are the Budget fields without their max_ prefix
-_BUDGET_KEYS = {f.name.removeprefix("max_"): f.name for f in fields(Budget)}
+_BUDGET_KEYS = {name.removeprefix("max_"): name for name in Budget._fields}
 
 
 @cache
@@ -84,9 +83,8 @@ def main(argv=None) -> int:
         names = (a.strip() for a in args.analyses.split(","))
         overrides["analyses"] = tuple(a for a in names if a)
     try:
-        problem = replace(
-            load_problem(args.file),
-            **{k: v for k, v in overrides.items() if v is not None},
+        problem = load_problem(args.file)._replace(
+            **{k: v for k, v in overrides.items() if v is not None}
         )
         report = run(problem, _parse_budget(args.budget))
     except HypertoricError as exc:

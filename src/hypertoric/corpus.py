@@ -9,8 +9,8 @@ by every cross-check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ResourceBudgetError
 from .lattice import IntVec
@@ -21,8 +21,7 @@ from .zonotope import build_zonotope, enumerate_window, find_generic_direction
 DEFAULT_SEED = 20260815
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     rep: SymplecticRep
     epsilon: IntVec
 

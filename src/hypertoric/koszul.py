@@ -39,9 +39,9 @@ the generators, so the ledger does not depend on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import add
+from typing import NamedTuple
 
 from .algebra import (
     GradedQuiverAlgebra,
@@ -57,8 +57,7 @@ Summand = tuple[int, int]
 Term = tuple[int, Monomial, int]
 
 
-@dataclass(frozen=True)
-class StepGenerator:
+class StepGenerator(NamedTuple):
     """An element of a projective at (vertex, degree), terms in column order.
 
     A resolution step holds its generators and the pivot rows carried
@@ -70,8 +69,7 @@ class StepGenerator:
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class VertexResolution:
+class VertexResolution(NamedTuple):
     """Generator ledger of a minimal resolution of one vertex simple.
 
     steps[k] lists (vertex, degree) for the generators of the k-th
@@ -282,8 +280,7 @@ def minimal_resolution(
 # package-level diagnostics
 
 
-@dataclass(frozen=True)
-class KoszulReport:
+class KoszulReport(NamedTuple):
     depth: int
     degree_bound: int
     resolutions: tuple[VertexResolution, ...]
@@ -323,8 +320,7 @@ def koszul_check(alg: GradedQuiverAlgebra, depth: int) -> KoszulReport:
     )
 
 
-@dataclass(frozen=True)
-class NumericalKoszulReport:
+class NumericalKoszulReport(NamedTuple):
     upto: int
     consistent: bool
     first_negative: tuple[int, int, int, int] | None

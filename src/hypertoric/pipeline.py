@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_string
 from math import prod
+from typing import NamedTuple
 
 from . import __version__ as ENGINE_VERSION
 from .algebra import (
@@ -117,7 +117,7 @@ class _Context:
         )
 
 
-# Each stage has a section builder, which returns the section (dataclasses
+# Each stage has a section builder, which returns the section (records
 # allowed; run() normalizes it with _jsonify) and records its checks, and a
 # text renderer, which turns the normalized section into report lines.
 
@@ -331,7 +331,7 @@ def _koszul(ctx: _Context):
         ledger = koszul_check(algebra, depth=ctx.problem.depth)
         numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
         # run() normalizes the records, field by field
-        section[side] = dict(vars(ledger), all_exhausted=ledger.all_exhausted, numeric=numeric)
+        section[side] = dict(ledger._asdict(), all_exhausted=ledger.all_exhausted, numeric=numeric)
     quotient = section["quotient"]
     if quotient["status"] == "violation" or not quotient["numeric"].consistent:
         status, detail = "FAIL", "resolution not linear"
@@ -413,8 +413,7 @@ PROBLEM_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Work limits for one pipeline run; exceeding any is exit code 4."""
 
     max_truncation: int = 16
@@ -424,26 +423,38 @@ class Budget:
     max_box: int = 200000
 
 
-@dataclass(frozen=True)
 class ProblemFile:
-    torus_rank: int
-    half_weights: tuple[IntVec, ...]
-    chi: IntVec
-    epsilon: IntVec | None
-    xi: tuple[Fraction, ...]
-    truncation: int
-    depth: int
-    analyses: tuple[str, ...]
-    name: str | None = None
+    """A parsed problem file: the representation, chi, epsilon, xi and the
+    run parameters.
 
-    def __post_init__(self):
-        # the schema's rules also bind values set after parsing, such as
-        # command-line overrides
-        for key in ("truncation", "depth"):
+    Immutable and equal by value.  Construction checks the schema's rules
+    for truncation, depth and analyses, so a copy made by _replace, such as
+    one with command-line overrides, is checked as a parsed file is; the
+    analyses are kept once each, in pipeline order.
+    """
+
+    __slots__ = _fields = (
+        "torus_rank", "half_weights", "chi", "epsilon", "xi",
+        "truncation", "depth", "analyses", "name",
+    )
+
+    def __init__(
+        self,
+        torus_rank: int,
+        half_weights: tuple[IntVec, ...],
+        chi: IntVec,
+        epsilon: IntVec | None,
+        xi: tuple[Fraction, ...],
+        truncation: int,
+        depth: int,
+        analyses: tuple[str, ...],
+        name: str | None = None,
+    ):
+        for key, value in (("truncation", truncation), ("depth", depth)):
             low = PROBLEM_SCHEMA["properties"][key]["minimum"]
-            if getattr(self, key) < low:
+            if value < low:
                 raise ProblemFormatError(f"{key} must be at least {low}", key)
-        requested = set(self.analyses)
+        requested = set(analyses)
         if not requested:
             raise ProblemFormatError("at least one analysis must be requested", "analyses")
         unknown = requested - set(ANALYSES)
@@ -451,8 +462,34 @@ class ProblemFile:
             raise ProblemFormatError(
                 f"unknown analyses: {', '.join(sorted(unknown))}", "analyses"
             )
-        # each analysis once, in pipeline order
-        object.__setattr__(self, "analyses", tuple(a for a in ANALYSES if a in requested))
+        analyses = tuple(a for a in ANALYSES if a in requested)
+        values = (torus_rank, half_weights, chi, epsilon, xi, truncation, depth, analyses, name)
+        for key, value in zip(self._fields, values):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _asdict(self) -> dict:
+        return {key: getattr(self, key) for key in self._fields}
+
+    def _replace(self, **changes) -> ProblemFile:
+        return ProblemFile(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not ProblemFile:
+            return NotImplemented
+        return self._asdict() == other._asdict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"ProblemFile({fields})"
 
     @property
     def rep(self) -> SymplecticRep:
@@ -570,7 +607,12 @@ def load_problem(path: str) -> ProblemFile:
 
 
 def _jsonify(value):
-    """Normalize values for canonical JSON output; dataclasses field by field."""
+    """Normalize values for canonical JSON output; records field by field.
+
+    A record is any class with a _fields tuple: the named tuples and the
+    validating classes (SymplecticRep, ProblemFile).  Its exact type is
+    never tuple, so it is written as an object of its fields, not a list.
+    """
     kind = type(value)
     if kind is int or kind is str or kind is bool or value is None:
         return value
@@ -582,7 +624,7 @@ def _jsonify(value):
         if value.denominator == 1:
             return int(value)
         return f"{value.numerator}/{value.denominator}"
-    names = getattr(kind, "__dataclass_fields__", None)
+    names = getattr(kind, "_fields", None)
     if names is not None:
         return {name: _jsonify(getattr(value, name)) for name in names}
     return value
@@ -612,8 +654,7 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     input: dict
     engine: dict
     sections: dict
@@ -621,13 +662,13 @@ class Report:
     exit_code: int
 
     def to_json(self) -> str:
-        """json.dumps(vars(self), sort_keys=True, indent=2) and a newline.
+        """json.dumps(self._asdict(), sort_keys=True, indent=2) and a newline.
 
         json.dumps drops to its pure-Python encoder whenever indent is set;
         _json_text writes the same bytes in under half the time, from the
         plain JSON values that run() puts in every field.
         """
-        return _json_text(vars(self)) + "\n"
+        return _json_text(self._asdict()) + "\n"
 
     def to_text(self) -> str:
         lines = [f"hypertoric {self.engine['version']} report"]

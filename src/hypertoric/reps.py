@@ -9,11 +9,10 @@ non-generic directions, and bounds the codimension of the non-free locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DimensionError,
@@ -33,28 +32,47 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
 class SymplecticRep:
     """Weight data of a torus action on a symplectic vector space.
 
     torus_rank: rank s of the acting torus.
     half_weights: e vectors in Z^s; the full weight list is these followed
         by their negatives.
+
+    Immutable, equal and hashed by value; the half-weights are normalised
+    to tuples of ints on construction.
     """
 
-    torus_rank: int
-    half_weights: tuple[IntVec, ...]
+    __slots__ = _fields = ("torus_rank", "half_weights")
 
-    def __post_init__(self):
-        if self.torus_rank < 0:
+    def __init__(self, torus_rank: int, half_weights: Iterable[IntVec]):
+        if torus_rank < 0:
             raise DimensionError("torus rank must be nonnegative")
-        hw = tuple(tuple(int(x) for x in w) for w in self.half_weights)
+        hw = tuple(tuple(int(x) for x in w) for w in half_weights)
         for w in hw:
-            if len(w) != self.torus_rank:
+            if len(w) != torus_rank:
                 raise DimensionError(
-                    f"half-weight {w} has length {len(w)}, expected {self.torus_rank}"
+                    f"half-weight {w} has length {len(w)}, expected {torus_rank}"
                 )
+        object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "half_weights", hw)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not SymplecticRep:
+            return NotImplemented
+        return (self.torus_rank, self.half_weights) == (other.torus_rank, other.half_weights)
+
+    def __hash__(self) -> int:
+        return hash((self.torus_rank, self.half_weights))
+
+    def __repr__(self) -> str:
+        return f"SymplecticRep(torus_rank={self.torus_rank!r}, half_weights={self.half_weights!r})"
 
     @property
     def num_pairs(self) -> int:
@@ -66,8 +84,7 @@ class SymplecticRep:
         return self.half_weights + tuple(vec_neg(w) for w in self.half_weights)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     torus_rank: int
     num_pairs: int
     weight_rank: int
@@ -133,8 +150,7 @@ def signed_sum(terms: Iterable[tuple[int, str]]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class MomentQuadric:
+class MomentQuadric(NamedTuple):
     """One coordinate of the quadratic moment map: sum_i c_i x_i y_i - shift."""
 
     index: int
@@ -198,8 +214,7 @@ def nongeneric_pair(rep: SymplecticRep) -> tuple[IntVec, int] | None:
 # splitting off a non-generic pair
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One split: coordinate pair removed_pair separates from the rest.
 
     normal is oriented so that it pairs to +1 with the removed half-weight.
@@ -217,8 +232,7 @@ class ReductionStep:
     lift: tuple[IntVec, ...]
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     reduced: SymplecticRep
     steps: tuple[ReductionStep, ...]
     chi: IntVec | None = None
@@ -322,8 +336,7 @@ def reduce_to_generic(
 # codimension bound for the locus with nontrivial stabilizer
 
 
-@dataclass(frozen=True)
-class CodimEstimate:
+class CodimEstimate(NamedTuple):
     """Lower bound on the codimension of the non-free locus in the fiber.
 
     estimate is None when no pair subset produces a degenerate stratum, in

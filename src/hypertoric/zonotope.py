@@ -9,22 +9,20 @@ infinitesimal push along a chosen tilt direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DegenerateZonotopeError, DimensionError, NonGenericError
 from .lattice import IntVec, dot, hyperplane_normals, vec_neg
 from .reps import SymplecticRep, validate
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: IntVec
     offset: int
 
 
-@dataclass(frozen=True)
-class Zonotope:
+class Zonotope(NamedTuple):
     """Full-dimensional weight zonotope with its facet description."""
 
     dimension: int
@@ -101,12 +99,14 @@ def build_zonotope(rep: SymplecticRep) -> Zonotope:
     return Zonotope(s, rep.half_weights, normals, tuple(facets))
 
 
-@dataclass(frozen=True)
 class CharacterWindow:
     """Lattice points p with 2p inside the tilted zonotope, in lex order."""
 
-    epsilon: IntVec
-    points: tuple[IntVec, ...]
+    __slots__ = ("epsilon", "points")
+
+    def __init__(self, epsilon: IntVec, points: tuple[IntVec, ...]):
+        self.epsilon = epsilon
+        self.points = points
 
     def __len__(self) -> int:
         return len(self.points)

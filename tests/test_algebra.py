@@ -331,6 +331,17 @@ def test_quotient_series_is_ambient_times_euler_factor(rep_b, window_b, upto):
         assert got == want
 
 
+def test_pieces_compare_by_identity(rep_b):
+    # a ring builds each slice once; two rings' equal slices stay distinct
+    first, second = quotient_ring(rep_b, 4), quotient_ring(rep_b, 4)
+    a, b = first.piece(4, (0, 0)), second.piece(4, (0, 0))
+    assert a is first.piece(4, (0, 0))
+    assert (a.monomials, a.representatives, a.relation_rank) == (
+        b.monomials, b.representatives, b.relation_rank
+    )
+    assert a != b and a == a
+
+
 def test_ambient_algebra_shares_monomials(rep_b, window_b):
     quo = GradedQuiverAlgebra(rep_b, window_b, 4)
     amb = quo.ambient()

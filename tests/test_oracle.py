@@ -4,8 +4,6 @@ The oracle deliberately shares no machinery with the engine, so agreement
 here is meaningful evidence rather than a tautology.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -113,6 +111,6 @@ def test_quiver_oracle_rejects_a_flipped_sign_and_a_dropped_relation(rep_b, wind
     pres = quiver_presentation(GradedQuiverAlgebra(rep_b, window_b, 4))
     first, *others = pres.relations
     (coeff, path), *terms = first.terms
-    flipped = replace(first, terms=((-coeff, path), *terms))
-    assert oracle_quiver_problems(rep_b, (2, 1), replace(pres, relations=(flipped, *others)))
-    assert oracle_quiver_problems(rep_b, (2, 1), replace(pres, relations=tuple(others)))
+    flipped = first._replace(terms=((-coeff, path), *terms))
+    assert oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=(flipped, *others)))
+    assert oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=tuple(others)))

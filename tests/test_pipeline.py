@@ -6,7 +6,6 @@ import json
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -111,6 +110,29 @@ def test_parse_missing_required():
 def test_analyses_reordered_to_pipeline_order():
     p = conifold_problem(analyses=["window", "validation"])
     assert p.analyses == ("validation", "window")
+
+
+def test_problem_overrides_are_checked_and_reordered():
+    # a library-side override is held to the rules a parsed file is
+    p = conifold_problem()
+    q = p._replace(truncation=3, depth=2, analyses=("koszul", "window", "koszul"))
+    assert (q.truncation, q.depth, q.analyses) == (3, 2, ("window", "koszul"))
+    assert (p.truncation, p.depth, p.analyses) == (6, 4, ANALYSES)
+    assert q._replace(truncation=6, depth=4, analyses=ANALYSES) == p
+    assert p.rep is not p.rep and p.rep == p.rep and hash(p.rep) == hash(p.rep)
+    for bad in ({"truncation": 1}, {"depth": 0}, {"analyses": ()}, {"analyses": ("nope",)}):
+        with pytest.raises(ProblemFormatError):
+            p._replace(**bad)
+    with pytest.raises(AttributeError):
+        p.depth = 2
+
+
+def test_records_refuse_assignment():
+    report = run(conifold_problem(analyses=["validation"]))
+    for record, field in ((report, "exit_code"), (Budget(), "max_depth")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    assert report.exit_code == 0 and Budget().max_depth == 8
 
 
 def test_schema_doc_in_sync(problems_dir):
@@ -251,7 +273,7 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
         for log in (echelons, enumerations, rrefs, reduced, landed):
             log.clear()
         problem = load_problem(str(problems_dir / "hexagon.json"))
-        return run(replace(problem, truncation=8, depth=2, analyses=analyses))
+        return run(problem._replace(truncation=8, depth=2, analyses=analyses))
 
     report = run_hexagon("hilbert", "regular_sequence")
     assert report.sections["regular_sequence"]["passed"]
@@ -282,8 +304,7 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
 def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
     """Finished rings are freed by reference counting, not the cyclic collector."""
     problems = [
-        replace(
-            load_problem(str(problems_dir / f"{name}.json")),
+        load_problem(str(problems_dir / f"{name}.json"))._replace(
             truncation=6, depth=2, analyses=ANALYSES,
         )
         for name in ("conifold", "hexagon")
@@ -400,7 +421,7 @@ json_values = st.recursive(
 @example({"é": "\U0001f600", "\x7f": "\x00", "k": [-(2**64), "\u2028"]})
 def test_report_writer_matches_json_dumps(value):
     report = report_with(value)
-    assert report.to_json() == dumps(vars(report))
+    assert report.to_json() == dumps(report._asdict())
 
 
 def test_report_writer_on_corpus_sweep_reports(problems_dir):
@@ -421,7 +442,7 @@ def test_report_writer_on_corpus_sweep_reports(problems_dir):
         problems.append(load_problem(str(problems_dir / f"{name}.json")))
     for problem in problems:
         report = run(problem)
-        assert report.to_json() == dumps(vars(report))
+        assert report.to_json() == dumps(report._asdict())
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1.5])
@@ -595,7 +616,7 @@ def test_cli_maps_every_error_class_to_its_exit_code(problems_dir, capsys, monke
     assert len(lines) == 1 and lines[0].startswith(f"{cls.label}: ")
 
 
-BUDGET_KEYS = [f.name.removeprefix("max_") for f in fields(Budget)]
+BUDGET_KEYS = [name.removeprefix("max_") for name in Budget._fields]
 
 
 @pytest.mark.parametrize("key", BUDGET_KEYS)
@@ -711,17 +732,22 @@ def test_corpus_sweep_rejects_out_of_range_arguments(problems_dir, flags):
 
 
 def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
-    # the runtime has no third-party dependency: jsonschema is test-only
+    # the runtime has no third-party dependency: jsonschema is test-only;
+    # and no record is built through dataclasses, which also loads inspect
     imported = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hypertoric.cli; assert 'jsonschema' not in sys.modules"],
+         "import sys, hypertoric.cli; "
+         "loaded = {'jsonschema', 'dataclasses', 'inspect'} & set(sys.modules); "
+         "assert not loaded, loaded"],
         capture_output=True, text=True,
     )
     assert imported.returncode == 0, imported.stderr
     blocked = subprocess.run(
         [sys.executable, "-c",
          "import sys; sys.modules['jsonschema'] = None; from hypertoric import cli; "
-         "sys.exit(cli.main(['run', 'problems/conifold.json']))"],
+         "code = cli.main(['run', 'problems/conifold.json']); "
+         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+         "assert not loaded, loaded; sys.exit(code)"],
         capture_output=True, text=True, cwd=problems_dir.parent,
     )
     assert blocked.returncode == 0, blocked.stderr

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import SymplecticRep
-from hypertoric.errors import NonFaithfulError, ReductionError
+from hypertoric.errors import DimensionError, NonFaithfulError, ReductionError
 from hypertoric.oracle import _dense_rank
 from hypertoric.reps import (
     STANDING_ASSUMPTIONS,
@@ -95,6 +95,28 @@ def test_rep_rejects_bad_shapes():
         SymplecticRep(2, ((1, 0), (1,)))
     with pytest.raises(Exception):
         SymplecticRep(-1, ())
+
+
+def test_rep_is_an_immutable_value():
+    # the oracle's caches key on reps, and ProblemFile.rep builds a new one
+    # on each access
+    rep = SymplecticRep(2, [[1, 0], (True, Fraction(2))])
+    assert rep.half_weights == ((1, 0), (1, 2))
+    assert all(type(x) is int for w in rep.half_weights for x in w)
+    assert type(rep.half_weights) is tuple and type(rep.half_weights[1]) is tuple
+    twin = SymplecticRep(2, ((1, 0), (1, 2)))
+    assert rep is not twin and rep == twin and hash(rep) == hash(twin)
+    assert {rep: "cached"}[twin] == "cached"
+    assert rep != SymplecticRep(2, ((1, 0), (1, 3)))
+    assert rep != (2, ((1, 0), (1, 2)))
+    assert repr(rep) == "SymplecticRep(torus_rank=2, half_weights=((1, 0), (1, 2)))"
+    with pytest.raises(DimensionError):
+        SymplecticRep(2, ((1, 0), (1, 2, 3)))
+    with pytest.raises(AttributeError):
+        rep.torus_rank = 3
+    with pytest.raises(AttributeError):
+        del rep.half_weights
+    assert rep == twin
 
 
 # -- moment map quadrics ----------------------------------------------------
