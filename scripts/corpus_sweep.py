@@ -65,7 +65,7 @@ def main(argv=None) -> int:
         regseq = verify_regular_sequence(alg)
         reduced = reduce_to_generic(rep).reduced
         codim = singular_codim_estimate(reduced).estimate
-        koszul = koszul_check(alg, depth=min(default_depth(alg), 4))
+        koszul = koszul_check(alg, depth=default_depth(alg))
         statuses[koszul.status] += 1
 
         ok = window_ok and blocks_ok and regseq.passed
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
             mismatches += 1
         print(
             f"[{k:02d}] s={rep.torus_rank} e={rep.num_pairs} "
-            f"|window|={len(window)} codim={codim} "
+            f"|window|={len(window.points)} codim={codim} "
             f"regseq={'ok' if regseq.passed else 'FAIL'} "
             f"koszul={koszul.status} "
             f"oracle={'ok' if window_ok and blocks_ok else 'MISMATCH'}"

@@ -32,7 +32,6 @@ the same product and kernel that the minimal resolutions use.
 
 from __future__ import annotations
 
-from copy import copy
 from math import comb
 from operator import add
 from typing import NamedTuple
@@ -279,9 +278,9 @@ class SliceRing:
 
     def ambient(self) -> SliceRing:
         """The ring without relations, on this ring's tables and monomial caches."""
-        ring = copy(self)
-        ring.quadrics = ()
-        ring._pieces = {}
+        ring = SliceRing(self.rep, max_degree=self.max_degree)
+        ring._tables = self._tables
+        ring._monomials = self._monomials
         return ring
 
 
@@ -381,7 +380,7 @@ class GradedQuiverAlgebra:
 
     def ambient(self) -> GradedQuiverAlgebra:
         """The same window algebra without relations, sharing the monomials."""
-        amb = copy(self)
+        amb = GradedQuiverAlgebra(self.rep, self.window, self.degree_bound, ())
         amb.ring = self.ring.ambient()
         return amb
 

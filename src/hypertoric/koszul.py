@@ -1,12 +1,19 @@
 """Minimal graded resolutions of vertex simples and Koszulity diagnostics.
 
-Works entirely inside the truncated window algebra: projectives are direct
-sums of vertex row-modules with degree shifts, syzygies are computed one
-(degree, vertex) slice at a time, and minimal generators are read off by
+Works entirely inside the truncated window algebra: syzygies are computed
+one (degree, vertex) slice at a time, and minimal generators are read off by
 reducing each syzygy slice against the multiples of the generators already
 chosen.  Two independent signals are produced: the degrees in the generator
 ledger (linear resolution or not) and the sign pattern of the inverted
 Hilbert series.
+
+Each projective is generated in one degree.  A Koszul algebra's simples
+have linear resolutions, with P_k generated in degree k, and the walk
+stops at the first step that finds a generator anywhere else; so while it
+goes on, P_k is the direct sum of the vertex row-modules of its
+generators, all shifted by k, and is held as the list of their vertices.
+P_0 maps to zero, so in positive degrees step 1's syzygies, the radical of
+P_0, come from the same kernel as every later step's.
 
 All arithmetic is on integers.  A table per (degree, vertex) slice of a
 projective gives its basis labels and, per summand, the quotient piece that
@@ -51,9 +58,8 @@ from .algebra import (
 )
 from .lattice import IncrementalEchelon, SparseRow, column_kernel
 
-# a projective summand is (vertex index, degree shift); an element of a
-# projective is a tuple of terms (summand index, monomial, coefficient)
-Summand = tuple[int, int]
+# an element of a projective is a tuple of terms (summand index, monomial,
+# coefficient), one summand per generator
 Term = tuple[int, Monomial, int]
 
 
@@ -92,24 +98,22 @@ class VertexResolution(NamedTuple):
 
 
 class _Slice:
-    """The (degree n, vertex u) slice of a projective with given summands.
+    """The vertex-u slice of a projective at piece degree d.
 
-    labels lists the basis as (summand index, representative monomial), in
-    column order.  targets[t] is None when summand t has no degree there,
-    else the quotient piece alg.piece(v_t, u, n - shift_t) and the column
-    of its first representative.
+    The projective is generated in one degree k, one summand per vertex in
+    vertices, so its slice of total degree k + d is made of the pieces
+    alg.piece(v_t, u, d).  labels lists the basis as (summand index,
+    representative monomial), in column order; targets[t] is summand t's
+    piece and the column of its first representative.
     """
 
     __slots__ = ("labels", "targets")
 
-    def __init__(self, alg: GradedQuiverAlgebra, summands: list[Summand], n: int, u: int):
+    def __init__(self, alg: GradedQuiverAlgebra, vertices: list[int], d: int, u: int):
         self.labels: list[tuple[int, Monomial]] = []
-        self.targets: list[tuple[QuotientPiece, int] | None] = []
-        for t, (vt, shift) in enumerate(summands):
-            if n < shift:
-                self.targets.append(None)
-                continue
-            piece = alg.piece(vt, u, n - shift)
+        self.targets: list[tuple[QuotientPiece, int]] = []
+        for t, vt in enumerate(vertices):
+            piece = alg.piece(vt, u, d)
             self.targets.append((piece, len(self.labels)))
             self.labels.extend((t, mono) for mono in piece.representatives)
 
@@ -194,10 +198,11 @@ def minimal_resolution(
     violation: tuple[int, int] | None = None
     exhausted = False
 
-    # state describing d: P_current -> P_previous
-    p_summands: list[Summand] = [(vertex_index, 0)]
-    map_gens: list[StepGenerator] | None = None  # None: syzygies = radical of P_0
-    pp_summands: list[Summand] = []
+    # state describing d: P_{step-1} -> P_{step-2}, each projective the
+    # vertices of its generators; P_0 maps to zero
+    p_vertices = [vertex_index]
+    map_gens = [StepGenerator(vertex_index, 0, ())]
+    pp_vertices: list[int] = []
     # syzygy slice dimensions of the previous step; its generators span
     # those syzygies in every slice up to the bound, so they are the ranks
     # of the current differential
@@ -211,10 +216,12 @@ def minimal_resolution(
         # elements of the span of found whose multiples are counted
         counted_from: list[StepGenerator] = []
         syzygy_dims: dict[tuple[int, int], int] = {}
-        min_shift = min(shift for _, shift in p_summands)
-        for n in range(max(min_shift, 1), bound + 1):
+        # syzygies start in degree step: in degree step - 1, P_{step-1} is
+        # spanned by its generators, which d maps to independent minimal
+        # generators (for step 1, P_0 -> simple is an isomorphism there)
+        for n in range(step, bound + 1):
             for u in range(nv):
-                dom = _Slice(alg, p_summands, n, u)
+                dom = _Slice(alg, p_vertices, n - step + 1, u)
                 dim = len(dom.labels) - image_dims.get((n, u), 0)
                 if not dim:
                     continue
@@ -237,14 +244,10 @@ def minimal_resolution(
                         break
                     span.add(row)
                 if span.rank < dim:
-                    if map_gens is None:
-                        # radical of the rank-one projective: every positive slice
-                        syzygies: list[SparseRow] = [{c: 1} for c in range(len(dom.labels))]
-                    else:
-                        cod = _Slice(alg, pp_summands, n, u)
-                        syzygies = column_kernel(
-                            [cod.times(map_gens[t].terms, lam) for t, lam in dom.labels]
-                        )
+                    cod = _Slice(alg, pp_vertices, n - step + 2, u)
+                    syzygies = column_kernel(
+                        [cod.times(map_gens[t].terms, lam) for t, lam in dom.labels]
+                    )
                     for vec in syzygies:
                         if span.rank < dim and span.add(vec):
                             found.append(StepGenerator(u, n, dom.element(vec)))
@@ -263,9 +266,9 @@ def minimal_resolution(
             violation = (step, bad.degree)
             break
         image_dims = syzygy_dims
-        pp_summands = p_summands
+        pp_vertices = p_vertices
         map_gens = found
-        p_summands = [(g.vertex, g.degree) for g in found]
+        p_vertices = [g.vertex for g in found]
 
     return VertexResolution(
         vertex=vertex_index,

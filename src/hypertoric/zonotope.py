@@ -99,20 +99,10 @@ def build_zonotope(rep: SymplecticRep) -> Zonotope:
     return Zonotope(s, rep.half_weights, normals, tuple(facets))
 
 
-class CharacterWindow:
+class CharacterWindow(NamedTuple):
     """Lattice points p with 2p inside the tilted zonotope, in lex order."""
 
-    __slots__ = ("epsilon", "points")
-
-    def __init__(self, epsilon: IntVec, points: tuple[IntVec, ...]):
-        self.epsilon = epsilon
-        self.points = points
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
+    points: tuple[IntVec, ...]
 
 
 def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:
@@ -130,7 +120,7 @@ def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:
         doubled = tuple(2 * c for c in p)
         if zono.perturbed_contains(doubled, epsilon, check=False):
             points.append(p)
-    return CharacterWindow(epsilon=epsilon, points=tuple(points))
+    return CharacterWindow(points=tuple(points))
 
 
 def find_generic_direction(zono: Zonotope) -> IntVec:

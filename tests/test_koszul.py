@@ -250,6 +250,21 @@ def lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, degree_bound):
         yield quo.ambient()
 
 
+def test_first_syzygies_are_the_degree_one_radical(rep_a, rep_b, window_a, window_b, corpus):
+    """Step 1 takes every degree-1 element of P_0 as a minimal generator.
+
+    The radical starts in degree 1, so nothing there is a multiple of a
+    lower generator: at vertex j the step-1 generators of degree 1 number
+    dim(i, j, 1), quotient and ambient side alike.
+    """
+    for alg in lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, 4):
+        for i in range(alg.num_vertices):
+            steps = minimal_resolution(alg, i, 1).steps
+            first = steps[1] if len(steps) > 1 else ()
+            for j in range(alg.num_vertices):
+                assert first.count((j, 1)) == alg.dim(i, j, 1)
+
+
 def test_reduce_supported_after_its_monomial(rep_a, rep_b, window_a, window_b, corpus):
     """Representatives are in lex order and a reduced monomial lives on later ones."""
     for alg in lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, 5):

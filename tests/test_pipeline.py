@@ -733,11 +733,12 @@ def test_corpus_sweep_rejects_out_of_range_arguments(problems_dir, flags):
 
 def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
     # the runtime has no third-party dependency: jsonschema is test-only;
-    # and no record is built through dataclasses, which also loads inspect
+    # no record is built through dataclasses, which also loads inspect; and
+    # the ambient algebra is built by its constructor, without copy
     imported = subprocess.run(
         [sys.executable, "-c",
          "import sys, hypertoric.cli; "
-         "loaded = {'jsonschema', 'dataclasses', 'inspect'} & set(sys.modules); "
+         "loaded = {'jsonschema', 'dataclasses', 'inspect', 'copy'} & set(sys.modules); "
          "assert not loaded, loaded"],
         capture_output=True, text=True,
     )
@@ -746,7 +747,7 @@ def test_run_path_imports_no_jsonschema(problems_dir, golden_dir):
         [sys.executable, "-c",
          "import sys; sys.modules['jsonschema'] = None; from hypertoric import cli; "
          "code = cli.main(['run', 'problems/conifold.json']); "
-         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+         "loaded = {'dataclasses', 'inspect', 'copy'} & set(sys.modules); "
          "assert not loaded, loaded; sys.exit(code)"],
         capture_output=True, text=True, cwd=problems_dir.parent,
     )
