@@ -4,7 +4,8 @@
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
 Every entry is cross-checked against the brute-force oracle; mismatches are
-reported loudly and make the script exit nonzero.
+reported loudly and make the script exit 1.  A count that the corpus cannot
+reach within its draw cap exits 2 with one line on stderr.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from hypertoric import (
     verify_regular_sequence,
 )
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
+from hypertoric.errors import ResourceBudgetError
 from hypertoric.koszul import default_depth
 from hypertoric.oracle import MAX_DEGREE
 from hypertoric.reps import reduce_to_generic, singular_codim_estimate
@@ -43,7 +45,11 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    entries = fixed_corpus(count=args.count, seed=args.seed)
+    try:
+        entries = fixed_corpus(count=args.count, seed=args.seed)
+    except ResourceBudgetError as err:
+        print(f"corpus_sweep.py: {err}", file=sys.stderr)
+        return 2
     statuses: Counter = Counter()
     mismatches = 0
 

@@ -14,11 +14,14 @@ from typing import NamedTuple
 
 from .errors import ResourceBudgetError
 from .lattice import IntVec
-from .oracle import oracle_lattice_points
+from .oracle import oracle_admits
 from .reps import SymplecticRep, validate
 from .zonotope import build_zonotope, enumerate_window, find_generic_direction
 
 DEFAULT_SEED = 20260815
+
+# draws before fixed_corpus gives up on reaching its count
+MAX_DRAWS = 20000
 
 
 class CorpusEntry(NamedTuple):
@@ -33,7 +36,9 @@ def fixed_corpus(count: int = 24, seed: int = DEFAULT_SEED) -> tuple[CorpusEntry
     The draw order is fixed by the seed; candidates are skipped when they
     are not strictly faithful, when their window is empty or has more than
     8 points, when the oracle refuses them, or when they repeat an accepted
-    weight matrix.
+    weight matrix.  Admission reads the oracle's limits through
+    oracle_admits and does not enumerate the oracle's window.  Raises
+    ResourceBudgetError when MAX_DRAWS draws find fewer than count entries.
     """
     rng = random.Random(seed)
     entries: list[CorpusEntry] = []
@@ -41,8 +46,10 @@ def fixed_corpus(count: int = 24, seed: int = DEFAULT_SEED) -> tuple[CorpusEntry
     draws = 0
     while len(entries) < count:
         draws += 1
-        if draws > 20000:
-            raise RuntimeError("corpus generation did not converge")
+        if draws > MAX_DRAWS:
+            raise ResourceBudgetError(
+                f"corpus: found {len(entries)} of {count} entries in {MAX_DRAWS} draws"
+            )
         s = rng.choice((1, 2))
         e = rng.randint(s, 4)
         hw = tuple(tuple(rng.randint(-2, 2) for _ in range(s)) for _ in range(e))
@@ -57,7 +64,7 @@ def fixed_corpus(count: int = 24, seed: int = DEFAULT_SEED) -> tuple[CorpusEntry
         if not 1 <= len(window.points) <= 8:
             continue
         try:
-            oracle_lattice_points(rep, epsilon)
+            oracle_admits(rep, epsilon)
         except ResourceBudgetError:
             continue
         seen.add(hw)

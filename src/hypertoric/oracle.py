@@ -118,18 +118,30 @@ def _certified_radius(conditions, epsilon: IntVec) -> Fraction:
     return Fraction(1, worst)
 
 
-def oracle_lattice_points(rep: SymplecticRep, epsilon: IntVec) -> set[IntVec]:
-    """Reference enumeration of the tilted half-zonotope lattice points."""
+def oracle_admits(rep: SymplecticRep, epsilon: IntVec) -> list[int]:
+    """Refuse what oracle_lattice_points refuses, without enumerating the window.
+
+    Checks the rank and pair limits, the tilt length, the projection's row
+    limit (building the cached conditions) and the box radius, in that
+    order, raising as the enumeration would; returns the box radii.
+    """
     _check_rep(rep)
     s = rep.torus_rank
     if len(epsilon) != s:
         raise DimensionError(f"tilt has length {len(epsilon)}, expected {s}")
-    conditions = _zonotope_conditions(rep)
-    r = _certified_radius(conditions, epsilon)
+    _zonotope_conditions(rep)
     bounds = [sum(abs(w[k]) for w in rep.half_weights) // 2 for k in range(s)]
     for bnd in bounds:
         if bnd > MAX_RADIUS:
             raise ResourceBudgetError(f"bounding box radius {bnd} exceeds {MAX_RADIUS}")
+    return bounds
+
+
+def oracle_lattice_points(rep: SymplecticRep, epsilon: IntVec) -> set[IntVec]:
+    """Reference enumeration of the tilted half-zonotope lattice points."""
+    bounds = oracle_admits(rep, epsilon)
+    conditions = _zonotope_conditions(rep)
+    r = _certified_radius(conditions, epsilon)
     points: set[IntVec] = set()
     for p in product(*(range(-b, b + 1) for b in bounds)):
         shifted = [2 * c - r * eps for c, eps in zip(p, epsilon)]

@@ -18,8 +18,8 @@ from hypertoric import (
     oracle_lattice_points,
     quiver_presentation,
 )
-from hypertoric.errors import ResourceBudgetError
-from hypertoric.oracle import oracle_quiver_problems
+from hypertoric.errors import DimensionError, ResourceBudgetError
+from hypertoric.oracle import oracle_admits, oracle_quiver_problems
 from hypertoric.reps import validate
 
 
@@ -39,6 +39,29 @@ def test_budget_pairs_guard():
     rep = SymplecticRep(1, ((1,),) * 6)
     with pytest.raises(ResourceBudgetError):
         oracle_lattice_points(rep, (1,))
+
+
+def test_budget_radius_guard():
+    # the box radius is (17 + 17) // 2 = 17, one over the limit
+    with pytest.raises(ResourceBudgetError, match="radius 17 exceeds 16"):
+        oracle_lattice_points(SymplecticRep(1, ((17,), (17,))), (1,))
+    assert oracle_admits(SymplecticRep(1, ((16,), (16,))), (1,)) == [16]
+
+
+@pytest.mark.parametrize("rep, epsilon, error", [
+    (SymplecticRep(4, tuple(tuple(int(i == j) for j in range(4)) for i in range(4))),
+     (1, 1, 1, 1), ResourceBudgetError),
+    (SymplecticRep(1, ((1,),) * 6), (1,), ResourceBudgetError),
+    (SymplecticRep(1, ((17,), (17,))), (1,), ResourceBudgetError),
+    (SymplecticRep(2, ((1, 0), (0, 1), (1, 1))), (1,), DimensionError),
+])
+def test_admission_refuses_what_enumeration_refuses(rep, epsilon, error):
+    with pytest.raises(error) as admitted:
+        oracle_admits(rep, epsilon)
+    with pytest.raises(error) as enumerated:
+        oracle_lattice_points(rep, epsilon)
+    assert type(admitted.value) is type(enumerated.value)
+    assert str(admitted.value) == str(enumerated.value)
 
 
 def test_budget_degree_guard(rep_a):
