@@ -21,9 +21,12 @@ beyond reach are answered empty.  C[x,y] is also free over C[z], z_i = x_i y_i
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows).  Building a slice
-eliminates them to echelon form for its rank and representatives, which is
-all the Hilbert blocks and the regular-sequence scan read, and drops them.
-The first QuotientPiece.reduce that needs a relation forms them again and
+eliminates them to echelon form, keeps only the set of pivot columns and
+drops the rows: the Hilbert blocks and the regular-sequence scan only count
+a slice, and its dimension is its monomials less its rank.  The
+representatives, the non-pivot monomials, are listed on their first read
+(the quiver, the minimal resolutions, reduce).  The first
+QuotientPiece.reduce that needs a relation forms the relations again and
 fully reduces them once; from then on reduce writes any monomial of the
 slice as an integer row over the representatives and a denominator.  The
 quiver relations are the kernel of those products (lattice.column_kernel),
@@ -33,7 +36,7 @@ the same product and kernel that the minimal resolutions use.
 from __future__ import annotations
 
 from math import comb
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -88,19 +91,22 @@ def _relation_rows(
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
-    monomials is the full lex-sorted ambient basis; representatives are the
-    non-pivot monomials, which descend to a basis of the quotient slice.
-    position() looks up a representative's index.  _quadrics and
-    _bases (the degree n-2 monomials of the same weight) regenerate the
-    relations.  _relations stays empty until a reduce first needs a
-    relation; then it maps every pivot monomial to its fully reduced
-    relation, as (row over representative positions, denominator).
-    Pieces compare by identity: a ring builds each slice once.
+    monomials is the full lex-sorted ambient basis.  Building the slice
+    keeps only the set of pivot columns of its relations, which is all that
+    dim and relation_rank read.  representatives, the non-pivot monomials
+    in lex order, descend to a basis of the quotient slice; they and the
+    index that position() looks them up in are formed together on the
+    first read of either.  _quadrics and _bases (the degree n-2 monomials
+    of the same weight) regenerate the relations.  _relations stays empty
+    until a reduce first needs a relation; then it maps every pivot
+    monomial to its fully reduced relation, as (row over representative
+    positions, denominator).  Pieces compare by identity: a ring builds
+    each slice once.
     """
 
     __slots__ = (
-        "degree", "weight", "monomials", "representatives", "relation_rank",
-        "_positions", "_quadrics", "_bases", "_relations",
+        "degree", "weight", "monomials", "relation_rank",
+        "_pivots", "_representatives", "_positions", "_quadrics", "_bases", "_relations",
     )
 
     def __init__(
@@ -108,17 +114,16 @@ class QuotientPiece:
         degree: int,
         weight: IntVec,
         monomials: tuple[Monomial, ...],
-        representatives: tuple[Monomial, ...],
-        relation_rank: int,
+        pivots: set[int],
         quadrics: tuple[MomentQuadric, ...],
         bases: tuple[Monomial, ...],
     ):
         self.degree = degree
         self.weight = weight
         self.monomials = monomials
-        self.representatives = representatives
-        self.relation_rank = relation_rank
-        self._positions = dict(zip(representatives, range(len(representatives))))
+        self.relation_rank = len(pivots)
+        self._pivots = pivots
+        self._positions: dict[Monomial, int] | None = None
         self._quadrics = quadrics
         self._bases = bases
         self._relations: dict[Monomial, tuple[SparseRow, int]] = {}
@@ -129,11 +134,29 @@ class QuotientPiece:
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.monomials) - self.relation_rank
+
+    @property
+    def representatives(self) -> tuple[Monomial, ...]:
+        if self._positions is None:
+            self._index()
+        return self._representatives
+
+    def _index(self) -> dict[Monomial, int]:
+        """Form the representatives and their positions from the pivot set."""
+        pivots = self._pivots
+        reps = self._representatives = tuple(
+            [m for c, m in enumerate(self.monomials) if c not in pivots]
+        )
+        positions = self._positions = dict(zip(reps, range(len(reps))))
+        return positions
 
     def position(self, mono: Monomial) -> int | None:
         """The index of mono among the representatives; None if it is none."""
-        return self._positions.get(mono)
+        positions = self._positions
+        if positions is None:
+            positions = self._index()
+        return positions.get(mono)
 
     def reduce(self, mono: Monomial) -> tuple[SparseRow, int]:
         """A monomial of this slice as (row, denominator) over the representatives.
@@ -231,20 +254,32 @@ class SliceRing:
         return cached
 
     def _enumerate(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
-        """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w."""
+        """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w.
+
+        Each degree d joins T(d) and T(n - d) from whichever has fewer
+        weight groups.  An x-part a fixes its degree and weight, so the
+        heads (a, bs) have distinct a; sorted by a, they give the slice in
+        lex order as a + b for b in their lex-sorted y-list bs.
+        """
         # answered before packing: the key of an unreachable weight may alias
         if any(abs(c) > n * self._reach for c in w):
             return ()
         key = self._key(w)
-        mons = []
+        heads = []
         for d in range(n + 1):
-            ys = self._table(n - d)
-            for u, xs in self._table(d).items():
-                bs = ys.get(u - key)
-                if bs:
-                    mons.extend([a + b for a in xs for b in bs])
-        mons.sort()
-        return tuple(mons)
+            xt, yt = self._table(d), self._table(n - d)
+            if len(xt) <= len(yt):
+                for u, xs in xt.items():
+                    bs = yt.get(u - key)
+                    if bs:
+                        heads.extend([(a, bs) for a in xs])
+            else:
+                for v, bs in yt.items():
+                    xs = xt.get(v + key)
+                    if xs:
+                        heads.extend([(a, bs) for a in xs])
+        heads.sort(key=itemgetter(0))
+        return tuple([a + b for a, bs in heads for b in bs])
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
         return len(self.monomials(n, w))
@@ -260,13 +295,11 @@ class SliceRing:
         mons = self.monomials(n, w)
         bases = self.monomials(n - 2, w) if self.quadrics and n >= 2 else ()
         pivots = sparse_echelon(_relation_rows(self.quadrics, bases, mons))
-        reps = tuple(m for c, m in enumerate(mons) if c not in pivots)
         piece = QuotientPiece(
             degree=n,
             weight=w,
             monomials=mons,
-            representatives=reps,
-            relation_rank=len(pivots),
+            pivots=set(pivots),
             quadrics=self.quadrics,
             bases=bases,
         )

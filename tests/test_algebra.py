@@ -1,5 +1,6 @@
 """Graded slices, Hilbert blocks, regular sequences, quiver presentations."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -105,13 +106,23 @@ NAMED_REPS = [
 
 
 def test_hom_dimension_matches_oracle(rep_a, rep_b, corpus):
-    """One ring bounded at n per call, from n = 0 (base 1), one weight step beyond reach."""
+    """Every weight of the box, one weight step beyond reach, against the oracle.
+
+    One ring per (rep, n): SliceRing(rep, max_degree=n) packs weights on the
+    same base as hom_dimension(rep, n, .), which is called itself at n = 0
+    (base 1) and n = 6, at weight zero and at the box's far corner.
+    """
     for rep in [rep_a, rep_b, NAMED_REPS[0]] + [entry.rep for entry in corpus]:
         zero = (0,) * rep.torus_rank
         for n in range(7):
-            for w in weight_box(rep, n):
+            ring = SliceRing(rep, max_degree=n)
+            box = weight_box(rep, n)
+            for w in box:
                 want = oracle_block_dimension(rep, zero, w, n, False)
-                assert hom_dimension(rep, n, w) == want, (rep, n, w)
+                assert ring.ambient_dim(n, w) == want, (rep, n, w)
+            if n in (0, 6):
+                for w in (zero, box[-1]):
+                    assert hom_dimension(rep, n, w) == ring.ambient_dim(n, w), (rep, n, w)
 
 
 def brute_exponent_tables(rep, top):
@@ -273,6 +284,54 @@ def test_piece_rank_accounting(rep_b):
             assert piece.ambient_dim == len(piece.monomials)
             assert piece.dim == piece.ambient_dim - piece.relation_rank
             assert piece.dim == len(piece.representatives)
+
+
+def test_counting_lists_no_representatives():
+    """The Hilbert blocks and the scan count slices without listing a basis.
+
+    Four-pair at N=8: after both, and after reading what the benchmark's
+    slice count reads of every piece, no piece has listed its
+    representatives; the quiver then lists those of degree <= 2 only.
+    """
+    four_pair = NAMED_REPS[0]
+    alg = GradedQuiverAlgebra(four_pair, enumerate_window(build_zonotope(four_pair), (3, 1)), 8)
+    alg.hilbert_matrices()
+    verify_regular_sequence(alg)
+    pieces = list(alg.ring._pieces.values())
+    assert max(piece.degree for piece in pieces) == 8
+    for piece in pieces:
+        assert piece.dim == piece.ambient_dim - piece.relation_rank
+    assert all(piece._positions is None for piece in pieces)
+    quiver_presentation(alg)
+    assert all(piece._positions is None for piece in pieces if piece.degree >= 3)
+
+
+# SHA-256 of repr((n, w, representatives)) over every nonempty slice, and of
+# repr((monomial, sorted row items, denominator)) over one deep slice: a
+# change to the quotient bases, their order or the reductions shows here
+REPRESENTATIVES_SHA256 = "e88edd43f15bd4ec38e562a01c339fcc6478a923b6a02c49303376d016243a7b"
+DEEP_REDUCE_SHA256 = "73a51c818160e78d29396ea4d9b1a2c9c8f307394e97a7f509b947610a9e5a68"
+
+
+def test_representatives_and_reductions_pinned(corpus):
+    digest = hashlib.sha256()
+    cases = [(NAMED_REPS[0], 8), (NAMED_REPS[2], 8)] + [(entry.rep, 6) for entry in corpus]
+    for rep, top in cases:
+        ring = quotient_ring(rep, upto=top)
+        for n in range(top + 1):
+            for w in sorted(_monomials_by_weight(rep, n)):
+                piece = ring.piece(n, w)
+                reps = piece.representatives
+                assert all(piece.position(m) == k for k, m in enumerate(reps))
+                digest.update(repr((n, w, reps)).encode())
+    assert digest.hexdigest() == REPRESENTATIVES_SHA256
+    piece = quotient_ring(NAMED_REPS[0], upto=12).piece(12, (0, 0))
+    digest = hashlib.sha256()
+    for m in piece.monomials:
+        row, d = piece.reduce(m)
+        digest.update(repr((m, sorted(row.items()), d)).encode())
+    assert (piece.ambient_dim, piece.relation_rank) == (384, 305)
+    assert digest.hexdigest() == DEEP_REDUCE_SHA256
 
 
 # -- regular sequence check --------------------------------------------------
