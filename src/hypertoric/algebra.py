@@ -74,16 +74,16 @@ def _relation_rows(
     index = {m: c for c, m in enumerate(monomials)}
     e = len(bases[0]) // 2
     for base in bases:
+        # the column of x_i y_i * base, for each pair i; distinct i give
+        # distinct monomials, so a row has one entry per nonzero coefficient
+        cols = []
+        for i in range(e):
+            prod = list(base)
+            prod[i] += 1
+            prod[e + i] += 1
+            cols.append(index[tuple(prod)])
         for q in quadrics:
-            row: SparseRow = {}
-            for i, c in enumerate(q.coefficients):
-                if c == 0:
-                    continue
-                prod = list(base)
-                prod[i] += 1
-                prod[e + i] += 1
-                col = index[tuple(prod)]
-                row[col] = row.get(col, 0) + c
+            row: SparseRow = {cols[i]: c for i, c in enumerate(q.coefficients) if c}
             if row:
                 yield row
 

@@ -18,6 +18,10 @@ class DimensionError(HypertoricError, ValueError):
     """Vectors or matrices with inconsistent shapes."""
 
 
+class NonIntegralError(HypertoricError, ValueError):
+    """A value that must be an integer is not one (1.7, Fraction(1, 2), "1")."""
+
+
 class NonFaithfulError(HypertoricError, ValueError):
     """Weight matrix has a positive-dimensional common stabilizer."""
 

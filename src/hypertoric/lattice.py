@@ -15,9 +15,24 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, NonIntegralError
 
 IntVec = tuple[int, ...]
+
+
+def as_int(x) -> int:
+    """x as an int when it equals one (True, Fraction(2) and 2.0 do).
+
+    Anything else raises NonIntegralError naming x, instead of being
+    truncated as int() would truncate 1.7.
+    """
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or x != n:
+        raise NonIntegralError(f"{x!r} is not an integer")
+    return n
 
 
 def dot(u: Sequence, v: Sequence):

@@ -34,6 +34,7 @@ from .reps import (
     MomentQuadric,
     ReductionResult,
     SymplecticRep,
+    ValueRecord,
     moment_quadrics,
     project_vec,
     reduce_to_generic,
@@ -423,13 +424,13 @@ class Budget(NamedTuple):
     max_box: int = 200000
 
 
-class ProblemFile:
+class ProblemFile(ValueRecord):
     """A parsed problem file: the representation, chi, epsilon, xi and the
     run parameters.
 
-    Immutable and equal by value.  Construction checks the schema's rules
-    for truncation, depth and analyses, so a copy made by _replace, such as
-    one with command-line overrides, is checked as a parsed file is; the
+    A ValueRecord.  Construction checks truncation, depth and analyses
+    against their PROBLEM_SCHEMA entries, so a copy made by _replace, such
+    as one with command-line overrides, is checked as a parsed file is; the
     analyses are kept once each, in pipeline order.
     """
 
@@ -450,46 +451,14 @@ class ProblemFile:
         analyses: tuple[str, ...],
         name: str | None = None,
     ):
-        for key, value in (("truncation", truncation), ("depth", depth)):
-            low = PROBLEM_SCHEMA["properties"][key]["minimum"]
-            if value < low:
-                raise ProblemFormatError(f"{key} must be at least {low}", key)
-        requested = set(analyses)
-        if not requested:
-            raise ProblemFormatError("at least one analysis must be requested", "analyses")
-        unknown = requested - set(ANALYSES)
-        if unknown:
-            raise ProblemFormatError(
-                f"unknown analyses: {', '.join(sorted(unknown))}", "analyses"
-            )
+        requested = list(analyses)
+        checked = {"truncation": truncation, "depth": depth, "analyses": requested}
+        for key, value in checked.items():
+            _check_schema(value, PROBLEM_SCHEMA["properties"][key], (key,))
         analyses = tuple(a for a in ANALYSES if a in requested)
-        values = (torus_rank, half_weights, chi, epsilon, xi, truncation, depth, analyses, name)
-        for key, value in zip(self._fields, values):
-            object.__setattr__(self, key, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _asdict(self) -> dict:
-        return {key: getattr(self, key) for key in self._fields}
-
-    def _replace(self, **changes) -> ProblemFile:
-        return ProblemFile(**{**self._asdict(), **changes})
-
-    def __eq__(self, other):
-        if type(other) is not ProblemFile:
-            return NotImplemented
-        return self._asdict() == other._asdict()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._asdict().values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
-        return f"ProblemFile({fields})"
+        self._set_fields(
+            torus_rank, half_weights, chi, epsilon, xi, truncation, depth, analyses, name
+        )
 
     @property
     def rep(self) -> SymplecticRep:
@@ -550,36 +519,23 @@ def parse_problem(data: dict) -> ProblemFile:
     """Validate a decoded problem object and normalize defaults."""
     _check_schema(data, PROBLEM_SCHEMA)
     s = data["torus_rank"]
-    hw = tuple(tuple(row) for row in data["half_weights"])
-    for idx, row in enumerate(hw):
-        if len(row) != s:
-            raise ProblemFormatError(
-                f"half_weights[{idx}] has length {len(row)}, expected {s}",
-                "half_weights",
-            )
-    chi = tuple(data["chi"])
-    if len(chi) != s:
-        raise ProblemFormatError(f"chi has length {len(chi)}, expected {s}", "chi")
+    vectors = [
+        ("half_weights", f"half_weights[{idx}]", row)
+        for idx, row in enumerate(data["half_weights"])
+    ]
+    vectors += [
+        (key, key, data[key]) for key in ("chi", "epsilon", "xi") if data.get(key) is not None
+    ]
+    for field, name, vec in vectors:
+        if len(vec) != s:
+            raise ProblemFormatError(f"{name} has length {len(vec)}, expected {s}", field)
     epsilon = data.get("epsilon")
-    if epsilon is not None:
-        epsilon = tuple(epsilon)
-        if len(epsilon) != s:
-            raise ProblemFormatError(
-                f"epsilon has length {len(epsilon)}, expected {s}", "epsilon"
-            )
-    xi_raw = data.get("xi")
-    if xi_raw is None:
-        xi = (Fraction(0),) * s
-    else:
-        if len(xi_raw) != s:
-            raise ProblemFormatError(f"xi has length {len(xi_raw)}, expected {s}", "xi")
-        xi = tuple(_parse_xi_entry(v) for v in xi_raw)
     return ProblemFile(
         torus_rank=s,
-        half_weights=hw,
-        chi=chi,
-        epsilon=epsilon,
-        xi=xi,
+        half_weights=tuple(tuple(row) for row in data["half_weights"]),
+        chi=tuple(data["chi"]),
+        epsilon=None if epsilon is None else tuple(epsilon),
+        xi=tuple(_parse_xi_entry(v) for v in data.get("xi", (0,) * s)),
         truncation=data.get("truncation", 6),
         depth=data.get("depth", 4),
         analyses=tuple(data.get("analyses", ANALYSES)),
@@ -610,7 +566,7 @@ def _jsonify(value):
     """Normalize values for canonical JSON output; records field by field.
 
     A record is any class with a _fields tuple: the named tuples and the
-    validating classes (SymplecticRep, ProblemFile).  Its exact type is
+    ValueRecord classes (SymplecticRep, ProblemFile).  Its exact type is
     never tuple, so it is written as an object of its fields, not a list.
     """
     kind = type(value)

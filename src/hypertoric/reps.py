@@ -22,6 +22,7 @@ from .errors import (
 )
 from .lattice import (
     IntVec,
+    as_int,
     dot,
     int_inverse,
     int_kernel_basis,
@@ -32,30 +33,19 @@ from .lattice import (
 )
 
 
-class SymplecticRep:
-    """Weight data of a torus action on a symplectic vector space.
+class ValueRecord:
+    """A record of the fields named in _fields, each set once by __init__.
 
-    torus_rank: rank s of the acting torus.
-    half_weights: e vectors in Z^s; the full weight list is these followed
-        by their negatives.
-
-    Immutable, equal and hashed by value; the half-weights are normalised
-    to tuples of ints on construction.
+    Immutable, and equal and hashed by value; an instance equals only an
+    instance of its own class, never a plain tuple.  _replace builds the
+    copy through __init__, so the copy is checked as the original was.
     """
 
-    __slots__ = _fields = ("torus_rank", "half_weights")
+    __slots__ = _fields = ()
 
-    def __init__(self, torus_rank: int, half_weights: Iterable[IntVec]):
-        if torus_rank < 0:
-            raise DimensionError("torus rank must be nonnegative")
-        hw = tuple(tuple(int(x) for x in w) for w in half_weights)
-        for w in hw:
-            if len(w) != torus_rank:
-                raise DimensionError(
-                    f"half-weight {w} has length {len(w)}, expected {torus_rank}"
-                )
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "half_weights", hw)
+    def _set_fields(self, *values) -> None:
+        for key, value in zip(self._fields, values):
+            object.__setattr__(self, key, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,16 +53,51 @@ class SymplecticRep:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self._fields)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
     def __eq__(self, other):
-        if type(other) is not SymplecticRep:
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.torus_rank, self.half_weights) == (other.torus_rank, other.half_weights)
+        return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash((self.torus_rank, self.half_weights))
+        return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"SymplecticRep(torus_rank={self.torus_rank!r}, half_weights={self.half_weights!r})"
+        fields = ", ".join(f"{key}={value!r}" for key, value in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class SymplecticRep(ValueRecord):
+    """Weight data of a torus action on a symplectic vector space.
+
+    torus_rank: rank s of the acting torus.
+    half_weights: e vectors in Z^s; the full weight list is these followed
+        by their negatives.
+
+    A ValueRecord; the half-weights are normalised to tuples of ints on
+    construction.
+    """
+
+    __slots__ = _fields = ("torus_rank", "half_weights")
+
+    def __init__(self, torus_rank: int, half_weights: Iterable[IntVec]):
+        if torus_rank < 0:
+            raise DimensionError("torus rank must be nonnegative")
+        hw = tuple(tuple(as_int(x) for x in w) for w in half_weights)
+        for w in hw:
+            if len(w) != torus_rank:
+                raise DimensionError(
+                    f"half-weight {w} has length {len(w)}, expected {torus_rank}"
+                )
+        self._set_fields(torus_rank, hw)
 
     @property
     def num_pairs(self) -> int:
@@ -244,7 +269,7 @@ class ReductionResult(NamedTuple):
 
     def lift_point(self, point: IntVec) -> IntVec:
         """Map a window point of the reduced problem to original coordinates."""
-        p = tuple(int(x) for x in point)
+        p = tuple(as_int(x) for x in point)
         if len(p) != self.reduced.torus_rank:
             raise DimensionError(
                 f"point has length {len(p)}, expected {self.reduced.torus_rank}"

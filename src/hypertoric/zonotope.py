@@ -13,7 +13,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .errors import DegenerateZonotopeError, DimensionError, NonGenericError
-from .lattice import IntVec, dot, hyperplane_normals, vec_neg
+from .lattice import IntVec, as_int, dot, hyperplane_normals, vec_neg
 from .reps import SymplecticRep, validate
 
 
@@ -46,10 +46,6 @@ class Zonotope(NamedTuple):
             raise DimensionError(f"point has length {len(x)}, expected {self.dimension}")
         return all(dot(f.normal, x) <= f.offset for f in self.facets)
 
-    def active_facets(self, x) -> tuple[Facet, ...]:
-        """Facets whose bounding hyperplane passes through x (x need not be inside)."""
-        return tuple(f for f in self.facets if dot(f.normal, x) == f.offset)
-
     def generic_witness(self, v: IntVec) -> IntVec | None:
         """A facet-hyperplane normal annihilating v, or None when v avoids them all."""
         if len(v) != self.dimension:
@@ -59,20 +55,19 @@ class Zonotope(NamedTuple):
                 return n
         return None
 
-    def perturbed_contains(self, x, epsilon: IntVec, *, check: bool = True) -> bool:
+    def perturbed_contains(self, x, epsilon: IntVec) -> bool:
         """Membership after an infinitesimal shift of the body along epsilon.
 
         A point survives the shift when it is inside and every facet it
         touches moves away from it, i.e. the facet normal pairs positively
-        with epsilon.
+        with epsilon.  epsilon must avoid every facet hyperplane, as
+        enumerate_window checks; otherwise the test is ambiguous.
         """
-        if check:
-            witness = self.generic_witness(epsilon)
-            if witness is not None:
-                raise NonGenericError("tilt direction", witness)
-        if not self.contains(x):
-            return False
-        return all(dot(f.normal, epsilon) > 0 for f in self.active_facets(x))
+        for f in self.facets:
+            height = dot(f.normal, x)
+            if height > f.offset or (height == f.offset and dot(f.normal, epsilon) <= 0):
+                return False
+        return True
 
 
 def build_zonotope(rep: SymplecticRep) -> Zonotope:
@@ -111,14 +106,14 @@ def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:
     The tilt direction must avoid every facet hyperplane; otherwise the
     membership test is ambiguous and NonGenericError is raised.
     """
-    epsilon = tuple(int(x) for x in epsilon)
+    epsilon = tuple(as_int(x) for x in epsilon)
     witness = zono.generic_witness(epsilon)
     if witness is not None:
         raise NonGenericError("tilt direction", witness)
     points = []
     for p in product(*zono.window_ranges()):
         doubled = tuple(2 * c for c in p)
-        if zono.perturbed_contains(doubled, epsilon, check=False):
+        if zono.perturbed_contains(doubled, epsilon):
             points.append(p)
     return CharacterWindow(points=tuple(points))
 

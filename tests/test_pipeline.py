@@ -510,6 +510,31 @@ def test_cli_overrides_below_minimum_exit_three(problems_dir, capsys, flags):
     assert "input error" in capsys.readouterr().err
 
 
+def test_cli_truncation_too_small_for_depth_is_inconclusive(problems_dir, capsys):
+    # at N=2 the quotient's resolution runs out of degrees before depth 4
+    rc = main(["run", str(problems_dir / "conifold.json"), "--N", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0 and report["exit_code"] == 0
+    assert report["sections"]["koszul"]["quotient"]["status"] == "truncation_limited"
+    (check,) = [c for c in report["checks"] if c["name"] == "koszul_quotient"]
+    assert check == {
+        "name": "koszul_quotient",
+        "status": "INCONCLUSIVE",
+        "detail": "truncation too small for the requested depth",
+    }
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]"], ids=["missing", "array"])
+def test_cli_unreadable_or_non_object_file_exits_three(tmp_path, capsys, content):
+    f = tmp_path / "problem.json"
+    if content is not None:
+        f.write_text(content)
+    assert main(["run", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
 def test_cli_invalid_input_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"torus_rank": 1}')

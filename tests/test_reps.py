@@ -7,7 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import SymplecticRep
-from hypertoric.errors import DimensionError, NonFaithfulError, ReductionError
+from hypertoric.errors import (
+    DimensionError,
+    HypertoricError,
+    NonFaithfulError,
+    NonIntegralError,
+    ReductionError,
+)
 from hypertoric.oracle import _dense_rank
 from hypertoric.reps import (
     STANDING_ASSUMPTIONS,
@@ -119,6 +125,16 @@ def test_rep_is_an_immutable_value():
     assert rep == twin
 
 
+def test_rep_refuses_non_integral_half_weights():
+    # int() would truncate these to ((0,), (1,))
+    with pytest.raises(NonIntegralError, match="Fraction") as info:
+        SymplecticRep(1, [[Fraction(1, 2)], [1.7]])
+    assert isinstance(info.value, ValueError) and isinstance(info.value, HypertoricError)
+    assert info.value.exit_code == 3
+    with pytest.raises(NonIntegralError, match="1.7"):
+        SymplecticRep(1, [[1], [1.7]])
+
+
 # -- moment map quadrics ----------------------------------------------------
 
 
@@ -182,6 +198,9 @@ def test_reduce_to_generic_frozen_example():
     # lifting a reduced window point lands on the original lattice
     assert red.lift_point((0,)) == (0, 0)
     assert red.lift_point((1,)) == (1, 0)
+    # int() would truncate 0.9 to 0 and lift it to (0, 0)
+    with pytest.raises(NonIntegralError, match="0.9"):
+        red.lift_point((0.9,))
 
 
 def test_reduce_trivial_on_generic(rep_b):

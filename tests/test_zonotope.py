@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import SymplecticRep, build_zonotope, enumerate_window
-from hypertoric.errors import DegenerateZonotopeError, NonGenericError
+from hypertoric.errors import DegenerateZonotopeError, NonGenericError, NonIntegralError
 from hypertoric.lattice import dot
 from hypertoric.reps import validate
 from hypertoric.zonotope import CharacterWindow, find_generic_direction
@@ -101,8 +101,14 @@ def test_tilted_membership_boundary(rep_a):
 def test_tilt_rejects_non_generic_direction(rep_b):
     z = build_zonotope(rep_b)
     with pytest.raises(NonGenericError) as info:
-        z.perturbed_contains((0, 0), (1, 1))
+        enumerate_window(z, (1, 1))
     assert info.value.witness == (1, -1)
+
+
+def test_window_refuses_non_integral_tilt(rep_a):
+    # int() would truncate the tilt to (1,)
+    with pytest.raises(NonIntegralError, match="1.9"):
+        enumerate_window(build_zonotope(rep_a), (1.9,))
 
 
 def test_generic_witness_table(rep_b):
