@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 from .errors import (
     DimensionError,
-    MalformedAlgebraError,
     ResourceBudgetError,
     UnsupportedShiftError,
 )
@@ -523,41 +522,3 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
         relations=tuple(relations),
     )
 
-
-# ---------------------------------------------------------------------------
-# numerical inverse of the Hilbert series
-
-
-def hilbert_inverse_coefficients(
-    matrices: list[tuple[tuple[int, ...], ...]]
-) -> list[list[list[int]]]:
-    """Coefficients P_n of the formal inverse of sum_n H_n (-t)^n.
-
-    The degree-0 block must be the identity; the recursion is
-    P_n = sum_{k>=1} (-1)^(k+1) H_k P_{n-k}.
-    """
-    if not matrices:
-        raise MalformedAlgebraError("no degree-0 block given")
-    v = len(matrices[0])
-    ident = [[1 if i == j else 0 for j in range(v)] for i in range(v)]
-    h0 = [list(r) for r in matrices[0]]
-    if h0 != ident:
-        raise MalformedAlgebraError("degree-0 block of the algebra is not the identity")
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(v)) for j in range(v)]
-            for i in range(v)
-        ]
-
-    coeffs = [ident]
-    for n in range(1, len(matrices)):
-        acc = [[0] * v for _ in range(v)]
-        for k in range(1, n + 1):
-            term = matmul([list(r) for r in matrices[k]], coeffs[n - k])
-            sign = 1 if k % 2 == 1 else -1
-            for i in range(v):
-                for j in range(v):
-                    acc[i][j] += sign * term[i][j]
-        coeffs.append(acc)
-    return coeffs

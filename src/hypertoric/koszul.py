@@ -47,15 +47,11 @@ the generators, so the ledger does not depend on them.
 from __future__ import annotations
 
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
-from .algebra import (
-    GradedQuiverAlgebra,
-    Monomial,
-    QuotientPiece,
-    hilbert_inverse_coefficients,
-)
+from .algebra import GradedQuiverAlgebra, Monomial, QuotientPiece
+from .errors import MalformedAlgebraError
 from .lattice import IncrementalEchelon, SparseRow, column_kernel
 
 # an element of a projective is a tuple of terms (summand index, monomial,
@@ -306,14 +302,15 @@ def koszul_check(alg: GradedQuiverAlgebra, depth: int) -> KoszulReport:
     resolutions = tuple(
         minimal_resolution(alg, v, depth) for v in range(alg.num_vertices)
     )
-    status = "linear"
+    violating = next((r for r in resolutions if r.status == "violation"), None)
     first_violation = None
-    for r in resolutions:
-        if r.status == "violation" and first_violation is None:
-            status = "violation"
-            first_violation = (r.vertex, r.violation[0], r.violation[1])
-    if status == "linear" and any(r.status == "truncation_limited" for r in resolutions):
+    if violating is not None:
+        status = "violation"
+        first_violation = (violating.vertex, *violating.violation)
+    elif any(r.status == "truncation_limited" for r in resolutions):
         status = "truncation_limited"
+    else:
+        status = "linear"
     return KoszulReport(
         depth=depth,
         degree_bound=alg.degree_bound,
@@ -321,6 +318,31 @@ def koszul_check(alg: GradedQuiverAlgebra, depth: int) -> KoszulReport:
         status=status,
         first_violation=first_violation,
     )
+
+
+def hilbert_inverse_coefficients(
+    matrices: list[tuple[tuple[int, ...], ...]]
+) -> list[list[list[int]]]:
+    """Coefficients P_n of the formal inverse of sum_n H_n (-t)^n.
+
+    The degree-0 block must be the identity; the recursion is
+    P_n = sum_{k>=1} (-1)^(k+1) H_k P_{n-k}.
+    """
+    if not matrices:
+        raise MalformedAlgebraError("no degree-0 block given")
+    v = range(len(matrices[0]))
+    coeffs = [[[int(i == j) for j in v] for i in v]]
+    if [list(r) for r in matrices[0]] != coeffs[0]:
+        raise MalformedAlgebraError("degree-0 block of the algebra is not the identity")
+    for n in range(1, len(matrices)):
+        # P_n is the block row (H_1, -H_2, H_3, ...) times the block
+        # column (P_{n-1}, P_{n-2}, ..., P_0)
+        block_row = [
+            [(-1) ** (k + 1) * h for k in range(1, n + 1) for h in matrices[k][i]] for i in v
+        ]
+        columns = list(zip(*(row for k in range(1, n + 1) for row in coeffs[n - k])))
+        coeffs.append([[sum(map(mul, row, col)) for col in columns] for row in block_row])
+    return coeffs
 
 
 class NumericalKoszulReport(NamedTuple):
@@ -338,17 +360,16 @@ def numerical_koszul_consistency(matrices) -> NumericalKoszulReport:
     result is only "consistent".
     """
     coeffs = hilbert_inverse_coefficients(list(matrices))
-    first_negative = None
-    for n, mat in enumerate(coeffs):
-        for i, row in enumerate(mat):
-            for j, val in enumerate(row):
-                if val < 0:
-                    first_negative = (n, i, j, val)
-                    break
-            if first_negative:
-                break
-        if first_negative:
-            break
+    first_negative = next(
+        (
+            (n, i, j, val)
+            for n, mat in enumerate(coeffs)
+            for i, row in enumerate(mat)
+            for j, val in enumerate(row)
+            if val < 0
+        ),
+        None,
+    )
     return NumericalKoszulReport(
         upto=len(coeffs) - 1,
         consistent=first_negative is None,

@@ -195,13 +195,13 @@ def hyperplane_normals(vectors: Sequence[IntVec], dim: int) -> list[IntVec]:
     """Canonical primitive normals of every hyperplane spanned by the input.
 
     A hyperplane counts when some dim-1 of the vectors span it, that is when
-    their integer kernel is one line.  For dim <= 1 there are no such
-    hyperplanes (the origin is not counted), so the list is empty.
+    their integer kernel is one line.  In dim 1 that is the origin, spanned
+    by no vectors, with normal (1,); dim 0 has no hyperplanes.
     """
     for v in vectors:
         if len(v) != dim:
             raise DimensionError("mixed vector lengths")
-    if dim <= 1:
+    if dim == 0:
         return []
     dirs = sorted({primitive(v) for v in vectors if any(v)})
     normals = set()

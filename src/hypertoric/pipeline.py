@@ -31,6 +31,7 @@ from .errors import (
 from .koszul import koszul_check, numerical_koszul_consistency
 from .lattice import IntVec
 from .reps import (
+    MAX_CODIM_PAIRS,
     MomentQuadric,
     ReductionResult,
     SymplecticRep,
@@ -420,7 +421,7 @@ class Budget(NamedTuple):
     max_truncation: int = 16
     max_depth: int = 8
     max_window: int = 64
-    max_codim_pairs: int = 12
+    max_codim_pairs: int = MAX_CODIM_PAIRS
     max_box: int = 200000
 
 

@@ -82,13 +82,14 @@ class SymplecticRep(ValueRecord):
     half_weights: e vectors in Z^s; the full weight list is these followed
         by their negatives.
 
-    A ValueRecord; the half-weights are normalised to tuples of ints on
-    construction.
+    A ValueRecord; the rank is normalised to an int and the half-weights to
+    tuples of ints on construction.
     """
 
     __slots__ = _fields = ("torus_rank", "half_weights")
 
     def __init__(self, torus_rank: int, half_weights: Iterable[IntVec]):
+        torus_rank = as_int(torus_rank)
         if torus_rank < 0:
             raise DimensionError("torus rank must be nonnegative")
         hw = tuple(tuple(as_int(x) for x in w) for w in half_weights)
@@ -303,27 +304,21 @@ def reduce_to_generic(
         found = nongeneric_pair(current)
         if found is None:
             break
-        if not validate(current).strictly_faithful:
+        report = validate(current)
+        if not report.strictly_faithful:
             raise ReductionError(
                 "cannot split off a non-generic pair: the half-weights do not "
                 "generate the character lattice "
-                f"(invariant factors {validate(current).invariant_factors})"
+                f"(invariant factors {report.invariant_factors})"
             )
         normal, i = found
         beta = current.half_weights[i]
-        pairing = dot(beta, normal)
-        if pairing < 0:
+        # the half-weights generate Z^s and the primitive normal kills all but
+        # beta, so beta . normal = +-1; in particular beta is nonzero
+        if dot(beta, normal) < 0:
             normal = vec_neg(normal)
-            pairing = -pairing
-        if pairing != 1:
-            raise ReductionError(
-                f"split direction pairs to {pairing} with the removed half-weight; "
-                "expected 1 for a strictly faithful action"
-            )
         s = current.torus_rank
         complement = int_kernel_basis([beta], s)
-        if len(complement) != s - 1:
-            raise ReductionError("removed half-weight is zero; no split direction")
         # change of basis with columns (complement..., normal); unimodular
         # because the removed half-weight pairs to 1 with the last column
         basis_cols = list(complement) + [normal]
@@ -374,10 +369,14 @@ class CodimEstimate(NamedTuple):
     bad_rank: int | None
 
 
+# the estimate enumerates 2^e pair subsets; more pairs than this is over budget
+MAX_CODIM_PAIRS = 12
+
+
 def singular_codim_estimate(
     rep: SymplecticRep,
     xi: IntVec | None = None,
-    max_pairs: int = 12,
+    max_pairs: int = MAX_CODIM_PAIRS,
 ) -> CodimEstimate:
     """Minimize fiber_dim - (2|S| - rank S) over pair subsets S of deficient rank.
 

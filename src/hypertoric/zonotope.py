@@ -79,12 +79,7 @@ def build_zonotope(rep: SymplecticRep) -> Zonotope:
             f"half-weights span rank {report.weight_rank} < {s}; "
             "the zonotope is not full-dimensional"
         )
-    if s == 0:
-        return Zonotope(0, rep.half_weights, (), ())
-    if s == 1:
-        normals: tuple[IntVec, ...] = ((1,),)
-    else:
-        normals = tuple(hyperplane_normals(rep.half_weights, s))
+    normals = tuple(hyperplane_normals(rep.half_weights, s))
     facets = []
     for n in normals:
         c = sum(abs(dot(n, w)) for w in rep.half_weights)
@@ -119,14 +114,14 @@ def enumerate_window(zono: Zonotope, epsilon: IntVec) -> CharacterWindow:
 
 
 def find_generic_direction(zono: Zonotope) -> IntVec:
-    """Deterministic generic tilt: smallest max-norm, then lexicographic."""
-    s = zono.dimension
-    if s == 0:
-        return ()
-    radius = 1
+    """Deterministic generic tilt: smallest max-norm, then lexicographic.
+
+    The zero vector, at max-norm 0, is generic only when there are no flats.
+    """
+    radius = 0
     while True:
-        for v in product(range(-radius, radius + 1), repeat=s):
-            if max(abs(c) for c in v) != radius:
+        for v in product(range(-radius, radius + 1), repeat=zono.dimension):
+            if max(map(abs, v), default=0) != radius:
                 continue
             if zono.generic_witness(v) is None:
                 return v

@@ -20,12 +20,13 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.algebra import SliceRing, hilbert_inverse_coefficients
+from hypertoric.algebra import SliceRing
 from hypertoric.errors import (
     MalformedAlgebraError,
     ResourceBudgetError,
     UnsupportedShiftError,
 )
+from hypertoric.koszul import hilbert_inverse_coefficients
 from hypertoric.lattice import sparse_rref
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
 from hypertoric.reps import MomentQuadric, moment_quadrics

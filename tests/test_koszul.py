@@ -12,6 +12,7 @@ from hypertoric import (
 )
 from hypertoric.koszul import (
     default_depth,
+    hilbert_inverse_coefficients,
     minimal_resolution,
     numerical_koszul_consistency,
 )
@@ -130,6 +131,39 @@ def test_numeric_inconsistency_ambient(rep_a, window_a):
     report = numerical_koszul_consistency(alg.hilbert_matrices())
     assert not report.consistent
     assert report.first_negative == (3, 0, 1, -2)
+
+
+def test_series_inverse_is_an_inverse(rep_a, rep_b, window_a, window_b, corpus):
+    """sum_{k<=n} (-1)^k H_k P_{n-k} is I at n = 0 and zero above, for the
+    quotient and the ambient algebra."""
+    cases = [(rep_a, window_a), (rep_b, window_b)] + [
+        (entry.rep, enumerate_window(build_zonotope(entry.rep), entry.epsilon))
+        for entry in corpus
+    ]
+    for rep, window in cases:
+        quotient = GradedQuiverAlgebra(rep, window, 6)
+        for alg in (quotient, quotient.ambient()):
+            series = alg.hilbert_matrices()
+            inverse = hilbert_inverse_coefficients(series)
+            assert len(series) == len(inverse) == 7
+            size = range(alg.num_vertices)
+            for n in range(7):
+                product = [
+                    [
+                        sum(
+                            (-1) ** k * series[k][i][t] * inverse[n - k][t][j]
+                            for k in range(n + 1)
+                            for t in size
+                        )
+                        for j in size
+                    ]
+                    for i in size
+                ]
+                assert product == [[int(n == 0 and i == j) for j in size] for i in size], (
+                    rep,
+                    alg.quadrics,
+                    n,
+                )
 
 
 # Ledgers of the rank-2 four-pair rep at N=6, depth 4 (the pipeline's window

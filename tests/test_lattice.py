@@ -195,7 +195,10 @@ def test_hyperplane_normals_hexagon():
 
 
 def test_hyperplane_normals_low_dim():
-    assert list(hyperplane_normals([(1,), (1,)], 1)) == []
+    # in rank 1 the origin is the one hyperplane, spanned by no vectors
+    assert list(hyperplane_normals([(1,), (1,)], 1)) == [(1,)]
+    assert list(hyperplane_normals([(1,)], 1)) == [(1,)]
+    assert list(hyperplane_normals([(), ()], 0)) == []
     # parallel generators spanning one flat
     assert list(hyperplane_normals([(1, 1), (2, 2), (-1, -1)], 2)) == [(1, -1)]
 

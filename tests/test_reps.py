@@ -118,6 +118,10 @@ def test_rep_is_an_immutable_value():
     assert repr(rep) == "SymplecticRep(torus_rank=2, half_weights=((1, 0), (1, 2)))"
     with pytest.raises(DimensionError):
         SymplecticRep(2, ((1, 0), (1, 2, 3)))
+    # the rank is normalised as the entries are
+    for rank in (1.0, True, Fraction(1)):
+        line = SymplecticRep(rank, [[1]])
+        assert type(line.torus_rank) is int and line == SymplecticRep(1, [[1]])
     with pytest.raises(AttributeError):
         rep.torus_rank = 3
     with pytest.raises(AttributeError):
@@ -133,6 +137,11 @@ def test_rep_refuses_non_integral_half_weights():
     assert info.value.exit_code == 3
     with pytest.raises(NonIntegralError, match="1.7"):
         SymplecticRep(1, [[1], [1.7]])
+    # so is the torus rank; a string is not an integer either
+    for rank in ("1", 1.5):
+        with pytest.raises(NonIntegralError, match=repr(rank)) as info:
+            SymplecticRep(rank, [[1]])
+        assert info.value.exit_code == 3
 
 
 # -- moment map quadrics ----------------------------------------------------
@@ -182,10 +191,30 @@ def test_nongeneric_pair_detects_split():
     assert normal == (0, 1)
 
 
+def assert_split_invariants(rep, red):
+    """Every split removes a half-weight pairing to 1 with its normal, and
+    drops the torus rank by one."""
+    current = rep
+    for step in red.steps:
+        removed = current.half_weights[step.removed_pair]
+        assert sum(b * n for b, n in zip(removed, step.normal)) == 1
+        assert len(step.projection) == current.torus_rank - 1
+        current = SymplecticRep(
+            current.torus_rank - 1,
+            (
+                tuple(sum(w * u for w, u in zip(beta, row)) for row in step.projection)
+                for j, beta in enumerate(current.half_weights)
+                if j != step.removed_pair
+            ),
+        )
+    assert current == red.reduced
+
+
 def test_reduce_to_generic_frozen_example():
     rep = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
     red = reduce_to_generic(rep, chi=(1, 1), epsilon=(1, 2))
     assert len(red.steps) == 1
+    assert_split_invariants(rep, red)
     step = red.steps[0]
     assert step.removed_pair == 2
     assert step.normal == (0, 1)
@@ -231,6 +260,7 @@ def test_reduce_always_reaches_generic(rep):
     assert nongeneric_pair(red.reduced) is None
     assert red.reduced.torus_rank <= rep.torus_rank
     assert len(red.steps) == rep.num_pairs - red.reduced.num_pairs
+    assert_split_invariants(rep, red)
 
 
 @settings(max_examples=40)
