@@ -284,7 +284,10 @@ def sparse_echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
 def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """Fully reduced echelon form: each pivot column occurs in one row only.
 
-    The echelon is back-substituted in place, from the last pivot up.
+    The echelon is back-substituted in place, from the last pivot up.  A
+    step multiplies the row by a later pivot's entry, which is positive, and
+    subtracts a multiple of that pivot row, which is zero in this row's pivot
+    column; so every pivot entry stays as positive as the echelon made it.
     """
     piv = sparse_echelon(rows)
     for j in sorted(piv, reverse=True):
@@ -292,18 +295,8 @@ def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
         targets = [c for c in row if c != j and c in piv]
         for c in sorted(targets):
             row = _eliminate(row, piv[c], c)
-        if row[j] < 0:
-            row = {c: -v for c, v in row.items()}
         piv[j] = row
     return piv
-
-
-def rank(vectors: Iterable[Sequence[int]]) -> int:
-    """Rank over Q of integer vectors of one length."""
-    rows = [tuple(v) for v in vectors]
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionError("rank of ragged matrix")
-    return len(sparse_echelon(dict(enumerate(r)) for r in rows))
 
 
 def int_inverse(mat: Sequence[Sequence[int]]) -> list[IntVec]:

@@ -31,7 +31,6 @@ from .errors import (
 from .koszul import koszul_check, numerical_koszul_consistency
 from .lattice import IntVec
 from .reps import (
-    MAX_CODIM_PAIRS,
     MomentQuadric,
     ReductionResult,
     SymplecticRep,
@@ -281,9 +280,7 @@ def _codimension(ctx: _Context):
     xi = ctx.problem.xi
     for step in red.steps:
         xi = project_vec(xi, step.projection)
-    est = singular_codim_estimate(
-        red.reduced, xi, max_pairs=ctx.budget.max_codim_pairs
-    )
+    est = singular_codim_estimate(red.reduced, xi)
     return dict(_jsonify(est), on_reduced=not red.is_trivial)
 
 
@@ -421,7 +418,6 @@ class Budget(NamedTuple):
     max_truncation: int = 16
     max_depth: int = 8
     max_window: int = 64
-    max_codim_pairs: int = MAX_CODIM_PAIRS
     max_box: int = 200000
 
 
@@ -467,8 +463,6 @@ class ProblemFile(ValueRecord):
 
 
 def _parse_xi_entry(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise ProblemFormatError("xi entries must be integers or 'p/q' strings", "xi")
     try:
         return Fraction(raw)
     except ZeroDivisionError:

@@ -10,24 +10,17 @@ non-generic directions, and bounds the codimension of the non-free locus.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    DimensionError,
-    NonFaithfulError,
-    ReductionError,
-    ResourceBudgetError,
-)
+from .errors import DimensionError, NonFaithfulError, ReductionError
 from .lattice import (
     IntVec,
     as_int,
     dot,
+    hyperplane_normals,
     int_inverse,
     int_kernel_basis,
     primitive,
-    rank,
     smith_invariant_factors,
     vec_neg,
 )
@@ -369,54 +362,37 @@ class CodimEstimate(NamedTuple):
     bad_rank: int | None
 
 
-# the estimate enumerates 2^e pair subsets; more pairs than this is over budget
-MAX_CODIM_PAIRS = 12
-
-
-def singular_codim_estimate(
-    rep: SymplecticRep,
-    xi: IntVec | None = None,
-    max_pairs: int = MAX_CODIM_PAIRS,
-) -> CodimEstimate:
+def singular_codim_estimate(rep: SymplecticRep, xi: IntVec | None = None) -> CodimEstimate:
     """Minimize fiber_dim - (2|S| - rank S) over pair subsets S of deficient rank.
 
     A subset S of coordinate pairs is deficient when its half-weights fail to
     span; the stratum supported exactly on S then meets the fiber over xi in
     dimension at most 2|S| - rank(S), provided xi lies in the span (otherwise
-    the stratum misses the fiber and is skipped).
+    the stratum misses the fiber and is skipped).  Adding to S a pair whose
+    half-weight lies in its span raises 2|S| - rank S by 2, and adding one
+    outside it, while the rank stays deficient, raises it by 1; neither move
+    drops xi from the span.  So the minimum is reached exactly on the largest
+    hyperplane flats H_n = {i : n . beta_i = 0} with n . xi = 0, of rank
+    s - 1, and the lex-first of them is reported.
     """
     require_valid(rep)
-    e = rep.num_pairs
     s = rep.torus_rank
-    if e > max_pairs:
-        raise ResourceBudgetError(
-            f"codimension estimate enumerates 2^{e} subsets; limit is max_pairs={max_pairs}"
-        )
     if xi is None:
         xi = (0,) * s
     if len(xi) != s:
         raise DimensionError(f"moment value has length {len(xi)}, expected {s}")
-    fiber_dim = 2 * e - s
-    # row scaling keeps ranks, so xi enters the span test as an integer row
-    scale = lcm(*(x.denominator for x in xi))
-    xi = tuple(int(x * scale) for x in xi)
-    best: tuple[int, tuple[int, ...], int] | None = None
-    for size in range(e + 1):
-        for subset in combinations(range(e), size):
-            vecs = [rep.half_weights[i] for i in subset]
-            r = rank(vecs)
-            if r >= s:
-                continue
-            if any(xi) and rank(vecs + [xi]) != r:
-                continue
-            codim = fiber_dim - (2 * size - r)
-            if best is None or codim < best[0]:
-                best = (codim, subset, r)
-    if best is None:
+    fiber_dim = 2 * rep.num_pairs - s
+    flats = [
+        tuple(i for i, w in enumerate(rep.half_weights) if not dot(n, w))
+        for n in hyperplane_normals(rep.half_weights, s)
+        if not dot(n, xi)
+    ]
+    if not flats:
         return CodimEstimate(estimate=None, fiber_dim=fiber_dim, bad_subset=None, bad_rank=None)
+    flat = min(flats, key=lambda f: (-len(f), f))
     return CodimEstimate(
-        estimate=best[0],
+        estimate=fiber_dim - (2 * len(flat) - (s - 1)),
         fiber_dim=fiber_dim,
-        bad_subset=best[1],
-        bad_rank=best[2],
+        bad_subset=flat,
+        bad_rank=s - 1,
     )

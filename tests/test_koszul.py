@@ -1,5 +1,7 @@
 """Minimal graded resolutions of vertex simples and linearity verdicts."""
 
+from itertools import combinations
+
 import pytest
 
 from hypertoric import (
@@ -272,6 +274,48 @@ def test_three_pair_frozen_ledgers_and_product_count(monkeypatch):
     # every product spans a slice the leading-column count left open; the
     # resolutions formed 20,283 before that count existed
     assert products < 1000
+
+
+def det(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def window_fingerprint(rep, window):
+    """Which of the tilting window's four identities hold at N = d + 2.
+
+    The window algebra is a non-commutative crepant resolution, Calabi-Yau
+    of global dimension d = 2(e - s).  So the coefficients P_n of H(-t)^-1,
+    the block dimensions of its Koszul dual, vanish above d but not at d,
+    satisfy P_{d-n} = P_n transposed, and are nonnegative.  The window holds
+    the lattice points of a half-open zonotope, so its size is the sum of
+    |det B| over the s-subsets B of half-weights.
+    """
+    d = 2 * (rep.num_pairs - rep.torus_rank)
+    p = hilbert_inverse_coefficients(GradedQuiverAlgebra(rep, window, d + 2).hilbert_matrices())
+    nonzero = [any(map(any, block)) for block in p]
+    bases = combinations(rep.half_weights, rep.torus_rank)
+    return {
+        "size": len(window.points) == sum(abs(det(b)) for b in bases),
+        "vanishing": nonzero[d] and not any(nonzero[d + 1:]),
+        "symmetry": all(p[d - n] == [list(c) for c in zip(*p[n])] for n in range(d + 1)),
+        "sign": all(x >= 0 for block in p for row in block for x in row),
+    }
+
+
+def test_window_fingerprint(rep_a, rep_b, window_a, window_b, corpus):
+    cases = [(rep_a, window_a), (rep_b, window_b)]
+    cases += [(rep, generic_window(rep)) for rep in (THREE_PAIR, FOUR_PAIR)]
+    cases += [(e.rep, enumerate_window(build_zonotope(e.rep), e.epsilon)) for e in corpus]
+    for rep, window in cases:
+        fingerprint = window_fingerprint(rep, window)
+        assert all(fingerprint.values()), (rep, fingerprint)
 
 
 def lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, degree_bound):

@@ -73,8 +73,11 @@ def test_parse_xi_rationals():
 
 
 def test_parse_rejects_boolean_xi():
-    with pytest.raises(ProblemFormatError):
+    # the schema refuses a boolean before any xi entry is read as a number
+    message = "True is not of type 'integer', 'string'"
+    with pytest.raises(ProblemFormatError, match=message) as info:
         conifold_problem(xi=[True])
+    assert info.value.field == "xi.0"
 
 
 @pytest.mark.parametrize(
@@ -202,6 +205,13 @@ def test_nonzero_level_allowed_off_the_graded_path():
     assert report.sections["quadrics"]["items"][0]["shift"] == 1
     assert report.sections["codimension"]["estimate"] is None
     assert report.exit_code == 0
+    # a fractional level is written as a "p/q" string in JSON, as p/q in text
+    hexagon = {"torus_rank": 2, "half_weights": [[1, 0], [0, 1], [1, 1]], "chi": [1, 2]}
+    report = run(parse_problem({**hexagon, "xi": ["1/2", 0], "analyses": ["quadrics"]}))
+    section = json.loads(report.to_json())["sections"]["quadrics"]
+    assert section["xi"] == ["1/2", 0]
+    assert section["items"][0]["shift"] == "1/2"
+    assert "q1 = x1*y1 + x3*y3 - 1/2\n" in report.to_text()
 
 
 def test_truncation_budget_guard():
@@ -688,6 +698,9 @@ def test_cli_box_budget_counts_beyond_machine_sizes(tmp_path, capsys):
 def test_cli_bad_flags(problems_dir, capsys):
     assert main(["run", str(problems_dir / "conifold.json"), "--analyses", "bogus"]) == 3
     assert main(["run", str(problems_dir / "conifold.json"), "--budget", "nope=1"]) == 3
+    capsys.readouterr()
+    assert main(["run", str(problems_dir / "conifold.json"), "--budget", "window=abc"]) == 3
+    assert capsys.readouterr().err == "input error: budget value for 'window' must be an integer\n"
 
 
 def test_cli_usage_errors_map_to_three(capsys):

@@ -1,6 +1,8 @@
 """Weight data validation, genericity, reduction, quadrics, codimension."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -316,3 +318,55 @@ def test_codim_trivial_rep():
     est = singular_codim_estimate(SymplecticRep(0, ()))
     assert est.estimate is None
     assert est.fiber_dim == 0
+
+
+def subset_scan_codim(rep, xi):
+    """Brute-force reference: of all 2^e pair subsets of deficient rank whose
+    span holds xi, the first, by size then lex, of least codimension."""
+    s, e = rep.torus_rank, rep.num_pairs
+    fiber_dim, best = 2 * e - s, None
+    vecs = [[Fraction(x) for x in w] for w in rep.half_weights]
+    for size in range(e + 1):
+        for subset in combinations(range(e), size):
+            rows = [vecs[i] for i in subset]
+            r = _dense_rank(rows)
+            if r < s and (not any(xi) or _dense_rank(rows + [list(xi)]) == r):
+                if best is None or fiber_dim - (2 * size - r) < best[0]:
+                    best = (fiber_dim - (2 * size - r), subset, r)
+    return (None, fiber_dim, None, None) if best is None else (best[0], fiber_dim, *best[1:])
+
+
+def test_codim_flat_pass_matches_subset_scan():
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 300:
+        s = rng.randint(0, 4)
+        hw = []
+        for _ in range(rng.randint(s, s + 3)):
+            roll = rng.random()
+            if roll < 0.15 and hw:  # parallel to an earlier weight
+                hw.append(tuple(rng.choice((-2, -1, 2)) * x for x in rng.choice(hw)))
+            elif roll < 0.25:
+                hw.append((0,) * s)
+            else:
+                hw.append(tuple(rng.randint(-2, 2) for _ in range(s)))
+        rep = SymplecticRep(s, hw)
+        if not validate(rep).faithful:
+            continue
+        # xi zero, in the span of a few half-weights, or anywhere
+        inside = [w for w in hw if rng.random() < 0.3]
+        xi = rng.choice((
+            (Fraction(0),) * s,
+            tuple(sum(Fraction(rng.randint(-3, 3), 2) * w[j] for w in inside) for j in range(s)),
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(s)),
+        ))
+        assert tuple(singular_codim_estimate(rep, xi)) == subset_scan_codim(rep, xi)
+        checked += 1
+
+
+
+def test_codim_many_pairs():
+    # thirteen pairs; every hyperplane flat holds one pair, the first is (0,)
+    rep = SymplecticRep(2, [(1, 0), (0, 1)] + [(1, k) for k in range(1, 12)])
+    est = singular_codim_estimate(rep)
+    assert (est.estimate, est.fiber_dim, est.bad_subset, est.bad_rank) == (23, 24, (0,), 1)
