@@ -1,9 +1,9 @@
 """Exact integer linear algebra for small dense and sparse systems.
 
-Everything runs on Python ints.  Lattice bases and Smith invariant factors
-come from unimodular row and column operations on dense matrices; ranks,
-inverses, echelon forms and kernels over Q come from one sparse integer
-echelon that keeps its rows primitive.  All downstream predicates
+Everything runs on Python ints.  Kernel lattice bases, unimodular inverses
+and Smith invariant factors come from one column Hermite form of a dense
+matrix; ranks, echelon forms and kernels over Q come from one sparse
+integer echelon that keeps its rows primitive.  All downstream predicates
 (membership, rank, genericity) are therefore exact equality tests.  Dense
 matrices are lists of rows, sparse rows are {column: value} dicts, vectors
 are tuples.  Nothing here touches floating point.
@@ -90,94 +90,100 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # integer lattice computations
 
 
+def _column_hermite(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> tuple[list[list[int]], list[list[int]], int]:
+    """Column Hermite form (h, u, rank) of an integer matrix, with h = rows @ u.
+
+    Row by row, the first nonzero entry at or right of the next pivot column
+    is combined with each later nonzero entry by xgcd, leaving their gcd, and
+    its column is swapped into the pivot position.  The pivot is then made
+    positive and the entries left of it reduced into [0, pivot) by multiples
+    of its column.  u is unimodular; those last two steps touch only the
+    first rank columns, so the last ncols - rank columns of u are the same
+    kernel basis the column reduction alone gives.
+    """
+    h = [list(r) for r in rows]
+    for r in h:
+        if len(r) != ncols:
+            raise DimensionError("ragged matrix")
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    both = h + u  # the same row lists: a column operation updates h and u
+    lead = 0
+    for row in h:
+        for piv in range(lead, ncols):
+            if row[piv]:
+                break
+        else:
+            continue
+        for j in range(piv + 1, ncols):
+            if row[j]:
+                # col_piv, col_j <- (x*col_piv + y*col_j, -(b/g)*col_piv + (a/g)*col_j)
+                a, b = row[piv], row[j]
+                g, x, y = xgcd(a, b)
+                p, q = -(b // g), a // g
+                for r in both:
+                    c0, c1 = r[piv], r[j]
+                    r[piv] = x * c0 + y * c1
+                    r[j] = p * c0 + q * c1
+        if piv != lead or row[piv] < 0:
+            sign = -1 if row[piv] < 0 else 1
+            for r in both:
+                r[piv], r[lead] = r[lead], sign * r[piv]
+        pivot = row[lead]
+        for j in range(lead):
+            k = row[j] // pivot
+            if k:
+                for r in both:
+                    r[j] -= k * r[lead]
+        lead += 1
+    return h, u, lead
+
+
 def int_kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> list[IntVec]:
     """Lattice basis of the integer kernel {u in Z^ncols : row . u = 0}.
 
-    Column reduction by unimodular operations; the result is a basis of the
-    saturated kernel sublattice, so a one-dimensional kernel yields a
-    primitive vector.
+    The non-pivot columns of the column Hermite transform span the saturated
+    kernel sublattice, so a one-dimensional kernel yields a primitive vector.
     """
-    mat = [list(r) for r in rows]
+    _, u, rank = _column_hermite(rows, ncols)
+    return [tuple(r[j] for r in u) for j in range(rank, ncols)]
+
+
+def int_inverse(mat: Sequence[Sequence[int]]) -> list[IntVec]:
+    """Inverse of a unimodular integer matrix, as integer rows.
+
+    The column Hermite form of a unimodular matrix is the identity, so its
+    transform is the inverse.
+    """
+    n = len(mat)
     for r in mat:
-        if len(r) != ncols:
-            raise DimensionError("kernel of ragged matrix")
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def combine(j0: int, j1: int, a: int, b: int):
-        # col_j0, col_j1 <- (x*col_j0 + y*col_j1, -(b/g)*col_j0 + (a/g)*col_j1)
-        g, x, y = xgcd(a, b)
-        p, q = -(b // g), a // g
-        for m in (mat, u):
-            for row in m:
-                c0, c1 = row[j0], row[j1]
-                row[j0] = x * c0 + y * c1
-                row[j1] = p * c0 + q * c1
-
-    lead = 0
-    for i in range(len(mat)):
-        piv = None
-        for j in range(lead, ncols):
-            if mat[i][j]:
-                piv = j
-                break
-        if piv is None:
-            continue
-        for j in range(piv + 1, ncols):
-            if mat[i][j]:
-                combine(piv, j, mat[i][piv], mat[i][j])
-        if piv != lead:
-            for m in (mat, u):
-                for row in m:
-                    row[piv], row[lead] = row[lead], row[piv]
-        lead += 1
-    basis = []
-    for j in range(lead, ncols):
-        basis.append(tuple(u[i][j] for i in range(ncols)))
-    return basis
+        if len(r) != n:
+            raise DimensionError("inverse of non-square matrix")
+    h, u, rank = _column_hermite(mat, n)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    if any(h[i][i] != 1 for i in range(n)):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(r) for r in u]
 
 
 def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(r) for r in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    factors: list[int] = []
-    top = 0
-    while top < min(m, n):
-        # find the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Column Hermite forms of the matrix and of its transpose alternate until
+    every pivot is alone in its row and column.  Each form's first pivot
+    divides the one before; when it stays, the rest of its column lies in
+    the lattice of the later pivot columns, which reduce it to zero.  So the
+    loop ends, and every form keeps its entries reduced against its pivots.
+    """
+    h, ncols = mat, len(mat[0]) if mat else 0
+    while True:
+        h, _, rank = _column_hermite(h, ncols)
+        factors = [x for row in h for x in row if x]
+        if len(factors) == rank:
             break
-        bi, bj = best
-        a[top], a[bi] = a[bi], a[top]
-        for row in a:
-            row[top], row[bj] = row[bj], row[top]
-        # clear row and column by division steps
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // a[top][top]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[top])]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // a[top][top]
-                    for row in a:
-                        row[j] -= q * row[top]
-                    if a[top][j]:
-                        for row in a:
-                            row[top], row[j] = row[j], row[top]
-                        dirty = True
-        factors.append(abs(a[top][top]))
-        top += 1
+        h, ncols = list(zip(*h)), len(h)
     # enforce the divisibility chain
     changed = True
     while changed:
@@ -188,7 +194,7 @@ def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 g = gcd(x, y)
                 factors[i], factors[i + 1] = g, x * y // g
                 changed = True
-    return tuple(f for f in factors if f)
+    return tuple(factors)
 
 
 def hyperplane_normals(vectors: Sequence[IntVec], dim: int) -> list[IntVec]:
@@ -297,26 +303,6 @@ def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
             row = _eliminate(row, piv[c], c)
         piv[j] = row
     return piv
-
-
-def int_inverse(mat: Sequence[Sequence[int]]) -> list[IntVec]:
-    """Inverse of a unimodular integer matrix, as integer rows.
-
-    Fully reduces [mat | I].  Reduced rows are primitive, so the inverse is
-    integral exactly when every pivot is 1.
-    """
-    n = len(mat)
-    for r in mat:
-        if len(r) != n:
-            raise DimensionError("inverse of non-square matrix")
-    piv = sparse_rref(
-        {**dict(enumerate(row)), n + i: 1} for i, row in enumerate(mat)
-    )
-    if any(j not in piv for j in range(n)):
-        raise ValueError("matrix is singular")
-    if any(piv[j][j] != 1 for j in range(n)):
-        raise ValueError("matrix is not unimodular")
-    return [tuple(piv[j].get(n + c, 0) for c in range(n)) for j in range(n)]
 
 
 def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:

@@ -189,8 +189,11 @@ def _monomials_by_weight(rep: SymplecticRep, n: int) -> dict[IntVec, tuple]:
     return {w: tuple(ms) for w, ms in groups.items()}
 
 
-def _dense_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by forward elimination; each step touches only the pivot row's nonzeros."""
+def _dense_rank(rows: list[list[int | Fraction]]) -> int:
+    """Rank by forward elimination; each step touches only the pivot row's nonzeros.
+
+    Entries may be ints or Fractions: the pivot's inverse is a Fraction.
+    """
     mat = [row[:] for row in rows]
     r = 0
     for col in range(len(mat[0]) if mat else 0):
@@ -198,7 +201,7 @@ def _dense_rank(rows: list[list[Fraction]]) -> int:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
+        inv = Fraction(1, mat[r][col])
         pivot = [(k, v * inv) for k, v in enumerate(mat[r]) if v]
         for row in mat[r + 1:]:
             f = row[col]

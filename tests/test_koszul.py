@@ -1,5 +1,6 @@
 """Minimal graded resolutions of vertex simples and linearity verdicts."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -287,6 +288,11 @@ def det(rows):
     )
 
 
+def zonotope_lattice_points(rep):
+    """Sum of |det B| over the s-subsets B of half-weights."""
+    return sum(abs(det(b)) for b in combinations(rep.half_weights, rep.torus_rank))
+
+
 def window_fingerprint(rep, window):
     """Which of the tilting window's four identities hold at N = d + 2.
 
@@ -300,9 +306,8 @@ def window_fingerprint(rep, window):
     d = 2 * (rep.num_pairs - rep.torus_rank)
     p = hilbert_inverse_coefficients(GradedQuiverAlgebra(rep, window, d + 2).hilbert_matrices())
     nonzero = [any(map(any, block)) for block in p]
-    bases = combinations(rep.half_weights, rep.torus_rank)
     return {
-        "size": len(window.points) == sum(abs(det(b)) for b in bases),
+        "size": len(window.points) == zonotope_lattice_points(rep),
         "vanishing": nonzero[d] and not any(nonzero[d + 1:]),
         "symmetry": all(p[d - n] == [list(c) for c in zip(*p[n])] for n in range(d + 1)),
         "sign": all(x >= 0 for block in p for row in block for x in row),
@@ -316,6 +321,20 @@ def test_window_fingerprint(rep_a, rep_b, window_a, window_b, corpus):
     for rep, window in cases:
         fingerprint = window_fingerprint(rep, window)
         assert all(fingerprint.values()), (rep, fingerprint)
+
+
+def test_window_size_for_seeded_generic_tilts(rep_a, rep_b, corpus):
+    """Every generic tilt's window holds sum |det B| points, not only the entry's own."""
+    rng = random.Random(27)
+    for rep in [rep_a, rep_b, THREE_PAIR, FOUR_PAIR] + [e.rep for e in corpus]:
+        zono = build_zonotope(rep)
+        want = zonotope_lattice_points(rep)
+        tilts = 0
+        while tilts < 3:
+            epsilon = tuple(rng.randint(-9, 9) for _ in range(rep.torus_rank))
+            if zono.generic_witness(epsilon) is None:
+                assert len(enumerate_window(zono, epsilon).points) == want, (rep, epsilon)
+                tilts += 1
 
 
 def lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, degree_bound):

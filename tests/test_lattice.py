@@ -1,10 +1,11 @@
 """Unit tests for the exact integer linear algebra layer.
 
 Ranks are checked against the oracle's dense Fraction elimination, which
-shares no code with the sparse echelon under test.
+shares no code with the sparse echelon under test, and Smith invariant
+factors against the gcds of the minors.
 """
 
-from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypertoric.errors import DimensionError
 from hypertoric.lattice import (
     IncrementalEchelon,
+    _column_hermite,
     content,
     dot,
     hyperplane_normals,
@@ -35,7 +37,33 @@ small_vec = st.lists(ints, min_size=1, max_size=5).map(tuple)
 
 
 def dense_rank(mat) -> int:
-    return _dense_rank([[Fraction(x) for x in row] for row in mat])
+    return _dense_rank([list(row) for row in mat])
+
+
+def det(rows):
+    """Determinant by expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
+
+
+def determinantal_divisors(mat) -> list[int]:
+    """gcd of the k x k minors for k = 1, 2, ..., while it is nonzero."""
+    ncols = len(mat[0]) if mat else 0
+    divisors = []
+    for k in range(1, min(len(mat), ncols) + 1):
+        g = 0
+        for rows in combinations(mat, k):
+            for cols in combinations(range(ncols), k):
+                g = gcd(g, det([[row[j] for j in cols] for row in rows]))
+        if not g:
+            break
+        divisors.append(g)
+    return divisors
 
 
 def small_matrix(max_rows=4, max_cols=4):
@@ -171,6 +199,26 @@ def test_smith_invariant_factors_known():
     assert smith_invariant_factors([(2, 0), (0, 3)]) == (1, 6)
     assert smith_invariant_factors([(2, 0), (0, 2)]) == (2, 2)
     assert smith_invariant_factors([(1,), (1,)]) == (1,)
+    # eliminating by the smallest pivot grows the first's entries past 4,300
+    # digits and runs for over 15 s on the second
+    square = [
+        (-6, 3, 5, 9, -9), (-8, 4, 4, 9, -6), (9, 9, 8, 6, 7),
+        (-9, -6, -7, -7, -8), (-8, 6, 8, -2, -7),
+    ]
+    assert smith_invariant_factors(square) == (1, 1, 1, 1, 19378)
+    tall = [
+        (8, -9, -9, 5, -4), (-6, -8, -6, 8, -8), (7, 9, -1, 9, -6),
+        (2, 8, -9, 9, 9), (6, -5, 3, 7, -4), (1, 2, -9, -6, 1),
+    ]
+    assert smith_invariant_factors(tall) == (1, 1, 1, 1, 2)
+
+
+def test_empty_matrices():
+    # no rows, and rows of length 0
+    assert smith_invariant_factors([]) == smith_invariant_factors([(), ()]) == ()
+    assert int_kernel_basis([], 2) == [(1, 0), (0, 1)]
+    assert int_kernel_basis([(), ()], 0) == []
+    assert int_inverse([]) == []
 
 
 @given(small_matrix(max_rows=3, max_cols=3))
@@ -179,6 +227,32 @@ def test_smith_divisibility_chain(mat):
     assert len(factors) == dense_rank(mat)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
+    # d_1 d_2 ... d_k is the gcd of the k x k minors
+    products = [1]
+    for d in factors:
+        products.append(products[-1] * d)
+    assert products[1:] == determinantal_divisors(mat)
+
+
+@given(small_matrix(max_rows=4, max_cols=4))
+def test_column_hermite_form(mat):
+    ncols = len(mat[0])
+    h, u, rank = _column_hermite(mat, ncols)
+    assert h == matmul(mat, u)
+    assert abs(det(u)) == 1
+    assert rank == dense_rank(mat)
+    # pivot columns first, each pivot positive with zeros above it and the
+    # entries left of it in [0, pivot); the other columns are zero
+    last = -1
+    for j in range(ncols):
+        column = [row[j] for row in h]
+        if j >= rank:
+            assert not any(column)
+            continue
+        i = next(i for i, x in enumerate(column) if x)
+        assert i > last and h[i][j] > 0
+        assert all(0 <= x < h[i][j] for x in h[i][:j])
+        last = i
 
 
 def test_hyperplane_normals_hexagon():

@@ -19,8 +19,19 @@ from hypertoric import (
     quiver_presentation,
 )
 from hypertoric.errors import DimensionError, ResourceBudgetError
-from hypertoric.oracle import oracle_admits, oracle_quiver_problems
+from hypertoric.oracle import _dense_rank, oracle_admits, oracle_quiver_problems
 from hypertoric.reps import validate
+
+
+def test_dense_rank_of_integer_rows():
+    # the pivot's inverse is exact: 1 / 3 in floating point left [[3, 5], [9, 15]]
+    # at rank 2
+    assert _dense_rank([[3, 5], [9, 15]]) == 1
+    for a in range(1, 30):
+        for b in range(1, 30):
+            for c in range(2, 9):
+                assert _dense_rank([[a, b], [c * a, c * b]]) == 1, (a, b, c)
+    assert _dense_rank([[3, 5], [9, 16]]) == 2
 
 
 def test_budget_defaults():

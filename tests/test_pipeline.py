@@ -757,6 +757,26 @@ def test_cli_subprocess_entry(problems_dir):
             assert proc.stdout == ""
 
 
+def test_cli_validation_rank_five_exits_promptly(tmp_path):
+    # the Smith factors of these half-weights once grew past 4,300 digits,
+    # and the run did not finish in 30 s
+    f = tmp_path / "rank5.json"
+    f.write_text(json.dumps({
+        "torus_rank": 5,
+        "half_weights": [[-6, 3, 5, 9, -9], [-8, 4, 4, 9, -6], [9, 9, 8, 6, 7],
+                         [-9, -6, -7, -7, -8], [-8, 6, 8, -2, -7]],
+        "chi": [0, 0, 0, 0, 0],
+        "analyses": ["validation"],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypertoric", "run", str(f)],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    validation = json.loads(proc.stdout)["sections"]["validation"]
+    assert validation["invariant_factors"] == [1, 1, 1, 1, 19378]
+
+
 @pytest.mark.parametrize("flags", [("--upto", "1"), ("--upto", "9"), ("--count", "0")])
 def test_corpus_sweep_rejects_out_of_range_arguments(problems_dir, flags):
     # --upto runs from the quadrics' degree 2 to the oracle's degree limit
