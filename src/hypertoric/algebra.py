@@ -7,22 +7,35 @@ moment-map quadrics impose finitely many linear relations on monomials.  An
 algebra is assembled from the slices whose weights are differences of window
 characters, with one vertex per window point.
 
+Inside a ring a monomial is one integer (Bachmann-Schoenemann, "Monomial
+representations for Groebner bases computations").  Each of the 2e
+exponents of x^a y^b gets a field of W = P.bit_length() bits, P the ring's
+degree bound: a_1 in the most significant field, then the rest of a, then
+b.  Integer order is lex order, and a product within the bound is one
+addition: no exponent of a monomial of degree <= P reaches 2^W, so no field
+carries.  The exponent tables, the slice joins, the relation rows and
+QuotientPiece.monomials all hold packed integers.  Exponent tuples appear
+only at a piece's boundary (representatives, and the monomials that
+position and reduce take), decoded on first read through a table that a
+ring shares with its ambient() (_Packing).
+
 A slice lists only its own monomials.  A monomial x^a y^b has degree
 |a| + |b| and weight beta.a - beta.b, so the degree-n, weight-w slice is the
 join, over d <= n, of the exponent vectors a of degree d and weight u with
 the exponent vectors b of degree n - d and weight u - w.  The ring keeps one
-table per degree d of the vectors in N^e, grouped by weight and in lex order
-inside each group, and builds a table only when a slice reaches its degree.
-Each weight is packed into one integer, sum_j u_j B^j: a ring holds slices
-up to its degree bound P, and the base B = 2 P max|beta_ij| + 1 keeps every
-key and every difference u - w that a join looks up apart, once weights
-beyond reach are answered empty.  C[x,y] is also free over C[z], z_i = x_i y_i
-(Hausel-Sturmfels); a closed form for the quotient slices would rest on it.
+table per degree d of the packed vectors in N^e, grouped by weight and in
+lex order inside each group, and builds a table only when a slice reaches
+its degree.  Each weight is packed into one integer too, sum_j u_j B^j: a
+ring holds slices up to its degree bound P, and the base
+B = 2 P max|beta_ij| + 1 keeps every key and every difference u - w that a
+join looks up apart, once weights beyond reach are answered empty.  C[x,y]
+is also free over C[z], z_i = x_i y_i (Hausel-Sturmfels); a closed form for
+the quotient slices would rest on it.
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows).  Building a slice
-eliminates them to echelon form, keeps only the set of pivot columns and
-drops the rows: the Hilbert blocks and the regular-sequence scan only count
+eliminates them to echelon form, keeps only the pivot columns and drops
+the rows: the Hilbert blocks and the regular-sequence scan only count
 a slice, and its dimension is its monomials less its rank.  The
 representatives, the non-pivot monomials, are listed on their first read
 (the quiver, the minimal resolutions, reduce).  The first
@@ -58,64 +71,111 @@ from .zonotope import CharacterWindow
 Monomial = tuple[int, ...]
 
 
+class _Packing:
+    """Exponent vectors packed into fields of width bits, and their tuples.
+
+    An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
+    monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
+    x_i y_i.  The decode table is views, which maps each packed slice whose
+    monomials were read as tuples to its exponent tuples, and halves, which
+    maps the packed x- and y-parts met there to theirs.  A ring and its
+    ambient() share it, so their pieces share the tuples.
+    """
+
+    __slots__ = ("width", "fields", "pairs", "views", "halves")
+
+    def __init__(self, width: int, fields: int):
+        self.width = width
+        self.fields = fields
+        self.pairs = [(1 << width * (2 * fields - 1 - i)) + (1 << width * (fields - 1 - i))
+                      for i in range(fields)]
+        self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
+        self.halves: dict[int, Monomial] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        packed, width = 0, self.width
+        for v in mono:
+            packed = (packed << width) + v
+        return packed
+
+    def _half(self, v: int) -> Monomial:
+        width, mask = self.width, (1 << self.width) - 1
+        vec = self.halves[v] = tuple([v >> width * k & mask for k in range(self.fields - 1, -1, -1)])
+        return vec
+
+    def view(self, packed: tuple[int, ...]) -> tuple[Monomial, ...]:
+        """A packed slice as exponent tuples, decoded on its first read."""
+        view = self.views.get(packed)
+        if view is None:
+            shift = self.width * self.fields
+            low, get, half = (1 << shift) - 1, self.halves.get, self._half
+            view = self.views[packed] = tuple([
+                (get(m >> shift) or half(m >> shift)) + (get(m & low) or half(m & low))
+                for m in packed
+            ])
+        return view
+
+
 def _relation_rows(
     quadrics: tuple[MomentQuadric, ...],
-    bases: tuple[Monomial, ...],
-    monomials: tuple[Monomial, ...],
+    pairs: list[int],
+    bases: tuple[int, ...],
+    monomials: tuple[int, ...],
 ):
     """Each quadric times each base monomial, as a sparse row over monomials.
 
     A quadric has weight zero, so its multiples in a degree-n slice come
-    from the degree n-2 monomials of the same weight.
+    from the degree n-2 monomials of the same weight.  All monomials are
+    packed: the column of x_i y_i * base is that of base + pairs[i].
     """
     if not bases:
         return
-    index = {m: c for c, m in enumerate(monomials)}
-    e = len(bases[0]) // 2
+    index = dict(zip(monomials, range(len(monomials))))
+    # each quadric's nonzero (pair, coefficient) terms; distinct pairs give
+    # distinct monomials, so a row has one entry per term
+    terms = []
+    for q in quadrics:
+        at = [i for i, c in enumerate(q.coefficients) if c]
+        if at:
+            terms.append((at, [q.coefficients[i] for i in at]))
     for base in bases:
-        # the column of x_i y_i * base, for each pair i; distinct i give
-        # distinct monomials, so a row has one entry per nonzero coefficient
-        cols = []
-        for i in range(e):
-            prod = list(base)
-            prod[i] += 1
-            prod[e + i] += 1
-            cols.append(index[tuple(prod)])
-        for q in quadrics:
-            row: SparseRow = {cols[i]: c for i, c in enumerate(q.coefficients) if c}
-            if row:
-                yield row
+        cols = [index[base + xy] for xy in pairs]
+        column = cols.__getitem__
+        for at, coeffs in terms:
+            yield dict(zip(map(column, at), coeffs))
 
 
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
-    monomials is the full lex-sorted ambient basis.  Building the slice
-    keeps only the set of pivot columns of its relations, which is all that
-    dim and relation_rank read.  representatives, the non-pivot monomials
-    in lex order, descend to a basis of the quotient slice; they and the
-    index that position() looks them up in are formed together on the
-    first read of either.  _quadrics and _bases (the degree n-2 monomials
-    of the same weight) regenerate the relations.  _relations stays empty
-    until a reduce first needs a relation; then it maps every pivot
-    monomial to its fully reduced relation, as (row over representative
-    positions, denominator).  Pieces compare by identity: a ring builds
-    each slice once.
+    monomials is the full ambient basis, packed, in ascending (lex) order.
+    Building the slice keeps only the pivot columns of its relations, which
+    is all that dim and relation_rank read.  representatives, the non-pivot
+    monomials in lex order as exponent tuples, descend to a basis of the
+    quotient slice; they and the index that position() looks them up in
+    are formed together on the first read of either, from the decode
+    table, and then the positions tell the pivot columns apart.  _quadrics
+    and _bases (the packed degree n-2 monomials of the same weight)
+    regenerate the relations.  _relations stays None until a reduce first
+    needs a relation; then it maps every packed pivot monomial to its fully
+    reduced relation, as (row over representative positions, denominator).
+    Pieces compare by identity: a ring builds each slice once.
     """
 
     __slots__ = (
-        "degree", "weight", "monomials", "relation_rank",
-        "_pivots", "_representatives", "_positions", "_quadrics", "_bases", "_relations",
+        "degree", "weight", "monomials", "relation_rank", "_pivots",
+        "_representatives", "_positions", "_quadrics", "_bases", "_packing", "_relations",
     )
 
     def __init__(
         self,
         degree: int,
         weight: IntVec,
-        monomials: tuple[Monomial, ...],
-        pivots: set[int],
+        monomials: tuple[int, ...],
+        pivots: tuple[int, ...],
         quadrics: tuple[MomentQuadric, ...],
-        bases: tuple[Monomial, ...],
+        bases: tuple[int, ...],
+        packing: _Packing,
     ):
         self.degree = degree
         self.weight = weight
@@ -125,7 +185,8 @@ class QuotientPiece:
         self._positions: dict[Monomial, int] | None = None
         self._quadrics = quadrics
         self._bases = bases
-        self._relations: dict[Monomial, tuple[SparseRow, int]] = {}
+        self._packing = packing
+        self._relations: dict[int, tuple[SparseRow, int]] | None = None
 
     @property
     def ambient_dim(self) -> int:
@@ -142,11 +203,13 @@ class QuotientPiece:
         return self._representatives
 
     def _index(self) -> dict[Monomial, int]:
-        """Form the representatives and their positions from the pivot set."""
-        pivots = self._pivots
-        reps = self._representatives = tuple(
-            [m for c, m in enumerate(self.monomials) if c not in pivots]
-        )
+        """Form the representatives and their positions; drop the pivot columns."""
+        reps = self._packing.view(self.monomials)
+        if self._pivots:
+            pivots = set(self._pivots)
+            reps = tuple([m for c, m in enumerate(reps) if c not in pivots])
+        self._pivots = None
+        self._representatives = reps
         positions = self._positions = dict(zip(reps, range(len(reps))))
         return positions
 
@@ -168,22 +231,26 @@ class QuotientPiece:
         pos = self.position(mono)
         if pos is not None:
             return {pos: 1}, 1
-        rels = self._relations
-        if not rels:
+        rels, packing = self._relations, self._packing
+        if rels is None:
+            rels = self._relations = {}
             mons, positions = self.monomials, self._positions
-            rows = _relation_rows(self._quadrics, self._bases, mons)
+            view = packing.view(mons)
+            rows = _relation_rows(self._quadrics, packing.pairs, self._bases, mons)
             for c, row in sparse_rref(rows).items():
                 denominator = row.pop(c)
-                rels[mons[c]] = ({positions[mons[k]]: -v for k, v in row.items()}, denominator)
-        return rels[mono]
+                rels[mons[c]] = ({positions[view[k]]: -v for k, v in row.items()}, denominator)
+        return rels[packing.pack(mono)]
 
 
 class SliceRing:
     """Slice-by-slice model of the polynomial ring modulo quadric relations.
 
-    Only homogeneous quadrics (shift zero) define a graded quotient; a
-    nonzero shift raises UnsupportedShiftError.  A slice beyond max_degree
-    raises ResourceBudgetError.
+    Monomials are packed integers (see the module docstring); _packed(n, w)
+    lists a slice's, and monomials(n, w) is its exponent-tuple view.  Only
+    homogeneous quadrics (shift zero) define a graded quotient; a nonzero
+    shift raises UnsupportedShiftError.  A slice beyond max_degree raises
+    ResourceBudgetError.
     """
 
     def __init__(
@@ -210,8 +277,9 @@ class SliceRing:
         self._reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
         self._base = 2 * max_degree * self._reach + 1
         self._steps = [self._key(beta) for beta in rep.half_weights]
-        self._tables: dict[int, dict[int, list[Monomial]]] = {}
-        self._monomials: dict[tuple[int, IntVec], tuple[Monomial, ...]] = {}
+        self._packing = _Packing(max_degree.bit_length(), rep.num_pairs)
+        self._tables: dict[int, dict[int, list[int]]] = {}
+        self._monomials: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -219,17 +287,16 @@ class SliceRing:
     def _key(self, w: IntVec) -> int:
         return sum(v * self._base**j for j, v in enumerate(w))
 
-    def _table(self, d: int) -> dict[int, list[Monomial]]:
-        """Every v in N^e with |v|_1 = d by packed weight, lex order in each group."""
+    def _table(self, d: int) -> dict[int, list[int]]:
+        """Every packed v in N^e with |v|_1 = d by packed weight, lex order in each group."""
         table = self._tables.get(d)
         if table is None:
             table = self._tables[d] = {}
-            steps, last = self._steps, len(self._steps) - 1
-            # depth first over (head, packed weight, degree left)
-            stack = [((), 0, d)]
+            steps, last, width = self._steps, len(self._steps) - 1, self._packing.width
+            # depth first over (packed head, its length, packed weight, degree left)
+            stack = [(0, 0, 0, d)]
             while stack:
-                head, key, left = stack.pop()
-                i = len(head)
+                head, i, key, left = stack.pop()
                 if i > last:
                     if not left:  # left over only when there are no pairs
                         table.setdefault(key, []).append(head)
@@ -237,11 +304,11 @@ class SliceRing:
                 # the last coordinate takes what is left; pushed from high to
                 # low, so popped in lex order
                 for v in range(left, -1, -1) if i < last else (left,):
-                    stack.append((head + (v,), key + v * steps[i], left - v))
+                    stack.append(((head << width) + v, i + 1, key + v * steps[i], left - v))
         return table
 
-    def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
-        """The degree-n, weight-w monomials in lex order."""
+    def _packed(self, n: int, w: IntVec) -> tuple[int, ...]:
+        """The packed degree-n, weight-w monomials in ascending (lex) order."""
         if n > self.max_degree:
             raise ResourceBudgetError(
                 f"slice degree {n} exceeds the configured bound {self.max_degree}"
@@ -252,18 +319,23 @@ class SliceRing:
             cached = self._monomials[(n, w)] = self._enumerate(n, w)
         return cached
 
-    def _enumerate(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
+    def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
+        """The degree-n, weight-w monomials in lex order, as exponent tuples."""
+        return self._packing.view(self._packed(n, w))
+
+    def _enumerate(self, n: int, w: IntVec) -> tuple[int, ...]:
         """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w.
 
         Each degree d joins T(d) and T(n - d) from whichever has fewer
         weight groups.  An x-part a fixes its degree and weight, so the
         heads (a, bs) have distinct a; sorted by a, they give the slice in
-        lex order as a + b for b in their lex-sorted y-list bs.
+        ascending order as (a << W e) + b for b in their ascending y-list bs.
         """
         # answered before packing: the key of an unreachable weight may alias
         if any(abs(c) > n * self._reach for c in w):
             return ()
         key = self._key(w)
+        shift = self._packing.width * len(self._steps)
         heads = []
         for d in range(n + 1):
             xt, yt = self._table(d), self._table(n - d)
@@ -271,17 +343,17 @@ class SliceRing:
                 for u, xs in xt.items():
                     bs = yt.get(u - key)
                     if bs:
-                        heads.extend([(a, bs) for a in xs])
+                        heads.extend([(a << shift, bs) for a in xs])
             else:
                 for v, bs in yt.items():
                     xs = xt.get(v + key)
                     if xs:
-                        heads.extend([(a, bs) for a in xs])
+                        heads.extend([(a << shift, bs) for a in xs])
         heads.sort(key=itemgetter(0))
         return tuple([a + b for a, bs in heads for b in bs])
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
-        return len(self.monomials(n, w))
+        return len(self._packed(n, w))
 
     # -- quotient slices -----------------------------------------------------
 
@@ -291,16 +363,17 @@ class SliceRing:
         cached = self._pieces.get(key)
         if cached is not None:
             return cached
-        mons = self.monomials(n, w)
-        bases = self.monomials(n - 2, w) if self.quadrics and n >= 2 else ()
-        pivots = sparse_echelon(_relation_rows(self.quadrics, bases, mons))
+        mons = self._packed(n, w)
+        bases = self._packed(n - 2, w) if self.quadrics and n >= 2 else ()
+        pivots = sparse_echelon(_relation_rows(self.quadrics, self._packing.pairs, bases, mons))
         piece = QuotientPiece(
             degree=n,
             weight=w,
             monomials=mons,
-            pivots=set(pivots),
+            pivots=tuple(pivots),
             quadrics=self.quadrics,
             bases=bases,
+            packing=self._packing,
         )
         self._pieces[key] = piece
         return piece
@@ -309,8 +382,9 @@ class SliceRing:
         return self.piece(n, w).dim
 
     def ambient(self) -> SliceRing:
-        """The ring without relations, on this ring's tables and monomial caches."""
+        """The ring without relations, on this ring's tables, monomials and decode table."""
         ring = SliceRing(self.rep, max_degree=self.max_degree)
+        ring._packing = self._packing
         ring._tables = self._tables
         ring._monomials = self._monomials
         return ring

@@ -20,7 +20,7 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.algebra import SliceRing
+from hypertoric.algebra import SliceRing, _Packing
 from hypertoric.errors import (
     MalformedAlgebraError,
     ResourceBudgetError,
@@ -126,6 +126,12 @@ def test_hom_dimension_matches_oracle(rep_a, rep_b, corpus):
                     assert hom_dimension(rep, n, w) == ring.ambient_dim(n, w), (rep, n, w)
 
 
+def unpacked(packed, width, fields):
+    """The width-bit fields of a packed exponent vector, most significant first."""
+    mask = (1 << width) - 1
+    return tuple(packed >> width * k & mask for k in reversed(range(fields)))
+
+
 def brute_exponent_tables(rep, top):
     """Every v in N^e with |v|_1 = d <= top, by degree and weight, in lex order."""
     by_degree = [{} for _ in range(top + 1)]
@@ -142,9 +148,12 @@ def test_exponent_tables_match_brute_force(corpus):
     empty = SymplecticRep(0, ())  # no pairs: only the empty vector, of degree 0
     for rep in NAMED_REPS + [entry.rep for entry in corpus] + [empty]:
         ring = SliceRing(rep, max_degree=top)
+        width, e = ring._packing.width, rep.num_pairs
         for d, want in enumerate(brute_exponent_tables(rep, top)):
-            assert ring._table(d) == {ring._key(w): vs for w, vs in want.items()}, (rep, d)
-    assert SliceRing(empty, max_degree=0)._table(0) == {0: [()]}
+            got = {key: [unpacked(v, width, e) for v in vs] for key, vs in ring._table(d).items()}
+            assert got == {ring._key(w): vs for w, vs in want.items()}, (rep, d)
+    bare = SliceRing(empty, max_degree=0)
+    assert bare._table(0) == {0: [0]} and bare.monomials(0, ()) == ((),)
 
 
 def test_bounded_ring_answers_degrees_out_of_order():
@@ -156,6 +165,37 @@ def test_bounded_ring_answers_degrees_out_of_order():
             # the box reaches one step beyond every reachable weight
             for w in weight_box(rep, n):
                 assert ring.monomials(n, w) == tuple(sorted(oracle.get(w, ()))), (rep, n, w)
+
+
+def test_packing_decodes_orders_and_adds(corpus):
+    """Packed monomials decode back, sort in lex order and add without carries.
+
+    Every slice of the named reps up to N=8 (W = 4 bits; N=6 on four
+    pairs, W = 3) and of the corpus up to N=4 (W = 3),
+    against the oracle's monomials: a second decode table gives them back,
+    packed order is tuple lex order, and adding the packed pure power
+    x_i^(N-n) or y_i^(N-n) to a degree-n slice decodes to the exponent
+    sums.  Those sums sit at the bound, where one field holds up to N
+    (x_1^N from n = 0).
+    """
+    cases = [(rep, 6 if rep.num_pairs == 4 else 8) for rep in NAMED_REPS]
+    cases += [(entry.rep, 4) for entry in corpus]
+    for rep, top in cases:
+        ring = SliceRing(rep, max_degree=top)
+        packing, fields = ring._packing, 2 * rep.num_pairs
+        assert packing.width == top.bit_length()
+        fresh = _Packing(packing.width, rep.num_pairs)
+        for n in range(top + 1):
+            powers = [tuple(top - n if j == i else 0 for j in range(fields)) for i in range(fields)]
+            for w, mons in _monomials_by_weight(rep, n).items():
+                mons = tuple(sorted(mons))
+                packed = ring._packed(n, w)
+                assert packed == tuple(sorted(packed)) == tuple(map(packing.pack, mons)), (rep, w)
+                assert fresh.view(packed) == mons, (rep, w)
+                for p in powers:
+                    step = packing.pack(p)
+                    want = tuple(tuple(map(add, m, p)) for m in mons)
+                    assert fresh.view(tuple(m + step for m in packed)) == want, (rep, w, p)
 
 
 def test_exponent_tables_bound_the_work():
@@ -253,17 +293,18 @@ def test_reduce_matches_oracle(rep_a, rep_b, corpus):
 def test_reduce_deep_slice_matches_rref():
     """reduce gives the rows of a full sparse_rref of the slice's relations."""
     rep = SymplecticRep(1, ((1,), (1,), (1,)))
-    piece = quotient_ring(rep, upto=16).piece(16, (0,))
+    ring = quotient_ring(rep, upto=16)
+    piece, monomials = ring.piece(16, (0,)), ring.monomials(16, (0,))
     rows = [
         {c: v for c, v in enumerate(row) if v}
-        for row in quadric_multiples(rep, 16, (0,), piece.monomials)
+        for row in quadric_multiples(rep, 16, (0,), monomials)
     ]
     position = {m: p for p, m in enumerate(piece.representatives)}
-    got = {c: piece.reduce(m) for c, m in enumerate(piece.monomials) if m not in position}
+    got = {c: piece.reduce(m) for c, m in enumerate(monomials) if m not in position}
     pivots = sparse_rref(rows)
     assert piece.relation_rank == len(pivots) == len(got) > 1000
     for c, row in pivots.items():
-        expected = {position[piece.monomials[k]]: -v for k, v in row.items() if k != c}
+        expected = {position[monomials[k]]: -v for k, v in row.items() if k != c}
         assert got[c] == (expected, row[c])
 
 
@@ -281,7 +322,11 @@ def test_piece_rank_accounting(rep_b):
     for n in range(5):
         for w in weight_box(rep_b, n):
             piece = ring.piece(n, w)
-            assert piece.monomials is ring.monomials(n, w)
+            assert piece.monomials is ring._packed(n, w)
+            fields = 2 * rep_b.num_pairs
+            assert ring.monomials(n, w) == tuple(
+                unpacked(m, ring._packing.width, fields) for m in piece.monomials
+            )
             assert piece.ambient_dim == len(piece.monomials)
             assert piece.dim == piece.ambient_dim - piece.relation_rank
             assert piece.dim == len(piece.representatives)
@@ -326,9 +371,10 @@ def test_representatives_and_reductions_pinned(corpus):
                 assert all(piece.position(m) == k for k, m in enumerate(reps))
                 digest.update(repr((n, w, reps)).encode())
     assert digest.hexdigest() == REPRESENTATIVES_SHA256
-    piece = quotient_ring(NAMED_REPS[0], upto=12).piece(12, (0, 0))
+    ring = quotient_ring(NAMED_REPS[0], upto=12)
+    piece = ring.piece(12, (0, 0))
     digest = hashlib.sha256()
-    for m in piece.monomials:
+    for m in ring.monomials(12, (0, 0)):
         row, d = piece.reduce(m)
         digest.update(repr((m, sorted(row.items()), d)).encode())
     assert (piece.ambient_dim, piece.relation_rank) == (384, 305)
@@ -409,9 +455,10 @@ def test_ambient_algebra_shares_monomials(rep_b, window_b):
     assert quo.quadrics == moment_quadrics(rep_b)
     fresh = GradedQuiverAlgebra(rep_b, window_b, 4, quadrics=())
     assert amb.hilbert_matrices() == fresh.hilbert_matrices()
+    assert amb.ring._packing is quo.ring._packing
     for n in range(5):
         for w in weight_box(rep_b, n):
-            assert amb.ring.monomials(n, w) is quo.ring.monomials(n, w)
+            assert amb.ring._packed(n, w) is quo.ring._packed(n, w)
 
 
 # -- window algebra and its quiver ------------------------------------------

@@ -1,6 +1,7 @@
 """Minimal graded resolutions of vertex simples and linearity verdicts."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from hypertoric import (
     enumerate_window,
     koszul,
     koszul_check,
+    quiver_presentation,
 )
 from hypertoric.koszul import (
     default_depth,
@@ -375,7 +377,7 @@ def test_reduce_supported_after_its_monomial(rep_a, rep_b, window_a, window_b, c
                     seen.add(id(piece))
                     reps = piece.representatives
                     assert list(reps) == sorted(set(reps))
-                    for mono in piece.monomials:
+                    for mono in alg.ring.monomials(n, piece.weight):
                         row, _ = piece.reduce(mono)
                         pos = piece.position(mono)
                         if pos is None:
@@ -405,3 +407,48 @@ def test_leading_column_is_smallest_column_of_product(
     for alg in lemma_algebras(rep_a, rep_b, window_a, window_b, corpus, 5):
         koszul_check(alg, depth=4)
     assert checked and multi_term
+
+
+def pair_symmetry_cases(rep_a, rep_b, corpus):
+    """The golden reps and the corpus, each with its window's tilt."""
+    yield rep_a, (1,)  # conifold, as window_a
+    yield rep_b, (2, 1)  # hexagon, as window_b
+    for entry in corpus:
+        yield entry.rep, entry.epsilon
+
+
+def verdicts(rep, epsilon, upto, depth):
+    """What the symmetry test compares, read from the algebra of rep's window."""
+    quo = GradedQuiverAlgebra(rep, enumerate_window(build_zonotope(rep), epsilon), upto)
+    relations = Counter((r.source, r.target) for r in quiver_presentation(quo).relations)
+    ledgers = [
+        (report.status, [(r.steps, r.status, r.exhausted) for r in report.resolutions])
+        for report in (koszul_check(quo, depth), koszul_check(quo.ambient(), depth))
+    ]
+    return quo.vertices, quo.hilbert_matrices(), relations, ledgers
+
+
+def test_pair_permutations_and_flips_keep_every_verdict(rep_a, rep_b, corpus):
+    """Reordering the pairs and swapping x_i with y_i changes no verdict.
+
+    Permuting the half-weights and negating some of them leaves the
+    zonotope (the sums of c_i beta_i, c_i in [-1, 1]) and so the window as
+    they were.  The ring map x_i -> x_pi(i), or x_i -> y_pi(i) and
+    y_i -> -x_pi(i) where the sign flips, preserves the weights and the
+    span of the moment quadrics, but it reorders every slice's lex basis.
+    So the Hilbert matrices, the relations per block and both ledgers must
+    agree, at N=4 and depth 4.
+    """
+    rng = random.Random(20261019)
+    checked = 0
+    for rep, epsilon in pair_symmetry_cases(rep_a, rep_b, corpus):
+        e = rep.num_pairs
+        perm = rng.sample(range(e), e)
+        signs = [rng.choice((1, -1)) for _ in range(e)]
+        moved = SymplecticRep(
+            rep.torus_rank,
+            tuple(tuple(sign * v for v in rep.half_weights[i]) for i, sign in zip(perm, signs)),
+        )
+        assert verdicts(moved, epsilon, 4, 4) == verdicts(rep, epsilon, 4, 4), (rep, perm, signs)
+        checked += perm != sorted(perm) or -1 in signs
+    assert checked >= 20
