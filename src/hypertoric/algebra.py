@@ -30,13 +30,20 @@ ring holds slices up to its degree bound P, and the base
 B = 2 P max|beta_ij| + 1 keeps every key and every difference u - w that a
 join looks up apart, once weights beyond reach are answered empty.  C[x,y]
 is also free over C[z], z_i = x_i y_i (Hausel-Sturmfels); a closed form for
-the quotient slices would rest on it.
+the quotient slices of several quadrics would rest on it.
 
 Everything here is integer arithmetic.  A slice's relations are the
-quadric multiples that land in it (_relation_rows).  Building a slice
-eliminates them to echelon form, keeps only the pivot columns and drops
-the rows: the Hilbert blocks and the regular-sequence scan only count
-a slice, and its dimension is its monomials less its rank.  The
+quadric multiples that land in it (_relation_rows): each quadric times each
+base, a degree n-2 monomial of the slice's weight.  Building a slice keeps
+only the pivot columns of their echelon form and no rows: the Hilbert
+blocks and the regular-sequence scan only count a slice, and its dimension
+is its monomials less its rank.  With one quadric q the pivots need no
+elimination.  C[x,y] is a domain, so the multiples q*b of distinct bases
+are independent; the lex-least monomial of q*b is b + x_p y_p, p the last
+pair in q's support, and these differ for distinct b.  So the pivots are
+exactly the slice's monomials with a factor x_p y_p, the columns that the
+echelon would pick, and a zero quadric has none.  With two or more
+quadrics the relations are eliminated (sparse_echelon).  The
 representatives, the non-pivot monomials, are listed on their first read
 (the quiver, the minimal resolutions, reduce).  The first
 QuotientPiece.reduce that needs a relation forms the relations again and
@@ -278,6 +285,12 @@ class SliceRing:
         self._base = 2 * max_degree * self._reach + 1
         self._steps = [self._key(beta) for beta in rep.half_weights]
         self._packing = _Packing(max_degree.bit_length(), rep.num_pairs)
+        # one quadric: the packed x_p y_p that piece() adds to each base, or
+        # none for a zero quadric; None: the relations are eliminated
+        self._leads = None
+        if len(self.quadrics) == 1:
+            pairs, coefficients = self._packing.pairs, self.quadrics[0].coefficients
+            self._leads = [xy for xy, c in zip(pairs, coefficients) if c][-1:]
         self._tables: dict[int, dict[int, list[int]]] = {}
         self._monomials: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
@@ -358,6 +371,15 @@ class SliceRing:
     # -- quotient slices -----------------------------------------------------
 
     def piece(self, n: int, w: IntVec) -> QuotientPiece:
+        """The degree-n, weight-w quotient slice, built once per ring.
+
+        Its pivot columns are those of the echelon form of its relations.
+        With one quadric q no elimination runs: the rows q*b over the bases
+        b are independent, and their lex-least monomials b + x_p y_p, p the
+        last pair in q's support (its smallest packed pair), are distinct,
+        so they are the pivots.  A zero quadric has rank 0.  Two or more
+        quadrics go through sparse_echelon.
+        """
         w = tuple(w)
         key = (n, w)
         cached = self._pieces.get(key)
@@ -365,7 +387,12 @@ class SliceRing:
             return cached
         mons = self._packed(n, w)
         bases = self._packed(n - 2, w) if self.quadrics and n >= 2 else ()
-        pivots = sparse_echelon(_relation_rows(self.quadrics, self._packing.pairs, bases, mons))
+        if self._leads is None:
+            rows = _relation_rows(self.quadrics, self._packing.pairs, bases, mons)
+            pivots = sparse_echelon(rows)
+        else:
+            index = dict(zip(mons, range(len(mons))))
+            pivots = [index[b + xy] for xy in self._leads for b in bases]
         piece = QuotientPiece(
             degree=n,
             weight=w,

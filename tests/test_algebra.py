@@ -20,14 +20,15 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.algebra import SliceRing, _Packing
+from hypertoric.algebra import SliceRing, _Packing, _relation_rows
+from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import (
     MalformedAlgebraError,
     ResourceBudgetError,
     UnsupportedShiftError,
 )
 from hypertoric.koszul import hilbert_inverse_coefficients
-from hypertoric.lattice import sparse_rref
+from hypertoric.lattice import sparse_echelon, sparse_rref
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
 from hypertoric.reps import MomentQuadric, moment_quadrics
 
@@ -350,6 +351,46 @@ def test_counting_lists_no_representatives():
     assert all(piece._positions is None for piece in pieces)
     quiver_presentation(alg)
     assert all(piece._positions is None for piece in pieces if piece.degree >= 3)
+
+
+def one_quadric_rings():
+    """Conifold, three-pair, every rank-one corpus entry of two seeds, and zero quadrics."""
+    conifold, three_pair = SymplecticRep(1, ((1,), (1,))), NAMED_REPS[1]
+    reps = [conifold, three_pair] + [
+        entry.rep
+        for seed in (DEFAULT_SEED, 7)
+        for entry in fixed_corpus(24, seed)
+        if entry.rep.torus_rank == 1
+    ]
+    for rep in reps:
+        yield rep, moment_quadrics(rep)
+    for rep in (conifold, three_pair):
+        yield rep, (MomentQuadric(0, (0,) * rep.num_pairs),)
+
+
+def test_one_quadric_pivots_equal_the_echelon():
+    """With one quadric a slice's pivots are read off its base monomials.
+
+    q * b over the degree n-2 bases b has lex-least monomial b + x_p y_p, p
+    the last pair in q's support; these are the columns sparse_echelon
+    picks, so the closed form and the elimination agree on every slice up
+    to N=8, including entries whose last pair has weight zero and a zero
+    quadric, which has rank 0.
+    """
+    rings = list(one_quadric_rings())
+    assert len(rings) == 2 + 18 + 18 + 2
+    assert sum(rep.half_weights[-1] == (0,) for rep, _ in rings) == 5
+    for rep, quadrics in rings:
+        ring = SliceRing(rep, quadrics, max_degree=8)
+        zero = not any(quadrics[0].coefficients)
+        for n in range(9):
+            for w in weight_box(rep, n):
+                mons = ring._packed(n, w)
+                bases = ring._packed(n - 2, w) if n >= 2 else ()
+                want = sparse_echelon(_relation_rows(quadrics, ring._packing.pairs, bases, mons))
+                piece = ring.piece(n, w)
+                assert piece._pivots == tuple(want), (rep, quadrics, n, w)
+                assert piece.relation_rank == len(want) == (0 if zero else len(bases))
 
 
 # SHA-256 of repr((n, w, representatives)) over every nonempty slice, and of

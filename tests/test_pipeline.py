@@ -237,53 +237,71 @@ def test_reduction_section_on_split_rep():
     assert sec["chi_reduced"] == [1]
 
 
+class SliceWork:
+    """What a run spends on slices: echelons, enumerations, reduced relations.
+
+    reduced names the slice of each sparse_rref that reduce ran; landed, the
+    slices where reduce was asked for a monomial outside the representatives.
+    """
+
+    def __init__(self, problems_dir, monkeypatch):
+        self.problems_dir = problems_dir
+        self.echelons = []
+        self.enumerations = []
+        self.rrefs = []
+        self.reduced = []
+        self.landed = set()
+        sparse_echelon = algebra.sparse_echelon
+        sparse_rref = algebra.sparse_rref
+        enumerate_slice = algebra.SliceRing._enumerate
+        reduce = algebra.QuotientPiece.reduce
+
+        def counting_echelon(rows):
+            self.echelons.append(1)
+            return sparse_echelon(rows)
+
+        def counting_rref(rows):
+            self.rrefs.append(1)
+            return sparse_rref(rows)
+
+        def counting_enumerate(ring, n, w):
+            self.enumerations.append((n, w))
+            return enumerate_slice(ring, n, w)
+
+        def landing_reduce(piece, mono):
+            key = (piece.degree, piece.weight)
+            if mono not in piece.representatives:
+                self.landed.add(key)
+            before = len(self.rrefs)
+            result = reduce(piece, mono)
+            self.reduced.extend([key] * (len(self.rrefs) - before))
+            return result
+
+        monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
+        monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
+        monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
+        monkeypatch.setattr(algebra.QuotientPiece, "reduce", landing_reduce)
+
+    def run(self, name, *analyses):
+        """Run a shipped problem at N=8, depth 2, on fresh logs."""
+        for log in (self.echelons, self.enumerations, self.rrefs, self.reduced, self.landed):
+            log.clear()
+        problem = load_problem(str(self.problems_dir / f"{name}.json"))
+        return run(problem._replace(truncation=8, depth=2, analyses=analyses))
+
+
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     """Regular-sequence scan, Hilbert blocks and both resolutions share one ring.
 
     Each slice is eliminated to echelon form once per ring, and its fully
     reduced relations are formed only when a product first lands on one.
     """
-    echelons = []
-    enumerations = []
-    rrefs = []
-    reduced = []
-    landed = set()
-    sparse_echelon = algebra.sparse_echelon
-    sparse_rref = algebra.sparse_rref
-    enumerate_slice = algebra.SliceRing._enumerate
-    reduce = algebra.QuotientPiece.reduce
-
-    def counting_echelon(rows):
-        echelons.append(1)
-        return sparse_echelon(rows)
-
-    def counting_rref(rows):
-        rrefs.append(1)
-        return sparse_rref(rows)
-
-    def counting_enumerate(ring, n, w):
-        enumerations.append((n, w))
-        return enumerate_slice(ring, n, w)
-
-    def landing_reduce(piece, mono):
-        key = (piece.degree, piece.weight)
-        if mono not in piece.representatives:
-            landed.add(key)
-        before = len(rrefs)
-        result = reduce(piece, mono)
-        reduced.extend([key] * (len(rrefs) - before))
-        return result
-
-    monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
-    monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
-    monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
-    monkeypatch.setattr(algebra.QuotientPiece, "reduce", landing_reduce)
+    work = SliceWork(problems_dir, monkeypatch)
+    echelons, enumerations, rrefs = work.echelons, work.enumerations, work.rrefs
+    reduced, landed = work.reduced, work.landed
 
     def run_hexagon(*analyses):
-        for log in (echelons, enumerations, rrefs, reduced, landed):
-            log.clear()
-        problem = load_problem(str(problems_dir / "hexagon.json"))
-        return run(problem._replace(truncation=8, depth=2, analyses=analyses))
+        return work.run("hexagon", *analyses)
 
     report = run_hexagon("hilbert", "regular_sequence")
     assert report.sections["regular_sequence"]["passed"]
@@ -309,6 +327,24 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     assert len(rrefs) == len(reduced)
     assert sorted(reduced) == sorted(landed)
     assert 0 < len(landed) < 9 * len(weights)
+
+
+def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch):
+    """A rank-one ring reads each slice's pivots off its base monomials.
+
+    Conifold at N=8: the scan and the blocks run no echelon at all; the
+    quiver still fully reduces each slice that a path lands on, once.
+    """
+    work = SliceWork(problems_dir, monkeypatch)
+    report = work.run("conifold", "hilbert", "regular_sequence")
+    assert report.sections["regular_sequence"]["passed"]
+    assert work.enumerations and work.echelons == [] and work.rrefs == []
+
+    work.run("conifold", "quiver")
+    assert work.echelons == []
+    assert work.reduced and {n for n, _ in work.reduced} == {2}
+    assert len(work.rrefs) == len(work.reduced)
+    assert sorted(work.reduced) == sorted(work.landed)
 
 
 def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
