@@ -28,34 +28,34 @@ lex order inside each group, and builds a table only when a slice reaches
 its degree.  Each weight is packed into one integer too, sum_j u_j B^j: a
 ring holds slices up to its degree bound P, and the base
 B = 2 P max|beta_ij| + 1 keeps every key and every difference u - w that a
-join looks up apart, once weights beyond reach are answered empty.  C[x,y]
-is also free over C[z], z_i = x_i y_i (Hausel-Sturmfels); a closed form for
-the quotient slices of several quadrics would rest on it.
+join looks up apart, once weights beyond reach are answered empty.
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows): each quadric times each
 base, a degree n-2 monomial of the slice's weight.  Building a slice keeps
 only the pivot columns of their echelon form and no rows: the Hilbert
 blocks and the regular-sequence scan only count a slice, and its dimension
-is its monomials less its rank.  With one quadric q the pivots need no
-elimination.  C[x,y] is a domain, so the multiples q*b of distinct bases
-are independent; the lex-least monomial of q*b is b + x_p y_p, p the last
-pair in q's support, and these differ for distinct b.  So the pivots are
-exactly the slice's monomials with a factor x_p y_p, the columns that the
-echelon would pick, and a zero quadric has none.  With two or more
-quadrics the relations are eliminated (sparse_echelon).  The
-representatives, the non-pivot monomials, are listed on their first read
-(the quiver, the minimal resolutions, reduce).  The first
-QuotientPiece.reduce that needs a relation forms the relations again and
-fully reduces them once; from then on reduce writes any monomial of the
-slice as an integer row over the representatives and a denominator.  The
-quiver relations are the kernel of those products (lattice.column_kernel),
-the same product and kernel that the minimal resolutions use.
+is its monomials less its rank.  In z_i = x_i y_i the quadrics are linear
+forms (Hausel-Sturmfels), and a ring brings them to reduced echelon form
+once, with the pivots on the last pairs.  Their leading monomials x_p y_p
+are pairwise coprime, so they are a Groebner basis (Buchberger's first
+criterion), and a slice's pivots are its monomials with a factor x_p y_p.
+With one quadric piece() reads them off that way, with no elimination: the
+lex-least monomial of q*b is b + x_p y_p, p the last pair in q's support,
+and a zero quadric has none.  With two or more quadrics the relations are
+still eliminated (sparse_echelon).  The representatives, the non-pivot
+monomials, are listed on their first read (the quiver, the minimal
+resolutions, reduce).  QuotientPiece.reduce substitutes the ring's reduced
+quadrics for the pivot factors z_p and so writes any monomial of the slice
+as an integer row over the representatives and a denominator, with no
+relation rows and no elimination.  The quiver relations are the kernel of
+those products (lattice.column_kernel), the same product and kernel that
+the minimal resolutions use.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -98,12 +98,6 @@ class _Packing:
                       for i in range(fields)]
         self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
         self.halves: dict[int, Monomial] = {}
-
-    def pack(self, mono: Monomial) -> int:
-        packed, width = 0, self.width
-        for v in mono:
-            packed = (packed << width) + v
-        return packed
 
     def _half(self, v: int) -> Monomial:
         width, mask = self.width, (1 << self.width) - 1
@@ -161,17 +155,15 @@ class QuotientPiece:
     monomials in lex order as exponent tuples, descend to a basis of the
     quotient slice; they and the index that position() looks them up in
     are formed together on the first read of either, from the decode
-    table, and then the positions tell the pivot columns apart.  _quadrics
-    and _bases (the packed degree n-2 monomials of the same weight)
-    regenerate the relations.  _relations stays None until a reduce first
-    needs a relation; then it maps every packed pivot monomial to its fully
-    reduced relation, as (row over representative positions, denominator).
-    Pieces compare by identity: a ring builds each slice once.
+    table, and then the positions tell the pivot columns apart.  The piece
+    keeps no relations: _substitutions, the ring's reduced quadrics, is all
+    that reduce reads.  Pieces compare by identity: a ring builds each slice
+    once.
     """
 
     __slots__ = (
         "degree", "weight", "monomials", "relation_rank", "_pivots",
-        "_representatives", "_positions", "_quadrics", "_bases", "_packing", "_relations",
+        "_representatives", "_positions", "_substitutions", "_packing",
     )
 
     def __init__(
@@ -180,8 +172,7 @@ class QuotientPiece:
         weight: IntVec,
         monomials: tuple[int, ...],
         pivots: tuple[int, ...],
-        quadrics: tuple[MomentQuadric, ...],
-        bases: tuple[int, ...],
+        substitutions: tuple[tuple[int, int, tuple[tuple[Monomial, int], ...]], ...],
         packing: _Packing,
     ):
         self.degree = degree
@@ -190,10 +181,8 @@ class QuotientPiece:
         self.relation_rank = len(pivots)
         self._pivots = pivots
         self._positions: dict[Monomial, int] | None = None
-        self._quadrics = quadrics
-        self._bases = bases
+        self._substitutions = substitutions
         self._packing = packing
-        self._relations: dict[int, tuple[SparseRow, int]] | None = None
 
     @property
     def ambient_dim(self) -> int:
@@ -231,23 +220,41 @@ class QuotientPiece:
         """A monomial of this slice as (row, denominator) over the representatives.
 
         The monomial equals the sum of row[p] * representatives[p], divided
-        by the denominator.  A pivot monomial's row is supported on
-        representatives that come after it in lex order.  Relation rows
-        are shared: do not modify them.
+        by the denominator; the row is fresh, and primitive together with
+        the denominator, which is positive.  A monomial that is no
+        representative is written as a representative times
+        prod z_p^k_p over the pivot pairs p, k_p = min(a_p, b_p), and each
+        z_p is substituted by the ring's reduced quadric,
+        -(sum_j c_j z_j) / lead over the free pairs j.  The normal form is
+        unique, so these are the integers that a full sparse_rref of the
+        slice's relations gives.  The free pairs come before p, so the row
+        is supported on representatives that come after the monomial in
+        lex order.
         """
         pos = self.position(mono)
         if pos is not None:
             return {pos: 1}, 1
-        rels, packing = self._relations, self._packing
-        if rels is None:
-            rels = self._relations = {}
-            mons, positions = self.monomials, self._positions
-            view = packing.view(mons)
-            rows = _relation_rows(self._quadrics, packing.pairs, self._bases, mons)
-            for c, row in sparse_rref(rows).items():
-                denominator = row.pop(c)
-                rels[mons[c]] = ({positions[view[k]]: -v for k, v in row.items()}, denominator)
-        return rels[packing.pack(mono)]
+        e = len(mono) // 2
+        head, factors, denominator = list(mono), [], 1
+        for p, lead, free in self._substitutions:
+            k = min(mono[p], mono[e + p])
+            if k:
+                head[p] -= k
+                head[e + p] -= k
+                factors.extend([free] * k)
+                denominator *= lead**k
+        terms = {tuple(head): 1}
+        for free in factors:
+            product: dict[Monomial, int] = {}
+            for m, v in terms.items():
+                for z, c in free:
+                    mz = tuple(map(add, m, z))
+                    product[mz] = product.get(mz, 0) - c * v
+            terms = product
+        positions = self._positions
+        row = {positions[m]: v for m, v in terms.items() if v}
+        g = gcd(denominator, *row.values())
+        return {p: v // g for p, v in row.items()}, denominator // g
 
 
 class SliceRing:
@@ -285,12 +292,25 @@ class SliceRing:
         self._base = 2 * max_degree * self._reach + 1
         self._steps = [self._key(beta) for beta in rep.half_weights]
         self._packing = _Packing(max_degree.bit_length(), rep.num_pairs)
-        # one quadric: the packed x_p y_p that piece() adds to each base, or
-        # none for a zero quadric; None: the relations are eliminated
+        # the quadrics' coefficient rows in reduced echelon form, pair i in
+        # column e-1-i so that the pivots land on the last pairs; for each
+        # pivot pair p, lead z_p + sum_j c_j z_j = 0 over the free pairs j,
+        # kept as (p, lead, ((z_j exponents, c_j), ...)) for reduce
+        e = rep.num_pairs
+        z = [tuple([int(k % e == i) for k in range(2 * e)]) for i in range(e)]
+        echelon = sparse_rref(
+            {e - 1 - i: c for i, c in enumerate(q.coefficients)} for q in self.quadrics
+        )
+        self._substitutions = tuple(
+            (e - 1 - col, row[col], tuple((z[e - 1 - j], c) for j, c in row.items() if j != col))
+            for col, row in sorted(echelon.items())
+        )
+        # one quadric: the packed x_p y_p that piece() adds to each base, p
+        # its pivot pair, or none for a zero quadric; None: the relations are
+        # eliminated
         self._leads = None
         if len(self.quadrics) == 1:
-            pairs, coefficients = self._packing.pairs, self.quadrics[0].coefficients
-            self._leads = [xy for xy, c in zip(pairs, coefficients) if c][-1:]
+            self._leads = [self._packing.pairs[p] for p, _, _ in self._substitutions]
         self._tables: dict[int, dict[int, list[int]]] = {}
         self._monomials: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
@@ -398,8 +418,7 @@ class SliceRing:
             weight=w,
             monomials=mons,
             pivots=tuple(pivots),
-            quadrics=self.quadrics,
-            bases=bases,
+            substitutions=self._substitutions,
             packing=self._packing,
         )
         self._pieces[key] = piece

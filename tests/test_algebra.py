@@ -133,6 +133,11 @@ def unpacked(packed, width, fields):
     return tuple(packed >> width * k & mask for k in reversed(range(fields)))
 
 
+def packed_of(mono, width):
+    """An exponent vector packed into width-bit fields, its first entry most significant."""
+    return sum(v << width * k for k, v in enumerate(reversed(mono)))
+
+
 def brute_exponent_tables(rep, top):
     """Every v in N^e with |v|_1 = d <= top, by degree and weight, in lex order."""
     by_degree = [{} for _ in range(top + 1)]
@@ -191,10 +196,11 @@ def test_packing_decodes_orders_and_adds(corpus):
             for w, mons in _monomials_by_weight(rep, n).items():
                 mons = tuple(sorted(mons))
                 packed = ring._packed(n, w)
-                assert packed == tuple(sorted(packed)) == tuple(map(packing.pack, mons)), (rep, w)
+                encoded = tuple(packed_of(m, packing.width) for m in mons)
+                assert packed == tuple(sorted(packed)) == encoded, (rep, w)
                 assert fresh.view(packed) == mons, (rep, w)
                 for p in powers:
-                    step = packing.pack(p)
+                    step = packed_of(p, packing.width)
                     want = tuple(tuple(map(add, m, p)) for m in mons)
                     assert fresh.view(tuple(m + step for m in packed)) == want, (rep, w, p)
 
@@ -233,7 +239,7 @@ def test_reduce_collapses_quadric(rep_a):
     at = piece.representatives.index(x1y1)
     assert x2y2 not in piece.representatives
     assert piece.reduce(x2y2) == ({at: -1}, 1)
-    # the second call reads the relation row re-keyed by the first
+    # a second call substitutes again and gives the same fresh row
     assert piece.reduce(x2y2) == ({at: -1}, 1)
     assert piece.reduce(x1y1) == ({at: 1}, 1)
 
@@ -307,6 +313,58 @@ def test_reduce_deep_slice_matches_rref():
     for c, row in pivots.items():
         expected = {position[monomials[k]]: -v for k, v in row.items() if k != c}
         assert got[c] == (expected, row[c])
+
+
+def substitution_rings():
+    """Rings whose reduce is compared with an elimination, as (rep, quadrics)."""
+    four_pair, three_pair, hexagon = NAMED_REPS[:3]
+    hexagon_quadrics = moment_quadrics(hexagon)
+    cases = [(four_pair, moment_quadrics(four_pair)), (hexagon, hexagon_quadrics)]
+    cases += [
+        (entry.rep, moment_quadrics(entry.rep))
+        for seed in (DEFAULT_SEED, 7)
+        for entry in fixed_corpus(24, seed)
+        if entry.rep.torus_rank == 2
+    ]
+    # rank 2 < q = 3
+    cases.append((hexagon, hexagon_quadrics + (hexagon_quadrics[0]._replace(index=2),)))
+    # a zero quadric beside a nonzero one
+    cases.append((hexagon, (hexagon_quadrics[0], MomentQuadric(1, (0, 0, 0)))))
+    # x_2 y_2 = 0: every pivot monomial reduces to zero
+    cases.append((three_pair, (MomentQuadric(0, (0, 1, 0)),)))
+    # 2 z_3 + 3 z_1 and 3 z_2 + 2 z_1: z_2 z_3 = 6 z_1^2 / 6, a gcd to divide out
+    cases.append((hexagon, (MomentQuadric(0, (3, 0, 2)), MomentQuadric(1, (2, 3, 0)))))
+    return cases
+
+
+def test_reduce_substitution_matches_rref():
+    """reduce equals a full sparse_rref of the slice's relations on every pivot.
+
+    Every non-representative monomial up to N=6 of each ring of
+    substitution_rings(): the row over the representatives and its positive
+    denominator are the integers of the eliminated relation.
+    """
+    cases = substitution_rings()
+    assert len(cases) == 2 + 6 + 6 + 4
+    checked = 0
+    for rep, quadrics in cases:
+        ring = SliceRing(rep, quadrics, max_degree=6)
+        one_term = len(quadrics) == 1 and sum(map(bool, quadrics[0].coefficients)) == 1
+        for n in range(7):
+            for w in sorted(_monomials_by_weight(rep, n)):
+                piece, mons = ring.piece(n, w), ring._packed(n, w)
+                view = ring.monomials(n, w)
+                bases = ring._packed(n - 2, w) if n >= 2 else ()
+                pivots = sparse_rref(_relation_rows(quadrics, ring._packing.pairs, bases, mons))
+                position = {m: p for p, m in enumerate(piece.representatives)}
+                assert piece.relation_rank == len(pivots) == len(view) - len(position)
+                for c, row in pivots.items():
+                    want = ({position[view[k]]: -v for k, v in row.items() if k != c}, row[c])
+                    got = piece.reduce(view[c])
+                    assert got == want, (rep, quadrics, n, w, view[c])
+                    assert not one_term or got == ({}, 1)
+                checked += len(pivots)
+    assert checked > 5000
 
 
 def test_multiply_respects_relations(rep_a):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -417,6 +418,7 @@ def pair_symmetry_cases(rep_a, rep_b, corpus):
         yield entry.rep, entry.epsilon
 
 
+@cache
 def verdicts(rep, epsilon, upto, depth):
     """What the symmetry test compares, read from the algebra of rep's window."""
     quo = GradedQuiverAlgebra(rep, enumerate_window(build_zonotope(rep), epsilon), upto)
@@ -452,3 +454,78 @@ def test_pair_permutations_and_flips_keep_every_verdict(rep_a, rep_b, corpus):
         assert verdicts(moved, epsilon, 4, 4) == verdicts(rep, epsilon, 4, 4), (rep, perm, signs)
         checked += perm != sorted(perm) or -1 in signs
     assert checked >= 20
+
+
+def unimodular(rng, s):
+    """A seeded s x s integer matrix of determinant +-1, never the identity.
+
+    A signed permutation matrix, then 2(s - 1) elementary row operations
+    row_i += +-row_k; an identity draw has its first row negated.
+    """
+    g = [[0] * s for _ in range(s)]
+    for i, k in enumerate(rng.sample(range(s), s)):
+        g[i][k] = rng.choice((1, -1))
+    for _ in range(2 * (s - 1)):
+        i, k = rng.sample(range(s), 2)
+        f = rng.choice((1, -1))
+        g[i] = [a + f * b for a, b in zip(g[i], g[k])]
+    if all(g[i][k] == (i == k) for i in range(s) for k in range(s)):
+        g[0] = [-v for v in g[0]]
+    return g
+
+
+def test_lattice_automorphisms_keep_every_verdict(rep_a, rep_b, corpus):
+    """A unimodular change of the character lattice changes no verdict.
+
+    g in GL_s(Z) maps the half-weights, chi and epsilon to g beta_i, g chi
+    and g epsilon.  The zonotope and its flats move by g, so the window
+    moves by g up to a translation t, and chi stays generic exactly when
+    it was.  The moment quadrics of g beta are the rows of g times those of
+    beta, the same span over Q, so every slice (n, w) is the slice (n, g w)
+    of the same quotient.  After relabelling vertex i as the position of
+    g p_i + t in the new window, the Hilbert matrices, the relations per
+    block and both ledgers, with their statuses, must agree, at N=4 and
+    depth 4.  The original side's verdicts are shared with the pair test
+    above.
+    """
+    rng = random.Random(20261019)
+    checked = 0
+    for rep, epsilon in pair_symmetry_cases(rep_a, rep_b, corpus):
+        s = rep.torus_rank
+        g = unimodular(rng, s)
+
+        def act(v):
+            return tuple(sum(a * b for a, b in zip(row, v)) for row in g)
+
+        moved = SymplecticRep(s, tuple(act(beta) for beta in rep.half_weights))
+        zono, moved_zono = build_zonotope(rep), build_zonotope(moved)
+        for chi in (epsilon, rep.half_weights[0]):
+            assert (zono.generic_witness(chi) is None) == \
+                (moved_zono.generic_witness(act(chi)) is None), (rep, g, chi)
+        points, hilbert, relations, ledgers = verdicts(rep, epsilon, 4, 4)
+        moved_points, moved_hilbert, moved_relations, moved_ledgers = verdicts(
+            moved, act(epsilon), 4, 4
+        )
+        images = [act(p) for p in points]
+        t = tuple(a - b for a, b in zip(min(moved_points), min(images)))
+        images = [tuple(map(sum, zip(p, t))) for p in images]
+        assert sorted(images) == list(moved_points), (rep, g)
+        label = [moved_points.index(p) for p in images]
+        v = len(points)
+        for mat, moved_mat in zip(hilbert, moved_hilbert, strict=True):
+            assert all(moved_mat[label[i]][label[j]] == mat[i][j]
+                       for i in range(v) for j in range(v)), (rep, g)
+        assert moved_relations == Counter(
+            {(label[i], label[j]): c for (i, j), c in relations.items()}
+        ), (rep, g)
+        for (status, resolutions), (moved_status, moved_resolutions) in zip(
+            ledgers, moved_ledgers, strict=True
+        ):
+            assert moved_status == status, (rep, g)
+            for i, (steps, res_status, exhausted) in enumerate(resolutions):
+                relabelled = [sorted((label[u], f) for u, f in step) for step in steps]
+                moved_steps, moved_res_status, moved_exhausted = moved_resolutions[label[i]]
+                assert [sorted(step) for step in moved_steps] == relabelled, (rep, g, i)
+                assert (moved_res_status, moved_exhausted) == (res_status, exhausted), (rep, g, i)
+        checked += 1
+    assert checked == 2 + len(corpus)

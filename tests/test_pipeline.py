@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertoric import algebra, cli, errors
+from hypertoric import algebra, cli, errors, pipeline
 from hypertoric.cli import main
 from hypertoric.corpus import fixed_corpus
 from hypertoric.errors import (
@@ -20,6 +20,7 @@ from hypertoric.errors import (
     ResourceBudgetError,
     UnsupportedShiftError,
 )
+from hypertoric.koszul import NumericalKoszulReport
 from hypertoric.lattice import dot, hyperplane_normals
 from hypertoric.pipeline import (
     ANALYSES,
@@ -238,23 +239,30 @@ def test_reduction_section_on_split_rep():
 
 
 class SliceWork:
-    """What a run spends on slices: echelons, enumerations, reduced relations.
+    """What a run spends on slices: rings, echelons, enumerations, reductions.
 
-    reduced names the slice of each sparse_rref that reduce ran; landed, the
+    rings logs each SliceRing built and rrefs each sparse_rref; reduced
+    names the slice of each sparse_rref that ran inside reduce; landed, the
     slices where reduce was asked for a monomial outside the representatives.
     """
 
     def __init__(self, problems_dir, monkeypatch):
         self.problems_dir = problems_dir
+        self.rings = []
         self.echelons = []
         self.enumerations = []
         self.rrefs = []
         self.reduced = []
         self.landed = set()
+        ring_init = algebra.SliceRing.__init__
         sparse_echelon = algebra.sparse_echelon
         sparse_rref = algebra.sparse_rref
         enumerate_slice = algebra.SliceRing._enumerate
         reduce = algebra.QuotientPiece.reduce
+
+        def counting_init(ring, *args, **kwargs):
+            self.rings.append(1)
+            ring_init(ring, *args, **kwargs)
 
         def counting_echelon(rows):
             self.echelons.append(1)
@@ -277,6 +285,7 @@ class SliceWork:
             self.reduced.extend([key] * (len(self.rrefs) - before))
             return result
 
+        monkeypatch.setattr(algebra.SliceRing, "__init__", counting_init)
         monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
         monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
         monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
@@ -284,7 +293,8 @@ class SliceWork:
 
     def run(self, name, *analyses):
         """Run a shipped problem at N=8, depth 2, on fresh logs."""
-        for log in (self.echelons, self.enumerations, self.rrefs, self.reduced, self.landed):
+        logs = (self.rings, self.echelons, self.enumerations, self.rrefs, self.reduced, self.landed)
+        for log in logs:
             log.clear()
         problem = load_problem(str(self.problems_dir / f"{name}.json"))
         return run(problem._replace(truncation=8, depth=2, analyses=analyses))
@@ -293,11 +303,12 @@ class SliceWork:
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     """Regular-sequence scan, Hilbert blocks and both resolutions share one ring.
 
-    Each slice is eliminated to echelon form once per ring, and its fully
-    reduced relations are formed only when a product first lands on one.
+    Each slice is eliminated to echelon form once per ring.  The quadrics
+    are brought to reduced echelon form once per ring, and reduce runs no
+    elimination: it substitutes the ring's reduced quadrics.
     """
     work = SliceWork(problems_dir, monkeypatch)
-    echelons, enumerations, rrefs = work.echelons, work.enumerations, work.rrefs
+    rings, echelons, enumerations, rrefs = work.rings, work.echelons, work.enumerations, work.rrefs
     reduced, landed = work.reduced, work.landed
 
     def run_hexagon(*analyses):
@@ -307,25 +318,26 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     assert report.sections["regular_sequence"]["passed"]
     points = report.sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
-    # the scan and the blocks read ranks only: one echelon per slice, no
-    # reduced relations
+    # the scan and the blocks read ranks only: one echelon per slice, and
+    # one reduced echelon of the quadrics per ring
     assert len(echelons) == 9 * len(weights)
-    assert rrefs == []
+    assert len(rrefs) == len(rings) > 0
+    assert reduced == []
 
-    # the quiver reduces paths of length two
+    # the quiver reduces paths of length two, without elimination
     run_hexagon("quiver")
-    assert reduced and {n for n, _ in reduced} == {2}
-    assert len(rrefs) == len(reduced)
-    assert sorted(reduced) == sorted(landed)
+    assert landed and {n for n, _ in landed} == {2}
+    assert len(rrefs) == len(rings) > 0
+    assert reduced == []
 
     report = run_hexagon("hilbert", "regular_sequence", "koszul")
     # each slice of each ring is eliminated once: the quotient and the ambient
     assert len(echelons) == 2 * 9 * len(weights)
     # and its monomials are listed once, for both rings together
     assert sorted(enumerations) == sorted((n, w) for n in range(9) for w in weights)
-    # a slice's relations are reduced once, and only if a product landed on one
-    assert len(rrefs) == len(reduced)
-    assert sorted(reduced) == sorted(landed)
+    # products land on some slices, and reduce eliminates on none
+    assert len(rrefs) == len(rings) > 0
+    assert reduced == []
     assert 0 < len(landed) < 9 * len(weights)
 
 
@@ -333,18 +345,20 @@ def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch
     """A rank-one ring reads each slice's pivots off its base monomials.
 
     Conifold at N=8: the scan and the blocks run no echelon at all; the
-    quiver still fully reduces each slice that a path lands on, once.
+    quiver reduces the slices that paths land on without elimination too.
+    The only sparse_rref is the quadrics' reduced echelon, once per ring.
     """
     work = SliceWork(problems_dir, monkeypatch)
     report = work.run("conifold", "hilbert", "regular_sequence")
     assert report.sections["regular_sequence"]["passed"]
-    assert work.enumerations and work.echelons == [] and work.rrefs == []
+    assert work.enumerations and work.echelons == []
+    assert len(work.rrefs) == len(work.rings) > 0
 
     work.run("conifold", "quiver")
     assert work.echelons == []
-    assert work.reduced and {n for n, _ in work.reduced} == {2}
-    assert len(work.rrefs) == len(work.reduced)
-    assert sorted(work.reduced) == sorted(work.landed)
+    assert work.landed and {n for n, _ in work.landed} == {2}
+    assert work.reduced == []
+    assert len(work.rrefs) == len(work.rings) > 0
 
 
 def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
@@ -567,6 +581,27 @@ def test_cli_truncation_too_small_for_depth_is_inconclusive(problems_dir, capsys
         "name": "koszul_quotient",
         "status": "INCONCLUSIVE",
         "detail": "truncation too small for the requested depth",
+    }
+
+
+def test_cli_negative_series_inverse_fails_koszul(problems_dir, capsys, monkeypatch):
+    """A negative entry of the inverted Hilbert series fails the koszul check.
+
+    On valid input a linear ledger never meets a negative inverse, so the
+    sign test's report is injected on conifold: the ledger stays linear,
+    and the check must still FAIL and the run exit 2.
+    """
+    negative = NumericalKoszulReport(upto=6, consistent=False, first_negative=(2, 0, 0, -1))
+    monkeypatch.setattr(pipeline, "numerical_koszul_consistency", lambda matrices: negative)
+    rc = main(["run", str(problems_dir / "conifold.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 2 and report["exit_code"] == 2
+    assert report["sections"]["koszul"]["quotient"]["status"] == "linear"
+    (check,) = [c for c in report["checks"] if c["name"] == "koszul_quotient"]
+    assert check == {
+        "name": "koszul_quotient",
+        "status": "FAIL",
+        "detail": "resolution not linear",
     }
 
 
