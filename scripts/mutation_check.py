@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that tier-1 kills each listed mutation of the engine.
 
-    python3 scripts/mutation_check.py [--only NAME ...]
+    python3 scripts/mutation_check.py
 
 The checkout is copied once into a temporary directory (without .git and
 caches), and tier-1 runs there unmutated first: a failing baseline would
@@ -19,7 +19,6 @@ is killed is reported, since its reason no longer holds, but does not fail
 the check.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -119,10 +118,7 @@ MUTATIONS = [
         "default-depth-cap", KOSZUL,
         "return min(max(2 * e - 2 * s, 2), 4)",
         "return min(max(2 * e - 2 * s, 2), 5)",
-        "no report changes: no pipeline code calls default_depth and criterion 7"
-        " caps it at 4 again; only scripts/corpus_sweep.py reads it uncapped, and"
-        " tier-1 runs the sweep only to reject bad arguments",
-        equivalent=True,
+        "a four-pair rank-1 ring resolves to depth 5 where 2(e - s) = 6 was capped at 4",
     ),
     Mutation(
         "codim-tie-break-reversed", REPS,
@@ -203,18 +199,7 @@ def tier1(copy: Path) -> tuple[str, float]:
     return ("passed" if done.returncode == 0 else "failed"), time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run only these mutations")
-    args = parser.parse_args(argv)
-    mutations = MUTATIONS
-    if args.only:
-        unknown = set(args.only) - {m.name for m in MUTATIONS}
-        if unknown:
-            parser.error(f"unknown mutations: {', '.join(sorted(unknown))}")
-        mutations = [m for m in MUTATIONS if m.name in args.only]
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutation-check-") as tmp:
         copy = Path(tmp) / "repo"
@@ -232,7 +217,7 @@ def main(argv=None) -> int:
         if outcome != "passed":
             return 1
         bad = []
-        for m in mutations:
+        for m in MUTATIONS:
             path = copy / m.file
             text = path.read_text(encoding="utf-8")
             count = text.count(m.old)
@@ -255,7 +240,7 @@ def main(argv=None) -> int:
                 verdict = "KILLED?" if m.equivalent else "killed"
             print(f"{verdict:9} {m.name} ({outcome}, {seconds:.1f} s): {m.why}", flush=True)
     total = time.perf_counter() - start
-    print(f"{len(mutations)} mutations in {total:.0f} s; "
+    print(f"{len(MUTATIONS)} mutations in {total:.0f} s; "
           f"{'unexpected: ' + ', '.join(bad) if bad else 'no unexpected survivor'}")
     return 1 if bad else 0
 
