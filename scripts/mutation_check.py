@@ -53,16 +53,40 @@ ZONOTOPE, PIPELINE = "src/hypertoric/zonotope.py", "src/hypertoric/pipeline.py"
 MUTATIONS = [
     Mutation(
         "one-quadric-first-support-pair", ALGEBRA,
-        "self._leads = [self._packing.pairs[p] for p, _, _ in self._substitutions]",
-        "self._leads = [xy for xy, c in zip(self._packing.pairs, self.quadrics[0].coefficients)"
-        " if c][:1]",
+        "self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]",
+        "self._leads = [xy for q in self.quadrics"
+        " for xy, c in zip(self._store.pairs, q.coefficients) if c][:1]",
         "the one-quadric pivots read from the first pair of the support, not the last",
     ),
     Mutation(
         "one-quadric-last-pair", ALGEBRA,
-        "self._leads = [self._packing.pairs[p] for p, _, _ in self._substitutions]",
-        "self._leads = self._packing.pairs[-1:]",
+        "self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]",
+        "self._leads = self._store.pairs[-1:] if self.quadrics else []",
         "the one-quadric pivots read from the last pair whatever its coefficient",
+    ),
+    Mutation(
+        "series-one-degree-short", ALGEBRA,
+        "for d in range(1, top + 1):",
+        "for d in range(1, top):",
+        "the Hilbert series is expanded one degree short of the ring's bound",
+    ),
+    Mutation(
+        "series-x-variables-only", ALGEBRA,
+        "for s in (step, -step):",
+        "for s in (step,):",
+        "the Hilbert series multiplies in the x-variables only",
+    ),
+    Mutation(
+        "counted-rank-one-degree-down", ALGEBRA,
+        "rank = len(leads) * store.count(n - 2, w)",
+        "rank = len(leads) * store.count(n - 1, w)",
+        "a counted slice's relation rank reads the degree n-1 slice, not n-2",
+    ),
+    Mutation(
+        "count-without-reach-guard", ALGEBRA,
+        "if n < 0 or any(abs(c) > n * self.reach for c in w):\n            return 0",
+        "if n < 0:\n            return 0",
+        "a count looks up the key of an unreachable weight, which may alias",
     ),
     Mutation(
         "resolution-bound-off-by-one", KOSZUL,
@@ -140,8 +164,8 @@ MUTATIONS = [
     ),
     Mutation(
         "packing-one-bit-short", ALGEBRA,
-        "_Packing(max_degree.bit_length(), rep.num_pairs)",
-        "_Packing(max(max_degree.bit_length() - 1, 1), rep.num_pairs)",
+        "self.width = width = max_degree.bit_length()",
+        "self.width = width = max(max_degree.bit_length() - 1, 1)",
         "a packed exponent field one bit narrower, so high exponents carry",
     ),
     Mutation(

@@ -16,41 +16,46 @@ addition: no exponent of a monomial of degree <= P reaches 2^W, so no field
 carries.  The exponent tables, the slice joins, the relation rows and
 QuotientPiece.monomials all hold packed integers.  Exponent tuples appear
 only at a piece's boundary (representatives, and the monomials that
-position and reduce take), decoded on first read through a table that a
-ring shares with its ambient() (_Packing).
+position and reduce take), decoded on first read through a table in the
+ring's store (_MonomialStore), which a ring shares with its ambient().
 
 A slice lists only its own monomials.  A monomial x^a y^b has degree
 |a| + |b| and weight beta.a - beta.b, so the degree-n, weight-w slice is the
 join, over d <= n, of the exponent vectors a of degree d and weight u with
-the exponent vectors b of degree n - d and weight u - w.  The ring keeps one
-table per degree d of the packed vectors in N^e, grouped by weight and in
-lex order inside each group, and builds a table only when a slice reaches
-its degree.  Each weight is packed into one integer too, sum_j u_j B^j: a
-ring holds slices up to its degree bound P, and the base
+the exponent vectors b of degree n - d and weight u - w.  The store keeps
+one table per degree d of the packed vectors in N^e, grouped by weight and
+in lex order inside each group, and builds a table only when a slice
+reaches its degree.  Each weight is packed into one integer too,
+sum_j u_j B^j: a ring holds slices up to its degree bound P, and the base
 B = 2 P max|beta_ij| + 1 keeps every key and every difference u - w that a
-join looks up apart, once weights beyond reach are answered empty.
+join looks up apart, once weights beyond reach are answered empty.  A
+slice is counted without listing it: its size is a coefficient of the
+ring's Hilbert series prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), which
+the store expands once, on the same keys.
 
 Everything here is integer arithmetic.  A slice's relations are the
 quadric multiples that land in it (_relation_rows): each quadric times each
-base, a degree n-2 monomial of the slice's weight.  Building a slice keeps
-only the pivot columns of their echelon form and no rows: the Hilbert
-blocks and the regular-sequence scan only count a slice, and its dimension
-is its monomials less its rank.  In z_i = x_i y_i the quadrics are linear
-forms (Hausel-Sturmfels), and a ring brings them to reduced echelon form
-once, with the pivots on the last pairs.  Their leading monomials x_p y_p
-are pairwise coprime, so they are a Groebner basis (Buchberger's first
+base, a degree n-2 monomial of the slice's weight.  A piece keeps only the
+pivot columns of their echelon form and no rows: the Hilbert blocks and the
+regular-sequence scan only count a slice, and its dimension is its
+monomials less its rank.  In z_i = x_i y_i the quadrics are linear forms
+(Hausel-Sturmfels), and a ring brings them to reduced echelon form once,
+with the pivots on the last pairs.  Their leading monomials x_p y_p are
+pairwise coprime, so they are a Groebner basis (Buchberger's first
 criterion), and a slice's pivots are its monomials with a factor x_p y_p.
-With one quadric piece() reads them off that way, with no elimination: the
-lex-least monomial of q*b is b + x_p y_p, p the last pair in q's support,
-and a zero quadric has none.  With two or more quadrics the relations are
-still eliminated (sparse_echelon).  The representatives, the non-pivot
-monomials, are listed on their first read (the quiver, the minimal
-resolutions, reduce).  QuotientPiece.reduce substitutes the ring's reduced
-quadrics for the pivot factors z_p and so writes any monomial of the slice
-as an integer row over the representatives and a denominator, with no
-relation rows and no elimination.  The quiver relations are the kernel of
-those products (lattice.column_kernel), the same product and kernel that
-the minimal resolutions use.
+With at most one quadric piece() counts both, listing nothing and
+eliminating nothing: the lex-least monomial of q*b is b + x_p y_p, p the
+last pair in q's support, so the rank is the number of bases b, and a zero
+quadric, or none, has rank 0.  Such a piece lists its monomials and pivots
+on its first read of them.  With two or more quadrics piece() lists the
+slice and still eliminates the relations (sparse_echelon).  The
+representatives, the non-pivot monomials, are formed on their first read
+(the quiver, the minimal resolutions, reduce).  QuotientPiece.reduce
+substitutes the ring's reduced quadrics for the pivot factors z_p and so
+writes any monomial of the slice as an integer row over the representatives
+and a denominator, with no relation rows and no elimination.  The quiver
+relations are the kernel of those products (lattice.column_kernel), the
+same product and kernel that the minimal resolutions use.
 """
 
 from __future__ import annotations
@@ -78,26 +83,133 @@ from .zonotope import CharacterWindow
 Monomial = tuple[int, ...]
 
 
-class _Packing:
-    """Exponent vectors packed into fields of width bits, and their tuples.
+class _MonomialStore:
+    """A ring's monomials, packed, listed, counted and decoded, slice by slice.
 
     An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
     monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
-    x_i y_i.  The decode table is views, which maps each packed slice whose
-    monomials were read as tuples to its exponent tuples, and halves, which
-    maps the packed x- and y-parts met there to theirs.  A ring and its
-    ambient() share it, so their pieces share the tuples.
+    x_i y_i, and key(w) packs a weight.  tables holds the exponent tables
+    by degree, slices each listed slice, and series the counts of every
+    slice up to max_degree once one is asked for.  The decode table is
+    views, which maps each packed slice whose monomials were read as tuples
+    to its exponent tuples, and halves, which maps the packed x- and
+    y-parts met there to theirs.  A ring, its ambient() and the pieces of
+    both hold one store; it holds no ring and no piece, so a piece that
+    lists itself later makes no reference cycle.
     """
 
-    __slots__ = ("width", "fields", "pairs", "views", "halves")
+    __slots__ = (
+        "max_degree", "width", "fields", "pairs", "reach", "base", "steps",
+        "tables", "slices", "series", "views", "halves",
+    )
 
-    def __init__(self, width: int, fields: int):
-        self.width = width
-        self.fields = fields
-        self.pairs = [(1 << width * (2 * fields - 1 - i)) + (1 << width * (fields - 1 - i))
-                      for i in range(fields)]
+    def __init__(self, rep: SymplecticRep, max_degree: int):
+        e = rep.num_pairs
+        self.max_degree = max_degree
+        self.width = width = max_degree.bit_length()
+        self.fields = e
+        self.pairs = [(1 << width * (2 * e - 1 - i)) + (1 << width * (e - 1 - i)) for i in range(e)]
+        self.reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
+        self.base = 2 * max_degree * self.reach + 1
+        self.steps = [self.key(beta) for beta in rep.half_weights]
+        self.tables: dict[int, dict[int, list[int]]] = {}
+        self.slices: dict[tuple[int, IntVec], tuple[int, ...]] = {}
+        self.series: list[dict[int, int]] | None = None
         self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
         self.halves: dict[int, Monomial] = {}
+
+    def key(self, w: IntVec) -> int:
+        return sum(v * self.base**j for j, v in enumerate(w))
+
+    def _bound(self, n: int) -> None:
+        if n > self.max_degree:
+            raise ResourceBudgetError(
+                f"slice degree {n} exceeds the configured bound {self.max_degree}"
+            )
+
+    def table(self, d: int) -> dict[int, list[int]]:
+        """Every packed v in N^e with |v|_1 = d by packed weight, lex order in each group."""
+        table = self.tables.get(d)
+        if table is None:
+            table = self.tables[d] = {}
+            steps, last, width = self.steps, len(self.steps) - 1, self.width
+            # depth first over (packed head, its length, packed weight, degree left)
+            stack = [(0, 0, 0, d)]
+            while stack:
+                head, i, key, left = stack.pop()
+                if i > last:
+                    if not left:  # left over only when there are no pairs
+                        table.setdefault(key, []).append(head)
+                    continue
+                # the last coordinate takes what is left; pushed from high to
+                # low, so popped in lex order
+                for v in range(left, -1, -1) if i < last else (left,):
+                    stack.append(((head << width) + v, i + 1, key + v * steps[i], left - v))
+        return table
+
+    def packed(self, n: int, w: IntVec) -> tuple[int, ...]:
+        """The packed degree-n, weight-w monomials in ascending (lex) order."""
+        self._bound(n)
+        w = tuple(w)
+        cached = self.slices.get((n, w))
+        if cached is None:
+            cached = self.slices[(n, w)] = self._enumerate(n, w)
+        return cached
+
+    def _enumerate(self, n: int, w: IntVec) -> tuple[int, ...]:
+        """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w.
+
+        Each degree d joins T(d) and T(n - d) from whichever has fewer
+        weight groups.  An x-part a fixes its degree and weight, so the
+        heads (a, bs) have distinct a; sorted by a, they give the slice in
+        ascending order as (a << W e) + b for b in their ascending y-list bs.
+        """
+        # answered before packing: the key of an unreachable weight may alias
+        if any(abs(c) > n * self.reach for c in w):
+            return ()
+        key = self.key(w)
+        shift = self.width * self.fields
+        heads = []
+        for d in range(n + 1):
+            xt, yt = self.table(d), self.table(n - d)
+            if len(xt) <= len(yt):
+                for u, xs in xt.items():
+                    bs = yt.get(u - key)
+                    if bs:
+                        heads.extend([(a << shift, bs) for a in xs])
+            else:
+                for v, bs in yt.items():
+                    xs = xt.get(v + key)
+                    if xs:
+                        heads.extend([(a << shift, bs) for a in xs])
+        heads.sort(key=itemgetter(0))
+        return tuple([a + b for a, bs in heads for b in bs])
+
+    def count(self, n: int, w: IntVec) -> int:
+        """The number of degree-n, weight-w monomials, listing none.
+
+        It is the coefficient of t^n z^w in the Hilbert series
+        prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), expanded once up to
+        t^max_degree on the packed weight keys: each factor 1/(1 - t z^s)
+        adds z^s A[d - 1] to A[d], for d ascending.
+        """
+        self._bound(n)
+        # answered before packing: the key of an unreachable weight may alias
+        if n < 0 or any(abs(c) > n * self.reach for c in w):
+            return 0
+        series = self.series
+        if series is None:
+            top = self.max_degree
+            series = self.series = [{0: 1}] + [{} for _ in range(top)]
+            for step in self.steps:
+                for s in (step, -step):
+                    for d in range(1, top + 1):
+                        row = series[d]
+                        get = row.get
+                        for k, c in series[d - 1].items():
+                            k += s
+                            row[k] = get(k, 0) + c
+        return series[n].get(self.key(w), 0)
 
     def _half(self, v: int) -> Monomial:
         width, mask = self.width, (1 << self.width) - 1
@@ -149,48 +261,68 @@ def _relation_rows(
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
-    monomials is the full ambient basis, packed, in ascending (lex) order.
-    Building the slice keeps only the pivot columns of its relations, which
-    is all that dim and relation_rank read.  representatives, the non-pivot
-    monomials in lex order as exponent tuples, descend to a basis of the
-    quotient slice; they and the index that position() looks them up in
-    are formed together on the first read of either, from the decode
-    table, and then the positions tell the pivot columns apart.  The piece
-    keeps no relations: _substitutions, the ring's reduced quadrics, is all
-    that reduce reads.  Pieces compare by identity: a ring builds each slice
-    once.
+    ambient_dim counts the slice's monomials and relation_rank its pivot
+    columns, which is all that dim reads.  In a ring with at most one
+    quadric both are counts from the store, and the piece lists monomials,
+    the full ambient basis, packed, in ascending (lex) order, and its pivot
+    columns, b + x_p y_p over the degree n-2 monomials b for each of leads,
+    on the first read of monomials, representatives, position or reduce.
+    A ring with more quadrics lists them when it builds the piece.
+    representatives, the non-pivot monomials in lex order as exponent
+    tuples, descend to a basis of the quotient slice; they and the index
+    that position() looks them up in are formed together on the first read
+    of either, from the decode table, and then the positions tell the pivot
+    columns apart.  The piece keeps no relations: _substitutions, the
+    ring's reduced quadrics, is all that reduce reads.  Pieces compare by
+    identity: a ring builds each slice once.
     """
 
     __slots__ = (
-        "degree", "weight", "monomials", "relation_rank", "_pivots",
-        "_representatives", "_positions", "_substitutions", "_packing",
+        "degree", "weight", "ambient_dim", "relation_rank", "_monomials", "_pivots",
+        "_leads", "_representatives", "_positions", "_substitutions", "_store",
     )
 
     def __init__(
         self,
         degree: int,
         weight: IntVec,
-        monomials: tuple[int, ...],
-        pivots: tuple[int, ...],
+        ambient_dim: int,
+        relation_rank: int,
+        store: _MonomialStore,
         substitutions: tuple[tuple[int, int, tuple[tuple[Monomial, int], ...]], ...],
-        packing: _Packing,
+        leads: list[int] | None = None,
+        monomials: tuple[int, ...] | None = None,
+        pivots: tuple[int, ...] = (),
     ):
         self.degree = degree
         self.weight = weight
-        self.monomials = monomials
-        self.relation_rank = len(pivots)
+        self.ambient_dim = ambient_dim
+        self.relation_rank = relation_rank
+        self._monomials = monomials
         self._pivots = pivots
+        self._leads = leads
         self._positions: dict[Monomial, int] | None = None
         self._substitutions = substitutions
-        self._packing = packing
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.monomials)
+        self._store = store
 
     @property
     def dim(self) -> int:
-        return len(self.monomials) - self.relation_rank
+        return self.ambient_dim - self.relation_rank
+
+    @property
+    def monomials(self) -> tuple[int, ...]:
+        if self._monomials is None:
+            self._list()
+        return self._monomials
+
+    def _list(self) -> None:
+        """List the packed monomials and the pivot columns b + x_p y_p."""
+        store, n, w = self._store, self.degree, self.weight
+        mons = self._monomials = store.packed(n, w)
+        if self._leads and n >= 2:
+            index = dict(zip(mons, range(len(mons))))
+            bases = store.packed(n - 2, w)
+            self._pivots = tuple([index[b + xy] for xy in self._leads for b in bases])
 
     @property
     def representatives(self) -> tuple[Monomial, ...]:
@@ -200,7 +332,7 @@ class QuotientPiece:
 
     def _index(self) -> dict[Monomial, int]:
         """Form the representatives and their positions; drop the pivot columns."""
-        reps = self._packing.view(self.monomials)
+        reps = self._store.view(self.monomials)
         if self._pivots:
             pivots = set(self._pivots)
             reps = tuple([m for c, m in enumerate(reps) if c not in pivots])
@@ -260,11 +392,12 @@ class QuotientPiece:
 class SliceRing:
     """Slice-by-slice model of the polynomial ring modulo quadric relations.
 
-    Monomials are packed integers (see the module docstring); _packed(n, w)
-    lists a slice's, and monomials(n, w) is its exponent-tuple view.  Only
+    Monomials are packed integers held by the ring's store (see the module
+    docstring); monomials(n, w) is a slice's exponent-tuple view.  Only
     homogeneous quadrics (shift zero) define a graded quotient; a nonzero
     shift raises UnsupportedShiftError.  A slice beyond max_degree raises
-    ResourceBudgetError.
+    ResourceBudgetError.  ambient() passes its store, which no other
+    caller does.
     """
 
     def __init__(
@@ -273,6 +406,7 @@ class SliceRing:
         quadrics: tuple[MomentQuadric, ...] = (),
         *,
         max_degree: int,
+        store: _MonomialStore | None = None,
     ):
         for q in quadrics:
             if q.shift != 0:
@@ -288,10 +422,7 @@ class SliceRing:
         self.rep = rep
         self.quadrics = tuple(quadrics)
         self.max_degree = max_degree
-        self._reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
-        self._base = 2 * max_degree * self._reach + 1
-        self._steps = [self._key(beta) for beta in rep.half_weights]
-        self._packing = _Packing(max_degree.bit_length(), rep.num_pairs)
+        self._store = _MonomialStore(rep, max_degree) if store is None else store
         # the quadrics' coefficient rows in reduced echelon form, pair i in
         # column e-1-i so that the pivots land on the last pairs; for each
         # pivot pair p, lead z_p + sum_j c_j z_j = 0 over the free pairs j,
@@ -305,88 +436,22 @@ class SliceRing:
             (e - 1 - col, row[col], tuple((z[e - 1 - j], c) for j, c in row.items() if j != col))
             for col, row in sorted(echelon.items())
         )
-        # one quadric: the packed x_p y_p that piece() adds to each base, p
-        # its pivot pair, or none for a zero quadric; None: the relations are
-        # eliminated
+        # at most one quadric: the packed x_p y_p of its pivot pair p, none
+        # for a zero quadric or no quadric, and the slices are counted;
+        # None: the relations are eliminated
         self._leads = None
-        if len(self.quadrics) == 1:
-            self._leads = [self._packing.pairs[p] for p, _, _ in self._substitutions]
-        self._tables: dict[int, dict[int, list[int]]] = {}
-        self._monomials: dict[tuple[int, IntVec], tuple[int, ...]] = {}
+        if len(self.quadrics) <= 1:
+            self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
-
-    # -- monomial bookkeeping ------------------------------------------------
-
-    def _key(self, w: IntVec) -> int:
-        return sum(v * self._base**j for j, v in enumerate(w))
-
-    def _table(self, d: int) -> dict[int, list[int]]:
-        """Every packed v in N^e with |v|_1 = d by packed weight, lex order in each group."""
-        table = self._tables.get(d)
-        if table is None:
-            table = self._tables[d] = {}
-            steps, last, width = self._steps, len(self._steps) - 1, self._packing.width
-            # depth first over (packed head, its length, packed weight, degree left)
-            stack = [(0, 0, 0, d)]
-            while stack:
-                head, i, key, left = stack.pop()
-                if i > last:
-                    if not left:  # left over only when there are no pairs
-                        table.setdefault(key, []).append(head)
-                    continue
-                # the last coordinate takes what is left; pushed from high to
-                # low, so popped in lex order
-                for v in range(left, -1, -1) if i < last else (left,):
-                    stack.append(((head << width) + v, i + 1, key + v * steps[i], left - v))
-        return table
-
-    def _packed(self, n: int, w: IntVec) -> tuple[int, ...]:
-        """The packed degree-n, weight-w monomials in ascending (lex) order."""
-        if n > self.max_degree:
-            raise ResourceBudgetError(
-                f"slice degree {n} exceeds the configured bound {self.max_degree}"
-            )
-        w = tuple(w)
-        cached = self._monomials.get((n, w))
-        if cached is None:
-            cached = self._monomials[(n, w)] = self._enumerate(n, w)
-        return cached
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
         """The degree-n, weight-w monomials in lex order, as exponent tuples."""
-        return self._packing.view(self._packed(n, w))
-
-    def _enumerate(self, n: int, w: IntVec) -> tuple[int, ...]:
-        """x^a y^b for a of degree d and weight u, b of degree n - d and weight u - w.
-
-        Each degree d joins T(d) and T(n - d) from whichever has fewer
-        weight groups.  An x-part a fixes its degree and weight, so the
-        heads (a, bs) have distinct a; sorted by a, they give the slice in
-        ascending order as (a << W e) + b for b in their ascending y-list bs.
-        """
-        # answered before packing: the key of an unreachable weight may alias
-        if any(abs(c) > n * self._reach for c in w):
-            return ()
-        key = self._key(w)
-        shift = self._packing.width * len(self._steps)
-        heads = []
-        for d in range(n + 1):
-            xt, yt = self._table(d), self._table(n - d)
-            if len(xt) <= len(yt):
-                for u, xs in xt.items():
-                    bs = yt.get(u - key)
-                    if bs:
-                        heads.extend([(a << shift, bs) for a in xs])
-            else:
-                for v, bs in yt.items():
-                    xs = xt.get(v + key)
-                    if xs:
-                        heads.extend([(a << shift, bs) for a in xs])
-        heads.sort(key=itemgetter(0))
-        return tuple([a + b for a, bs in heads for b in bs])
+        return self._store.view(self._store.packed(n, w))
 
     def ambient_dim(self, n: int, w: IntVec) -> int:
-        return len(self._packed(n, w))
+        if self._leads is None:
+            return len(self._store.packed(n, w))
+        return self._store.count(n, w)
 
     # -- quotient slices -----------------------------------------------------
 
@@ -394,33 +459,33 @@ class SliceRing:
         """The degree-n, weight-w quotient slice, built once per ring.
 
         Its pivot columns are those of the echelon form of its relations.
-        With one quadric q no elimination runs: the rows q*b over the bases
-        b are independent, and their lex-least monomials b + x_p y_p, p the
-        last pair in q's support (its smallest packed pair), are distinct,
-        so they are the pivots.  A zero quadric has rank 0.  Two or more
-        quadrics go through sparse_echelon.
+        With at most one quadric q the piece is counted, and nothing is
+        listed or eliminated: the rows q*b over the bases b are independent,
+        and their lex-least monomials b + x_p y_p, p the last pair in q's
+        support (its smallest packed pair), are distinct, so they are the
+        pivots, as many as the degree n-2 monomials of weight w.  A zero
+        quadric, or none, has rank 0.  With two or more quadrics the slice
+        and its bases are listed and the relations go through sparse_echelon.
         """
         w = tuple(w)
         key = (n, w)
         cached = self._pieces.get(key)
         if cached is not None:
             return cached
-        mons = self._packed(n, w)
-        bases = self._packed(n - 2, w) if self.quadrics and n >= 2 else ()
-        if self._leads is None:
-            rows = _relation_rows(self.quadrics, self._packing.pairs, bases, mons)
-            pivots = sparse_echelon(rows)
+        store, leads = self._store, self._leads
+        if leads is None:
+            mons = store.packed(n, w)
+            bases = store.packed(n - 2, w) if n >= 2 else ()
+            pivots = tuple(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases, mons)))
+            piece = QuotientPiece(
+                n, w, len(mons), len(pivots), store, self._substitutions,
+                monomials=mons, pivots=pivots,
+            )
         else:
-            index = dict(zip(mons, range(len(mons))))
-            pivots = [index[b + xy] for xy in self._leads for b in bases]
-        piece = QuotientPiece(
-            degree=n,
-            weight=w,
-            monomials=mons,
-            pivots=tuple(pivots),
-            substitutions=self._substitutions,
-            packing=self._packing,
-        )
+            rank = len(leads) * store.count(n - 2, w) if n >= 2 else 0
+            piece = QuotientPiece(
+                n, w, store.count(n, w), rank, store, self._substitutions, leads=leads,
+            )
         self._pieces[key] = piece
         return piece
 
@@ -428,12 +493,8 @@ class SliceRing:
         return self.piece(n, w).dim
 
     def ambient(self) -> SliceRing:
-        """The ring without relations, on this ring's tables, monomials and decode table."""
-        ring = SliceRing(self.rep, max_degree=self.max_degree)
-        ring._packing = self._packing
-        ring._tables = self._tables
-        ring._monomials = self._monomials
-        return ring
+        """The ring without relations, on this ring's monomial store."""
+        return SliceRing(self.rep, max_degree=self.max_degree, store=self._store)
 
 
 def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
@@ -468,8 +529,10 @@ def verify_regular_sequence(alg: GradedQuiverAlgebra) -> RegSeqReport:
     If the quadrics form a regular sequence, each weight-w Hilbert series of
     the quotient equals the ambient one times (1 - t^2)^q.  The scan covers
     every block weight up to the degree bound and reads both counts from the
-    algebra's ring.  It runs degree-outer so the reported failure is at the
-    first impossible degree.
+    algebra's ring: with at most one quadric from its Hilbert series,
+    listing no monomial, and with two or more from listed and eliminated
+    slices.  It runs degree-outer so the reported failure is at the first
+    impossible degree.
     """
     ring = alg.ring
     q = len(ring.quadrics)
@@ -531,9 +594,9 @@ class GradedQuiverAlgebra:
         return self.ring.quadrics
 
     def ambient(self) -> GradedQuiverAlgebra:
-        """The same window algebra without relations, sharing the monomials."""
-        amb = GradedQuiverAlgebra(self.rep, self.window, self.degree_bound, ())
-        amb.ring = self.ring.ambient()
+        """The same window algebra without relations, on its ring's ambient()."""
+        amb = object.__new__(GradedQuiverAlgebra)
+        vars(amb).update(vars(self), ring=self.ring.ambient())
         return amb
 
     @property

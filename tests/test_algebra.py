@@ -20,7 +20,7 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.algebra import SliceRing, _Packing, _relation_rows
+from hypertoric.algebra import SliceRing, _MonomialStore, _relation_rows
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import (
     MalformedAlgebraError,
@@ -154,12 +154,12 @@ def test_exponent_tables_match_brute_force(corpus):
     empty = SymplecticRep(0, ())  # no pairs: only the empty vector, of degree 0
     for rep in NAMED_REPS + [entry.rep for entry in corpus] + [empty]:
         ring = SliceRing(rep, max_degree=top)
-        width, e = ring._packing.width, rep.num_pairs
+        store, e = ring._store, rep.num_pairs
         for d, want in enumerate(brute_exponent_tables(rep, top)):
-            got = {key: [unpacked(v, width, e) for v in vs] for key, vs in ring._table(d).items()}
-            assert got == {ring._key(w): vs for w, vs in want.items()}, (rep, d)
+            got = {key: [unpacked(v, store.width, e) for v in vs] for key, vs in store.table(d).items()}
+            assert got == {store.key(w): vs for w, vs in want.items()}, (rep, d)
     bare = SliceRing(empty, max_degree=0)
-    assert bare._table(0) == {0: [0]} and bare.monomials(0, ()) == ((),)
+    assert bare._store.table(0) == {0: [0]} and bare.monomials(0, ()) == ((),)
 
 
 def test_bounded_ring_answers_degrees_out_of_order():
@@ -188,14 +188,14 @@ def test_packing_decodes_orders_and_adds(corpus):
     cases += [(entry.rep, 4) for entry in corpus]
     for rep, top in cases:
         ring = SliceRing(rep, max_degree=top)
-        packing, fields = ring._packing, 2 * rep.num_pairs
+        packing, fields = ring._store, 2 * rep.num_pairs
         assert packing.width == top.bit_length()
-        fresh = _Packing(packing.width, rep.num_pairs)
+        fresh = _MonomialStore(rep, top)
         for n in range(top + 1):
             powers = [tuple(top - n if j == i else 0 for j in range(fields)) for i in range(fields)]
             for w, mons in _monomials_by_weight(rep, n).items():
                 mons = tuple(sorted(mons))
-                packed = ring._packed(n, w)
+                packed = ring._store.packed(n, w)
                 encoded = tuple(packed_of(m, packing.width) for m in mons)
                 assert packed == tuple(sorted(packed)) == encoded, (rep, w)
                 assert fresh.view(packed) == mons, (rep, w)
@@ -212,8 +212,8 @@ def test_exponent_tables_bound_the_work():
     amb = quo.ambient()
     quo.hilbert_matrices()
     amb.hilbert_matrices()
-    assert amb.ring._tables is quo.ring._tables
-    tables = quo.ring._tables.values()
+    assert amb.ring._store is quo.ring._store
+    tables = quo.ring._store.tables.values()
     assert sum(len(vs) for table in tables for vs in table.values()) <= comb(8 + 4, 4)
 
 
@@ -352,10 +352,10 @@ def test_reduce_substitution_matches_rref():
         one_term = len(quadrics) == 1 and sum(map(bool, quadrics[0].coefficients)) == 1
         for n in range(7):
             for w in sorted(_monomials_by_weight(rep, n)):
-                piece, mons = ring.piece(n, w), ring._packed(n, w)
+                piece, mons = ring.piece(n, w), ring._store.packed(n, w)
                 view = ring.monomials(n, w)
-                bases = ring._packed(n - 2, w) if n >= 2 else ()
-                pivots = sparse_rref(_relation_rows(quadrics, ring._packing.pairs, bases, mons))
+                bases = ring._store.packed(n - 2, w) if n >= 2 else ()
+                pivots = sparse_rref(_relation_rows(quadrics, ring._store.pairs, bases, mons))
                 position = {m: p for p, m in enumerate(piece.representatives)}
                 assert piece.relation_rank == len(pivots) == len(view) - len(position)
                 for c, row in pivots.items():
@@ -381,10 +381,10 @@ def test_piece_rank_accounting(rep_b):
     for n in range(5):
         for w in weight_box(rep_b, n):
             piece = ring.piece(n, w)
-            assert piece.monomials is ring._packed(n, w)
+            assert piece.monomials is ring._store.packed(n, w)
             fields = 2 * rep_b.num_pairs
             assert ring.monomials(n, w) == tuple(
-                unpacked(m, ring._packing.width, fields) for m in piece.monomials
+                unpacked(m, ring._store.width, fields) for m in piece.monomials
             )
             assert piece.ambient_dim == len(piece.monomials)
             assert piece.dim == piece.ambient_dim - piece.relation_rank
@@ -433,7 +433,8 @@ def test_one_quadric_pivots_equal_the_echelon():
     the last pair in q's support; these are the columns sparse_echelon
     picks, so the closed form and the elimination agree on every slice up
     to N=8, including entries whose last pair has weight zero and a zero
-    quadric, which has rank 0.
+    quadric, which has rank 0.  The piece counts its rank before it lists
+    anything, and lists its pivots on the first read of its monomials.
     """
     rings = list(one_quadric_rings())
     assert len(rings) == 2 + 18 + 18 + 2
@@ -443,12 +444,101 @@ def test_one_quadric_pivots_equal_the_echelon():
         zero = not any(quadrics[0].coefficients)
         for n in range(9):
             for w in weight_box(rep, n):
-                mons = ring._packed(n, w)
-                bases = ring._packed(n - 2, w) if n >= 2 else ()
-                want = sparse_echelon(_relation_rows(quadrics, ring._packing.pairs, bases, mons))
                 piece = ring.piece(n, w)
+                rank = piece.relation_rank
+                mons = piece.monomials
+                bases = ring._store.packed(n - 2, w) if n >= 2 else ()
+                want = sparse_echelon(_relation_rows(quadrics, ring._store.pairs, bases, mons))
                 assert piece._pivots == tuple(want), (rep, quadrics, n, w)
-                assert piece.relation_rank == len(want) == (0 if zero else len(bases))
+                assert rank == len(want) == (0 if zero else len(bases))
+
+
+def counted_rings():
+    """Rings whose slices are counted, with the weights to check at each degree.
+
+    Conifold, three-pair, a zero quadric, the pairless rep, a zero
+    half-weight and the ambient() of four-pair and hexagon over their weight
+    boxes, which reach one step beyond every reachable weight (where keys
+    would alias at the bound); every rank-one fixed_corpus(24) entry of two
+    seeds, and the ambient() of the others, over their reachable weights.
+    """
+    conifold, three_pair = SymplecticRep(1, ((1,), (1,))), NAMED_REPS[1]
+    four_pair, hexagon = NAMED_REPS[0], NAMED_REPS[2]
+    zero_half_weight = SymplecticRep(1, ((1,), (2,), (0,)))
+    for rep, quadrics in [
+        (conifold, moment_quadrics(conifold)),
+        (three_pair, moment_quadrics(three_pair)),
+        (three_pair, (MomentQuadric(0, (0, 0, 0)),)),
+        (SymplecticRep(0, ()), ()),
+        (zero_half_weight, moment_quadrics(zero_half_weight)),
+    ]:
+        yield SliceRing(rep, quadrics, max_degree=8), weight_box
+    for rep in (four_pair, hexagon):
+        yield SliceRing(rep, moment_quadrics(rep), max_degree=8).ambient(), weight_box
+    for seed in (DEFAULT_SEED, 7):
+        for entry in fixed_corpus(24, seed):
+            ring = SliceRing(entry.rep, moment_quadrics(entry.rep), max_degree=8)
+            yield (ring if entry.rep.torus_rank == 1 else ring.ambient()), reachable_weights
+
+
+def reachable_weights(rep, n):
+    return sorted(_monomials_by_weight(rep, n))
+
+
+def test_counts_equal_the_listings():
+    """A counted slice agrees with its listing on every slice up to N=8.
+
+    ambient_dim, read off the ring's Hilbert series, is the number of
+    listed monomials; a piece's counted relation_rank is the number of
+    pivots it lists on the first read of its monomials, and its counted
+    dim the number of representatives.
+    """
+    rings = list(counted_rings())
+    assert len(rings) == 5 + 2 + 24 + 24
+    slices = 0
+    for ring, weights in rings:
+        store = ring._store
+        for n in range(9):
+            for w in weights(ring.rep, n):
+                piece = ring.piece(n, w)
+                counted = (ring.ambient_dim(n, w), piece.relation_rank, piece.dim)
+                assert piece._monomials is None, (ring.rep, n, w)
+                assert counted[0] == store.count(n, w) == len(store.packed(n, w)), (ring.rep, n, w)
+                mons = piece.monomials
+                listed = (len(mons), len(piece._pivots), len(piece.representatives))
+                assert counted == listed, (ring.rep, ring.quadrics, n, w)
+                slices += 1
+    assert slices > 15000
+
+
+def test_counted_blocks_list_nothing():
+    """Blocks, scan and the benchmark's slice count list no monomial in a counted ring.
+
+    Three-pair at N=8 and the ambient side of four-pair: after the Hilbert
+    blocks, the regular-sequence scan and reading ambient_dim,
+    relation_rank and dim of every block piece (what bench/tracing.py's
+    count_slices reads), the store holds no exponent table and no listed
+    slice; the quiver then lists slices of degree <= 2 only.
+    """
+    four_pair, three_pair = NAMED_REPS[0], NAMED_REPS[1]
+    quotient = GradedQuiverAlgebra(three_pair, enumerate_window(build_zonotope(three_pair), (1,)), 8)
+    ambient = GradedQuiverAlgebra(
+        four_pair, enumerate_window(build_zonotope(four_pair), (3, 1)), 8
+    ).ambient()
+    for alg in (quotient, ambient):
+        alg.hilbert_matrices()
+        verify_regular_sequence(alg)
+        v = alg.num_vertices
+        for n in range(alg.degree_bound + 1):
+            for i in range(v):
+                for j in range(v):
+                    piece = alg.piece(i, j, n)
+                    assert piece.dim == piece.ambient_dim - piece.relation_rank
+        store = alg.ring._store
+        assert store.tables == {} and store.slices == {}, alg.rep
+        assert store.series is not None
+        quiver_presentation(alg)
+        assert store.slices and {n for n, _ in store.slices} <= {0, 1, 2}, alg.rep
 
 
 # SHA-256 of repr((n, w, representatives)) over every nonempty slice, and of
@@ -554,10 +644,10 @@ def test_ambient_algebra_shares_monomials(rep_b, window_b):
     assert quo.quadrics == moment_quadrics(rep_b)
     fresh = GradedQuiverAlgebra(rep_b, window_b, 4, quadrics=())
     assert amb.hilbert_matrices() == fresh.hilbert_matrices()
-    assert amb.ring._packing is quo.ring._packing
+    assert amb.ring._store is quo.ring._store
     for n in range(5):
         for w in weight_box(rep_b, n):
-            assert amb.ring._packed(n, w) is quo.ring._packed(n, w)
+            assert amb.ring._store.packed(n, w) is quo.ring._store.packed(n, w)
 
 
 # -- window algebra and its quiver ------------------------------------------

@@ -257,7 +257,7 @@ class SliceWork:
         ring_init = algebra.SliceRing.__init__
         sparse_echelon = algebra.sparse_echelon
         sparse_rref = algebra.sparse_rref
-        enumerate_slice = algebra.SliceRing._enumerate
+        enumerate_slice = algebra._MonomialStore._enumerate
         reduce = algebra.QuotientPiece.reduce
 
         def counting_init(ring, *args, **kwargs):
@@ -272,9 +272,9 @@ class SliceWork:
             self.rrefs.append(1)
             return sparse_rref(rows)
 
-        def counting_enumerate(ring, n, w):
+        def counting_enumerate(store, n, w):
             self.enumerations.append((n, w))
-            return enumerate_slice(ring, n, w)
+            return enumerate_slice(store, n, w)
 
         def landing_reduce(piece, mono):
             key = (piece.degree, piece.weight)
@@ -288,7 +288,7 @@ class SliceWork:
         monkeypatch.setattr(algebra.SliceRing, "__init__", counting_init)
         monkeypatch.setattr(algebra, "sparse_echelon", counting_echelon)
         monkeypatch.setattr(algebra, "sparse_rref", counting_rref)
-        monkeypatch.setattr(algebra.SliceRing, "_enumerate", counting_enumerate)
+        monkeypatch.setattr(algebra._MonomialStore, "_enumerate", counting_enumerate)
         monkeypatch.setattr(algebra.QuotientPiece, "reduce", landing_reduce)
 
     def run(self, name, *analyses):
@@ -301,11 +301,13 @@ class SliceWork:
 
 
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
-    """Regular-sequence scan, Hilbert blocks and both resolutions share one ring.
+    """Regular-sequence scan, Hilbert blocks and both resolutions share one store.
 
-    Each slice is eliminated to echelon form once per ring.  The quadrics
-    are brought to reduced echelon form once per ring, and reduce runs no
-    elimination: it substitutes the ring's reduced quadrics.
+    Each slice of the two-quadric ring is eliminated to echelon form once;
+    the ambient ring, with no quadric, counts its slices and eliminates
+    none.  The quadrics are brought to reduced echelon form once per ring,
+    and reduce runs no elimination: it substitutes the ring's reduced
+    quadrics.
     """
     work = SliceWork(problems_dir, monkeypatch)
     rings, echelons, enumerations, rrefs = work.rings, work.echelons, work.enumerations, work.rrefs
@@ -331,31 +333,36 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     assert reduced == []
 
     report = run_hexagon("hilbert", "regular_sequence", "koszul")
-    # each slice of each ring is eliminated once: the quotient and the ambient
-    assert len(echelons) == 2 * 9 * len(weights)
+    # the quotient ring and its ambient(), which shares the store
+    assert len(rings) == 2
+    # each slice of the quotient is eliminated once, and none of the ambient
+    assert len(echelons) == 9 * len(weights)
     # and its monomials are listed once, for both rings together
     assert sorted(enumerations) == sorted((n, w) for n in range(9) for w in weights)
     # products land on some slices, and reduce eliminates on none
-    assert len(rrefs) == len(rings) > 0
+    assert len(rrefs) == len(rings)
     assert reduced == []
     assert 0 < len(landed) < 9 * len(weights)
 
 
 def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch):
-    """A rank-one ring reads each slice's pivots off its base monomials.
+    """A rank-one ring counts each slice from the Hilbert series.
 
-    Conifold at N=8: the scan and the blocks run no echelon at all; the
-    quiver reduces the slices that paths land on without elimination too.
-    The only sparse_rref is the quadrics' reduced echelon, once per ring.
+    Conifold at N=8: the scan and the blocks list no monomial and run no
+    echelon; the quiver lists slices of degree <= 2 only and reduces the
+    slices that paths land on without elimination.  The only sparse_rref is
+    the quadrics' reduced echelon, once per ring.
     """
     work = SliceWork(problems_dir, monkeypatch)
     report = work.run("conifold", "hilbert", "regular_sequence")
     assert report.sections["regular_sequence"]["passed"]
-    assert work.enumerations and work.echelons == []
+    assert work.enumerations == [] and work.echelons == []
     assert len(work.rrefs) == len(work.rings) > 0
 
     work.run("conifold", "quiver")
     assert work.echelons == []
+    assert work.enumerations and {n for n, _ in work.enumerations} <= {0, 1, 2}
+    assert len(work.enumerations) == len(set(work.enumerations))
     assert work.landed and {n for n, _ in work.landed} == {2}
     assert work.reduced == []
     assert len(work.rrefs) == len(work.rings) > 0
