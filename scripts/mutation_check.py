@@ -49,6 +49,7 @@ class Mutation(NamedTuple):
 ALGEBRA, KOSZUL = "src/hypertoric/algebra.py", "src/hypertoric/koszul.py"
 REPS, LATTICE = "src/hypertoric/reps.py", "src/hypertoric/lattice.py"
 ZONOTOPE, PIPELINE = "src/hypertoric/zonotope.py", "src/hypertoric/pipeline.py"
+CLI = "src/hypertoric/cli.py"
 
 MUTATIONS = [
     Mutation(
@@ -84,9 +85,9 @@ MUTATIONS = [
     ),
     Mutation(
         "count-without-reach-guard", ALGEBRA,
-        "if n < 0 or any(abs(c) > n * self.reach for c in w):\n            return 0",
-        "if n < 0:\n            return 0",
-        "a count looks up the key of an unreachable weight, which may alias",
+        "key = self.keys[w] = None if any(abs(c) > limit for c in w) else self.key(w)",
+        "key = self.keys[w] = self.key(w)",
+        "a count looks up the key of a weight beyond every degree's reach, which may alias",
     ),
     Mutation(
         "resolution-bound-off-by-one", KOSZUL,
@@ -207,6 +208,24 @@ MUTATIONS = [
         "        self._substitutions = tuple(\n"
         "            (col, row[col], tuple((z[j], c)",
         "the reduced quadrics put their pivots on the first pairs",
+    ),
+    Mutation(
+        "cli-exit-without-flush", CLI,
+        "        sys.stdout.flush()\n",
+        "",
+        "the process entry ends without flushing stdout, losing a report's buffered tail",
+    ),
+    Mutation(
+        "cli-exit-status-zero", CLI,
+        "    os._exit(code)",
+        "    os._exit(0)",
+        "the process entry ends every run with status 0",
+    ),
+    Mutation(
+        "cli-flush-error-escapes", CLI,
+        "    except OSError:\n        sys.exit(code)",
+        "    except ValueError:\n        sys.exit(code)",
+        "a flush into a closed pipe raises out of the process entry with a traceback",
     ),
 ]
 

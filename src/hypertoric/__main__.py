@@ -1,6 +1,4 @@
-import sys
-
-from .cli import main
+from .cli import console
 
 if __name__ == "__main__":
-    sys.exit(main())
+    console()

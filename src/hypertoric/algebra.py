@@ -89,18 +89,19 @@ class _MonomialStore:
     An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
     monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
     x_i y_i, and key(w) packs a weight.  tables holds the exponent tables
-    by degree, slices each listed slice, and series the counts of every
-    slice up to max_degree once one is asked for.  The decode table is
-    views, which maps each packed slice whose monomials were read as tuples
-    to its exponent tuples, and halves, which maps the packed x- and
-    y-parts met there to theirs.  A ring, its ambient() and the pieces of
-    both hold one store; it holds no ring and no piece, so a piece that
-    lists itself later makes no reference cycle.
+    by degree, slices each listed slice, series the counts of every slice
+    up to max_degree once one is asked for, and keys the packed key of each
+    weight counted.  The decode table is views, which maps each packed
+    slice whose monomials were read as tuples to its exponent tuples, and
+    halves, which maps the packed x- and y-parts met there to theirs.  A
+    ring, its ambient() and the pieces of both hold one store; it holds no
+    ring and no piece, so a piece that lists itself later makes no
+    reference cycle.
     """
 
     __slots__ = (
         "max_degree", "width", "fields", "pairs", "reach", "base", "steps",
-        "tables", "slices", "series", "views", "halves",
+        "tables", "slices", "series", "keys", "views", "halves",
     )
 
     def __init__(self, rep: SymplecticRep, max_degree: int):
@@ -115,6 +116,7 @@ class _MonomialStore:
         self.tables: dict[int, dict[int, list[int]]] = {}
         self.slices: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self.series: list[dict[int, int]] | None = None
+        self.keys: dict[IntVec, int | None] = {}
         self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
         self.halves: dict[int, Monomial] = {}
 
@@ -191,12 +193,19 @@ class _MonomialStore:
         It is the coefficient of t^n z^w in the Hilbert series
         prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), expanded once up to
         t^max_degree on the packed weight keys: each factor 1/(1 - t z^s)
-        adds z^s A[d - 1] to A[d], for d ascending.
+        adds z^s A[d - 1] to A[d], for d ascending.  Each weight's key is
+        packed once, and is None beyond max_degree * reach, where a key may
+        alias.  Within it the balanced base keeps keys apart, and series[n]
+        holds only weights that degree n reaches, so one lookup answers.
         """
-        self._bound(n)
-        # answered before packing: the key of an unreachable weight may alias
-        if n < 0 or any(abs(c) > n * self.reach for c in w):
+        if not 0 <= n <= self.max_degree:
+            self._bound(n)
             return 0
+        try:
+            key = self.keys[w]
+        except KeyError:
+            limit = self.max_degree * self.reach
+            key = self.keys[w] = None if any(abs(c) > limit for c in w) else self.key(w)
         series = self.series
         if series is None:
             top = self.max_degree
@@ -209,7 +218,7 @@ class _MonomialStore:
                         for k, c in series[d - 1].items():
                             k += s
                             row[k] = get(k, 0) + c
-        return series[n].get(self.key(w), 0)
+        return series[n].get(key, 0)
 
     def _half(self, v: int) -> Monomial:
         width, mask = self.width, (1 << self.width) - 1

@@ -8,8 +8,10 @@ declares in errors.py (3 invalid input, 4 resource budget exceeded).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
+from typing import NoReturn
 
 from .errors import HypertoricError, ProblemFormatError
 from .pipeline import ANALYSES, Budget, load_problem, run
@@ -93,3 +95,24 @@ def main(argv=None) -> int:
     output = report.to_json() if args.format == "json" else report.to_text()
     sys.stdout.write(output)
     return report.exit_code
+
+
+def console() -> NoReturn:
+    """The process entry of `hypertoric` and `python -m hypertoric`: main, then exit.
+
+    After a normal return both streams are flushed and the process ends
+    with os._exit, skipping interpreter finalization (module teardown, the
+    final collections, freeing every object).  An exception out of main,
+    or an OSError from a flush such as a closed pipe, takes sys.exit's
+    shutdown instead, which reports it as usual.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    # nothing is left for finalization to do: main registers no atexit
+    # handler and has no file open when it returns (load_problem reads
+    # under `with`); a file or handler added to a run must keep this true
+    os._exit(code)

@@ -3,6 +3,7 @@
 import argparse
 import gc
 import json
+import os
 import re
 import subprocess
 import sys
@@ -821,6 +822,10 @@ def test_cli_subprocess_entry(problems_dir):
         ((conifold, "--N", "1"), 3),
         ((conifold, "--N", "20"), 4),
     ]
+    errors = {
+        3: "input error: 1 is less than the minimum of 2 (field: truncation)\n",
+        4: "budget exceeded: truncation 20 exceeds budget 16\n",
+    }
     for args, code in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "hypertoric", "run", *args],
@@ -833,6 +838,48 @@ def test_cli_subprocess_entry(problems_dir):
             assert json.loads(proc.stdout)["exit_code"] == code
         else:
             assert proc.stdout == ""
+            assert proc.stderr == errors[code]
+
+
+# a child's stdout as a run sees it outside a harness: block-buffered, so
+# the end of a report waits in the buffer for the entry's flush
+BUFFERED_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_cli_entry_writes_the_in_process_bytes(tmp_path, capsys):
+    """The process entry flushes a report many write buffers long, to a pipe and to a file."""
+    # a rank-one four-pair corpus entry; its report is about 69 KB
+    problem = tmp_path / "four_pair.json"
+    problem.write_text(json.dumps({
+        "torus_rank": 1, "half_weights": [[1], [0], [1], [-2]], "chi": [-1], "truncation": 8,
+    }))
+    assert main(["run", str(problem)]) == 0
+    want = capsys.readouterr().out.encode()
+    assert len(want) > 64 * 1024
+    argv = [sys.executable, "-m", "hypertoric", "run", str(problem)]
+    piped = subprocess.run(argv, capture_output=True, env=BUFFERED_ENV)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == want
+    out = tmp_path / "report.json"
+    with open(out, "wb") as fh:
+        assert subprocess.run(argv, stdout=fh, env=BUFFERED_ENV).returncode == 0
+    assert out.read_bytes() == want
+
+
+def test_cli_entry_closed_stdout_ends_as_interpreter_shutdown(problems_dir):
+    """A report the closed pipe refuses at the entry's flush ends as sys.exit(main()) does."""
+    flags = ["run", str(problems_dir / "conifold.json"), "--analyses", "validation"]
+    endings = []
+    for entry in (["-m", "hypertoric"], ["-c", "import sys; from hypertoric.cli import main; sys.exit(main())"]):
+        proc = subprocess.Popen(
+            [sys.executable, *entry, *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV,
+        )
+        proc.stdout.close()  # before the child writes: its flush meets a closed pipe
+        err = proc.stderr.read()
+        endings.append((proc.wait(), err))
+    assert endings[0] == endings[1]
+    assert endings[0][0] != 0 and b"BrokenPipeError" in endings[0][1]
 
 
 def test_cli_validation_rank_five_exits_promptly(tmp_path):
