@@ -96,10 +96,10 @@ MUTATIONS = [
         "a resolution stops one step early as truncation-limited",
     ),
     Mutation(
-        "scan-target-one-term-short", ALGEBRA,
-        "for k in range(min(q, n // 2) + 1)",
-        "for k in range(min(q, n // 2))",
-        "the regular-sequence target drops its last inclusion-exclusion term",
+        "regseq-rank-from-quadric-count", ALGEBRA,
+        "q, r = len(ring.quadrics), len(ring._substitutions)",
+        "q, r = len(ring.quadrics), len(ring.quadrics)",
+        "the regular-sequence test reads the quadrics' rank as their number",
     ),
     Mutation(
         "leading-label-from-last-term", KOSZUL,
@@ -223,9 +223,29 @@ MUTATIONS = [
     ),
     Mutation(
         "cli-flush-error-escapes", CLI,
-        "    except OSError:\n        sys.exit(code)",
-        "    except ValueError:\n        sys.exit(code)",
+        "        except OSError as exc:\n            code = _fail(_stdout_refused(exc))",
+        "        except ValueError as exc:\n            code = _fail(_stdout_refused(exc))",
         "a flush into a closed pipe raises out of the process entry with a traceback",
+    ),
+    Mutation(
+        "cli-write-error-escapes", CLI,
+        "        except OSError as exc:\n            raise _stdout_refused(exc)",
+        "        except ValueError as exc:\n            raise _stdout_refused(exc)",
+        "a write that a full stdout refuses raises out of main with a traceback",
+    ),
+    Mutation(
+        "cli-error-line-to-closed-stderr", CLI,
+        "    if sys.stderr is not None:\n        try:\n            sys.stderr.write(",
+        "    if True:\n        try:\n            sys.stderr.write(",
+        "an error line for a closed stderr raises, and the run exits 1, not with its code",
+    ),
+    Mutation(
+        "cli-refused-stdout-keeps-its-fd", CLI,
+        "        os.dup2(null, sys.stdout.fileno())\n",
+        "",
+        "the buffered writer drops the bytes that a failed write refused, and the entry"
+        " ends with os._exit after a failed flush, so no later flush meets stdout",
+        equivalent=True,
     ),
 ]
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks pass, 2 a mathematical check failed (witness in
 the report); an error raised by the engine exits with the code its class
-declares in errors.py (3 invalid input, 4 resource budget exceeded).
+declares in errors.py (3 invalid input, 4 resource budget exceeded, 5 the
+report cannot be written to stdout).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from functools import cache
 from typing import NoReturn
 
-from .errors import HypertoricError, ProblemFormatError
+from .errors import HypertoricError, OutputError, ProblemFormatError
 from .pipeline import ANALYSES, Budget, load_problem, run
 
 # --budget keys are the Budget fields without their max_ prefix
@@ -89,29 +90,65 @@ def main(argv=None) -> int:
             **{k: v for k, v in overrides.items() if v is not None}
         )
         report = run(problem, _parse_budget(args.budget))
+        output = report.to_json() if args.format == "json" else report.to_text()
+        if sys.stdout is None:
+            raise OutputError("cannot write the report: stdout is closed")
+        try:
+            sys.stdout.write(output)
+        except OSError as exc:
+            raise _stdout_refused(exc)
     except HypertoricError as exc:
-        print(f"{exc.label}: {exc}", file=sys.stderr)
-        return exc.exit_code
-    output = report.to_json() if args.format == "json" else report.to_text()
-    sys.stdout.write(output)
+        return _fail(exc)
     return report.exit_code
+
+
+def _fail(exc: HypertoricError) -> int:
+    """Write exc's stderr line, if stderr takes it, and return its exit code."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"{exc.label}: {exc}\n")
+        except OSError:
+            pass  # the line is lost; the exit code still says what happened
+    return exc.exit_code
+
+
+def _stdout_refused(exc: OSError) -> OutputError:
+    """The error for a write or flush that stdout refused.
+
+    stdout stays unwritable, so file descriptor 1 is pointed at os.devnull:
+    what is still buffered then goes nowhere at a later flush instead of
+    failing again (Python docs, "Note on SIGPIPE").
+    """
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except OSError:
+        pass
+    return OutputError(f"cannot write the report: {exc.strerror or exc}")
 
 
 def console() -> NoReturn:
     """The process entry of `hypertoric` and `python -m hypertoric`: main, then exit.
 
-    After a normal return both streams are flushed and the process ends
+    After main returns, stdout and stderr are flushed and the process ends
     with os._exit, skipping interpreter finalization (module teardown, the
-    final collections, freeing every object).  An exception out of main,
-    or an OSError from a flush such as a closed pipe, takes sys.exit's
-    shutdown instead, which reports it as usual.
+    final collections, freeing every object).  A flush that stdout refuses
+    ends with OutputError's exit code and stderr line; a stderr that
+    refuses its flush loses the line, not the exit code.  An exception out
+    of main takes sys.exit's shutdown instead, which reports it as usual.
     """
     code = main()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    if sys.stdout is not None:  # None: main has reported it, or wrote nothing
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            code = _fail(_stdout_refused(exc))
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
     # nothing is left for finalization to do: main registers no atexit
     # handler and has no file open when it returns (load_problem reads
     # under `with`); a file or handler added to a run must keep this true

@@ -56,6 +56,13 @@ class ResourceBudgetError(HypertoricError, RuntimeError):
     label = "budget exceeded"
 
 
+class OutputError(HypertoricError, OSError):
+    """The report cannot be written: stdout is closed, full or a pipe with no reader."""
+
+    exit_code = 5
+    label = "output error"
+
+
 class MalformedAlgebraError(HypertoricError, ValueError):
     """A graded algebra violates a structural assumption (e.g. degree-0 not identity)."""
 

@@ -1,6 +1,7 @@
 """Graded slices, Hilbert blocks, regular sequences, quiver presentations."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
@@ -20,7 +21,13 @@ from hypertoric import (
     quiver_presentation,
     verify_regular_sequence,
 )
-from hypertoric.algebra import SliceRing, _MonomialStore, _relation_rows
+from hypertoric.algebra import (
+    RegSeqFailure,
+    RegSeqReport,
+    SliceRing,
+    _MonomialStore,
+    _relation_rows,
+)
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import (
     MalformedAlgebraError,
@@ -28,7 +35,7 @@ from hypertoric.errors import (
     UnsupportedShiftError,
 )
 from hypertoric.koszul import hilbert_inverse_coefficients
-from hypertoric.lattice import sparse_echelon, sparse_rref
+from hypertoric.lattice import sparse_echelon, sparse_rref, vec_sub
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
 from hypertoric.reps import MomentQuadric, moment_quadrics
 
@@ -392,7 +399,7 @@ def test_piece_rank_accounting(rep_b):
 
 
 def test_counting_lists_no_representatives():
-    """The Hilbert blocks and the scan count slices without listing a basis.
+    """The Hilbert blocks and the regular-sequence test count slices without listing a basis.
 
     Four-pair at N=8: after both, and after reading what the benchmark's
     slice count reads of every piece, no piece has listed its
@@ -512,10 +519,10 @@ def test_counts_equal_the_listings():
 
 
 def test_counted_blocks_list_nothing():
-    """Blocks, scan and the benchmark's slice count list no monomial in a counted ring.
+    """Blocks, regular-sequence test and the bench's slice count list nothing when counted.
 
     Three-pair at N=8 and the ambient side of four-pair: after the Hilbert
-    blocks, the regular-sequence scan and reading ambient_dim,
+    blocks, the regular-sequence test and reading ambient_dim,
     relation_rank and dim of every block piece (what bench/tracing.py's
     count_slices reads), the store holds no exponent table and no listed
     slice; the quiver then lists slices of degree <= 2 only.
@@ -602,6 +609,70 @@ def test_duplicated_quadric_fails_at_first_impossible_degree(rep_b, window_b):
     f = report.first_failure
     assert (f.degree, f.weight) == (2, (0, 0))
     assert (f.got, f.expected) == (1, 0)
+
+
+def scanned_regular_sequence(alg):
+    """The slice scan that the rank test replaced, kept as its reference.
+
+    Every block weight, degree-outer up to the degree bound: the quotient
+    slice's dimension against sum_k (-1)^k C(q, k) amb(n - 2k, w), the
+    target of a regular sequence of q quadrics; the first slice that
+    differs is the failure.
+    """
+    ring = alg.ring
+    q = len(ring.quadrics)
+    weights = tuple(sorted({vec_sub(b, a) for a in alg.vertices for b in alg.vertices}))
+    for n in range(alg.degree_bound + 1):
+        for w in weights:
+            expected = sum(
+                (-1) ** k * comb(q, k) * ring.ambient_dim(n - 2 * k, w)
+                for k in range(min(q, n // 2) + 1)
+            )
+            got = ring.dim(n, w)
+            if got != expected:
+                failure = RegSeqFailure(n, w, got, expected)
+                return RegSeqReport(False, alg.degree_bound, q, weights, failure)
+    return RegSeqReport(True, alg.degree_bound, q, weights, None)
+
+
+def quadric_variants(rep, rng):
+    """The moment quadrics, with a duplicate, with a zero one, scaled, and random integer ones."""
+    qs = moment_quadrics(rep)
+    e = rep.num_pairs
+    yield qs
+    yield qs + (qs[0]._replace(index=len(qs)),)
+    yield qs + (MomentQuadric(len(qs), (0,) * e),)
+    yield tuple(q._replace(coefficients=tuple((q.index + 2) * c for c in q.coefficients))
+                for q in qs)
+    count = rng.randint(1, e + 1)
+    yield tuple(MomentQuadric(k, tuple(rng.randint(-2, 2) for _ in range(e))) for k in range(count))
+
+
+def test_rank_test_equals_the_slice_scan():
+    """verify_regular_sequence gives the scan's record on regular and dependent quadrics.
+
+    fixed_corpus(24) of three seeds, four-pair, three-pair, conifold and
+    hexagon, each with the variants of quadric_variants at N = 2, 3 and 5:
+    the rank test and the scan of every slice of every block weight agree
+    on the whole record, the first failure's got and expected included.
+    """
+    rng = random.Random(20261020)
+    cases = [(SymplecticRep(1, ((1,), (1,))), (1,))]
+    cases += zip(NAMED_REPS[:3], [(3, 1), (1,), (2, 1)])
+    cases += [(e.rep, e.epsilon) for seed in (DEFAULT_SEED, 7, 11) for e in fixed_corpus(24, seed)]
+    outcomes = []
+    for rep, eps in cases:
+        window = enumerate_window(build_zonotope(rep), eps)
+        for quadrics in quadric_variants(rep, rng):
+            for upto in (2, 3, 5):
+                got = verify_regular_sequence(GradedQuiverAlgebra(rep, window, upto, quadrics))
+                want = scanned_regular_sequence(GradedQuiverAlgebra(rep, window, upto, quadrics))
+                assert got == want, (rep, quadrics, upto)
+                outcomes.append((got.passed, len(quadrics)))
+    assert len(outcomes) == 76 * 5 * 3
+    assert sum(passed for passed, _ in outcomes) > 300
+    # failures with several quadrics read got from an eliminated slice
+    assert sum(not passed and q >= 2 for passed, q in outcomes) > 300
 
 
 @pytest.mark.parametrize("upto", [4, 6])

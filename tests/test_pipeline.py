@@ -302,7 +302,7 @@ class SliceWork:
 
 
 def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
-    """Regular-sequence scan, Hilbert blocks and both resolutions share one store.
+    """Regular-sequence test, Hilbert blocks and both resolutions share one store.
 
     Each slice of the two-quadric ring is eliminated to echelon form once;
     the ambient ring, with no quadric, counts its slices and eliminates
@@ -321,7 +321,7 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     assert report.sections["regular_sequence"]["passed"]
     points = report.sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
-    # the scan and the blocks read ranks only: one echelon per slice, and
+    # the blocks read ranks only: one echelon per slice, and
     # one reduced echelon of the quadrics per ring
     assert len(echelons) == 9 * len(weights)
     assert len(rrefs) == len(rings) > 0
@@ -349,10 +349,10 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
 def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch):
     """A rank-one ring counts each slice from the Hilbert series.
 
-    Conifold at N=8: the scan and the blocks list no monomial and run no
-    echelon; the quiver lists slices of degree <= 2 only and reduces the
-    slices that paths land on without elimination.  The only sparse_rref is
-    the quadrics' reduced echelon, once per ring.
+    Conifold at N=8: the regular-sequence test and the blocks list no
+    monomial and run no echelon; the quiver lists slices of degree <= 2
+    only and reduces the slices that paths land on without elimination.
+    The only sparse_rref is the quadrics' reduced echelon, once per ring.
     """
     work = SliceWork(problems_dir, monkeypatch)
     report = work.run("conifold", "hilbert", "regular_sequence")
@@ -367,6 +367,42 @@ def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch
     assert work.landed and {n for n, _ in work.landed} == {2}
     assert work.reduced == []
     assert len(work.rrefs) == len(work.rings) > 0
+
+
+def test_regular_sequence_alone_reads_no_slice(problems_dir, monkeypatch):
+    """The regular-sequence test reads the quadrics' rank, and one slice to report a failure.
+
+    Hexagon, `regular_sequence` alone at N=8: its two independent quadrics
+    pass with no piece built, no slice listed and no echelon; with the
+    first quadric duplicated (rank 2 of 3) the run builds the degree-2,
+    weight-0 piece alone, where it reports the failure.
+    """
+    work = SliceWork(problems_dir, monkeypatch)
+    built = []
+    piece_init = algebra.QuotientPiece.__init__
+
+    def counting_piece(piece, degree, weight, *args, **kwargs):
+        built.append((degree, weight))
+        piece_init(piece, degree, weight, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.QuotientPiece, "__init__", counting_piece)
+    report = work.run("hexagon", "regular_sequence")
+    assert report.sections["regular_sequence"]["passed"]
+    assert built == [] and work.enumerations == [] and work.echelons == []
+
+    moment_quadrics = pipeline.moment_quadrics
+
+    def duplicated(*args):
+        qs = moment_quadrics(*args)
+        return qs + (qs[0],)
+
+    monkeypatch.setattr(pipeline, "moment_quadrics", duplicated)
+    report = work.run("hexagon", "regular_sequence")
+    section = report.sections["regular_sequence"]
+    assert not section["passed"] and section["num_quadrics"] == 3
+    assert section["first_failure"] == {"degree": 2, "weight": [0, 0], "got": 1, "expected": 0}
+    assert built == [(2, (0, 0))] and len(work.echelons) == 1
+    assert report.exit_code == 2
 
 
 def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
@@ -713,6 +749,7 @@ def test_error_classes_declare_exit_codes():
     table = {c.__name__: (c.exit_code, c.label) for c in ERROR_CLASSES}
     assert table.pop("ResourceBudgetError") == (4, "budget exceeded")
     assert table.pop("ProblemFormatError") == (3, "input error")
+    assert table.pop("OutputError") == (5, "output error")
     assert "HypertoricError" in table
     assert set(table.values()) == {(3, "input invalid")}
 
@@ -866,20 +903,47 @@ def test_cli_entry_writes_the_in_process_bytes(tmp_path, capsys):
     assert out.read_bytes() == want
 
 
-def test_cli_entry_closed_stdout_ends_as_interpreter_shutdown(problems_dir):
-    """A report the closed pipe refuses at the entry's flush ends as sys.exit(main()) does."""
-    flags = ["run", str(problems_dir / "conifold.json"), "--analyses", "validation"]
-    endings = []
-    for entry in (["-m", "hypertoric"], ["-c", "import sys; from hypertoric.cli import main; sys.exit(main())"]):
-        proc = subprocess.Popen(
-            [sys.executable, *entry, *flags],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=BUFFERED_ENV,
-        )
-        proc.stdout.close()  # before the child writes: its flush meets a closed pipe
-        err = proc.stderr.read()
-        endings.append((proc.wait(), err))
-    assert endings[0] == endings[1]
-    assert endings[0][0] != 0 and b"BrokenPipeError" in endings[0][1]
+def entry_with(redirect, flags, **kwargs):
+    """Run the process entry with stdout or stderr redirected; return (exit code, stderr).
+
+    "pipe" gives it a pipe whose read end is closed before it writes;
+    anything else is a shell redirection such as ">/dev/full" or "2>&-".
+    """
+    argv = [sys.executable, "-m", "hypertoric", "run", *flags]
+    if redirect == "pipe":
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+        proc.stdout.close()  # before the child writes: its write or flush meets a closed pipe
+        with proc.stderr:
+            err = proc.stderr.read()
+        return proc.wait(), err
+    shell = ["sh", "-c", f'exec "$@" {redirect}', "sh", *argv]
+    proc = subprocess.run(shell, capture_output=True, **kwargs)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("redirect", ["pipe", ">/dev/full", ">&-"], ids=["pipe", "full", "closed"])
+def test_cli_entry_unwritable_stdout_exits_with_output_error(problems_dir, redirect):
+    """A report that stdout refuses ends with exit 5 and one stderr line, no traceback.
+
+    A pipe or a full file refuses a short report only at the entry's
+    flush, and hexagon's, past the 8 KiB buffer, already at the write in
+    main; a closed stdout refuses both at the write.
+    """
+    reason = {
+        "pipe": "Broken pipe", ">/dev/full": "No space left on device", ">&-": "stdout is closed",
+    }[redirect]
+    want = (5, f"output error: cannot write the report: {reason}\n".encode())
+    for flags in (["conifold.json", "--analyses", "validation"], ["hexagon.json"]):
+        flags[0] = str(problems_dir / flags[0])
+        assert entry_with(redirect, flags, env=BUFFERED_ENV) == want, flags
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+def test_cli_entry_unwritable_stderr_keeps_the_exit_code(problems_dir, redirect):
+    """An error line that stderr refuses is lost, and the run still exits with its code."""
+    conifold = str(problems_dir / "conifold.json")
+    for flags, code in [([conifold, "--N", "1"], 3), ([conifold, "--N", "20"], 4)]:
+        assert entry_with(redirect, flags) == (code, b""), flags
 
 
 def test_cli_validation_rank_five_exits_promptly(tmp_path):
