@@ -79,9 +79,15 @@ MUTATIONS = [
     ),
     Mutation(
         "counted-rank-one-degree-down", ALGEBRA,
-        "rank = len(leads) * store.count(n - 2, w)",
-        "rank = len(leads) * store.count(n - 1, w)",
+        "(len(leads) * store.count(n - 2, w)",
+        "(len(leads) * store.count(n - 1, w)",
         "a counted slice's relation rank reads the degree n-1 slice, not n-2",
+    ),
+    Mutation(
+        "counted-pivots-one-degree-down", ALGEBRA,
+        "bases = store.packed(n - 2, w) if leads and n >= 2 else ()",
+        "bases = store.packed(n - 1, w) if leads and n >= 2 else ()",
+        "a counted piece forms its pivots from the degree n-1 slice, not n-2",
     ),
     Mutation(
         "count-without-reach-guard", ALGEBRA,
@@ -158,6 +164,12 @@ MUTATIONS = [
         "a negative inverse Hilbert series no longer fails the koszul check",
     ),
     Mutation(
+        "column-kernel-without-common-multiplier", LATTICE,
+        "        f = common // d\n",
+        "        f = 1\n",
+        "column_kernel drops the column denominators instead of scaling to a common one",
+    ),
+    Mutation(
         "smith-without-divisibility-pass", LATTICE,
         "    changed = True\n    while changed:",
         "    changed = False\n    while changed:",
@@ -210,10 +222,19 @@ MUTATIONS = [
         "the reduced quadrics put their pivots on the first pairs",
     ),
     Mutation(
+        "cli-main-without-flush", CLI,
+        "            sys.stdout.write(output)\n            sys.stdout.flush()\n",
+        "            sys.stdout.write(output)\n",
+        "main leaves a short report in stdout's buffer, so an in-process caller's"
+        " shutdown flush meets a closed pipe outside main",
+    ),
+    Mutation(
         "cli-exit-without-flush", CLI,
-        "        sys.stdout.flush()\n",
-        "",
-        "the process entry ends without flushing stdout, losing a report's buffered tail",
+        "        try:\n            sys.stdout.flush()\n        except OSError as exc:\n"
+        "            code = _fail",
+        "        try:\n            pass\n        except OSError as exc:\n"
+        "            code = _fail",
+        "the process entry ends without flushing stdout, losing argparse's help text",
     ),
     Mutation(
         "cli-exit-status-zero", CLI,
@@ -225,7 +246,8 @@ MUTATIONS = [
         "cli-flush-error-escapes", CLI,
         "        except OSError as exc:\n            code = _fail(_stdout_refused(exc))",
         "        except ValueError as exc:\n            code = _fail(_stdout_refused(exc))",
-        "a flush into a closed pipe raises out of the process entry with a traceback",
+        "the entry's flush of argparse's help into a closed pipe raises out of it"
+        " with a traceback",
     ),
     Mutation(
         "cli-write-error-escapes", CLI,
@@ -243,9 +265,8 @@ MUTATIONS = [
         "cli-refused-stdout-keeps-its-fd", CLI,
         "        os.dup2(null, sys.stdout.fileno())\n",
         "",
-        "the buffered writer drops the bytes that a failed write refused, and the entry"
-        " ends with os._exit after a failed flush, so no later flush meets stdout",
-        equivalent=True,
+        "a report that main's flush could not write stays buffered, so the entry's"
+        " flush fails again and a second error line follows",
     ),
 ]
 

@@ -13,11 +13,11 @@ exponents of x^a y^b gets a field of W = P.bit_length() bits, P the ring's
 degree bound: a_1 in the most significant field, then the rest of a, then
 b.  Integer order is lex order, and a product within the bound is one
 addition: no exponent of a monomial of degree <= P reaches 2^W, so no field
-carries.  The exponent tables, the slice joins, the relation rows and
-QuotientPiece.monomials all hold packed integers.  Exponent tuples appear
-only at a piece's boundary (representatives, and the monomials that
-position and reduce take), decoded on first read through a table in the
-ring's store (_MonomialStore), which a ring shares with its ambient().
+carries.  The exponent tables, the slice joins, the relation rows and a
+piece's pivots all hold packed integers.  Exponent tuples appear only at a
+piece's boundary (representatives, and the monomials that position and
+reduce take), decoded on first read through a table in the ring's store
+(_MonomialStore), which a ring shares with its ambient().
 
 A slice lists only its own monomials.  A monomial x^a y^b has degree
 |a| + |b| and weight beta.a - beta.b, so the degree-n, weight-w slice is the
@@ -48,16 +48,18 @@ verify_regular_sequence tests.
 With at most one quadric piece() counts both, listing nothing and
 eliminating nothing: the lex-least monomial of q*b is b + x_p y_p, p the
 last pair in q's support, so the rank is the number of bases b, and a zero
-quadric, or none, has rank 0.  Such a piece lists its monomials and pivots
-on its first read of them.  With two or more quadrics piece() lists the
-slice and still eliminates the relations (sparse_echelon).  The
-representatives, the non-pivot monomials, are formed on their first read
-(the quiver, the minimal resolutions, reduce).  QuotientPiece.reduce
-substitutes the ring's reduced quadrics for the pivot factors z_p and so
-writes any monomial of the slice as an integer row over the representatives
-and a denominator, with no relation rows and no elimination.  The quiver
-relations are the kernel of those products (lattice.column_kernel), the
-same product and kernel that the minimal resolutions use.
+quadric, or none, has rank 0.  With two or more quadrics piece() lists the
+slice and still eliminates the relations (sparse_echelon), and the piece
+keeps the pivot columns.  Either way a piece holds counts until its
+representatives, the slice's monomials less its pivots, are first read (the
+quiver, the minimal resolutions, reduce); they are formed in one step from
+the listed slice and the pivot set, b + x_p y_p over the bases b or the
+echelon's pivot columns.  QuotientPiece.reduce substitutes the ring's
+reduced quadrics for the pivot factors z_p and so writes any monomial of
+the slice as an integer row over the representatives and a denominator,
+with no relation rows and no elimination.  The quiver relations are the
+kernel of those products (lattice.column_kernel), the same product and
+kernel that the minimal resolutions use.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class _MonomialStore:
     slice whose monomials were read as tuples to its exponent tuples, and
     halves, which maps the packed x- and y-parts met there to theirs.  A
     ring, its ambient() and the pieces of both hold one store; it holds no
-    ring and no piece, so a piece that lists itself later makes no
+    ring and no piece, so a piece that lists its slice later makes no
     reference cycle.
     """
 
@@ -272,25 +274,25 @@ def _relation_rows(
 class QuotientPiece:
     """One (degree, weight) slice of the ring modulo the quadric relations.
 
-    ambient_dim counts the slice's monomials and relation_rank its pivot
-    columns, which is all that dim reads.  In a ring with at most one
-    quadric both are counts from the store, and the piece lists monomials,
-    the full ambient basis, packed, in ascending (lex) order, and its pivot
-    columns, b + x_p y_p over the degree n-2 monomials b for each of leads,
-    on the first read of monomials, representatives, position or reduce.
-    A ring with more quadrics lists them when it builds the piece.
-    representatives, the non-pivot monomials in lex order as exponent
-    tuples, descend to a basis of the quotient slice; they and the index
-    that position() looks them up in are formed together on the first read
-    of either, from the decode table, and then the positions tell the pivot
-    columns apart.  The piece keeps no relations: _substitutions, the
-    ring's reduced quadrics, is all that reduce reads.  Pieces compare by
-    identity: a ring builds each slice once.
+    ambient_dim counts the slice's monomials and relation_rank its pivots,
+    which is all that dim reads; a piece is built with these counts and
+    lists nothing more.  representatives, the non-pivot monomials in lex
+    order as exponent tuples, descend to a basis of the quotient slice.
+    They and the index that position() looks them up in are formed in one
+    step on the first read of representatives, position or reduce: the
+    store lists the slice, packed, the pivot set is formed, and the slice
+    is decoded through the store's view less the pivots.  In a ring with at
+    most one quadric (pivots None) the pivots are b + x_p y_p over the
+    degree n-2 monomials b for each of leads; a ring with more quadrics
+    passes the echelon's pivot columns.  The pivots are then dropped, and
+    the positions tell them apart.  The piece keeps no relations:
+    _substitutions, the ring's reduced quadrics, is all that reduce reads.
+    Pieces compare by identity: a ring builds each slice once.
     """
 
     __slots__ = (
-        "degree", "weight", "ambient_dim", "relation_rank", "_monomials", "_pivots",
-        "_leads", "_representatives", "_positions", "_substitutions", "_store",
+        "degree", "weight", "ambient_dim", "relation_rank", "_pivots", "_leads",
+        "_representatives", "_positions", "_substitutions", "_store",
     )
 
     def __init__(
@@ -301,15 +303,13 @@ class QuotientPiece:
         relation_rank: int,
         store: _MonomialStore,
         substitutions: tuple[tuple[int, int, tuple[tuple[Monomial, int], ...]], ...],
-        leads: list[int] | None = None,
-        monomials: tuple[int, ...] | None = None,
-        pivots: tuple[int, ...] = (),
+        leads: list[int] | None,
+        pivots: tuple[int, ...] | None,
     ):
         self.degree = degree
         self.weight = weight
         self.ambient_dim = ambient_dim
         self.relation_rank = relation_rank
-        self._monomials = monomials
         self._pivots = pivots
         self._leads = leads
         self._positions: dict[Monomial, int] | None = None
@@ -321,33 +321,24 @@ class QuotientPiece:
         return self.ambient_dim - self.relation_rank
 
     @property
-    def monomials(self) -> tuple[int, ...]:
-        if self._monomials is None:
-            self._list()
-        return self._monomials
-
-    def _list(self) -> None:
-        """List the packed monomials and the pivot columns b + x_p y_p."""
-        store, n, w = self._store, self.degree, self.weight
-        mons = self._monomials = store.packed(n, w)
-        if self._leads and n >= 2:
-            index = dict(zip(mons, range(len(mons))))
-            bases = store.packed(n - 2, w)
-            self._pivots = tuple([index[b + xy] for xy in self._leads for b in bases])
-
-    @property
     def representatives(self) -> tuple[Monomial, ...]:
         if self._positions is None:
             self._index()
         return self._representatives
 
     def _index(self) -> dict[Monomial, int]:
-        """Form the representatives and their positions; drop the pivot columns."""
-        reps = self._store.view(self.monomials)
-        if self._pivots:
-            pivots = set(self._pivots)
-            reps = tuple([m for c, m in enumerate(reps) if c not in pivots])
-        self._pivots = None
+        """Form the representatives and their positions; drop the pivots."""
+        store, n, w, leads = self._store, self.degree, self.weight, self._leads
+        mons = store.packed(n, w)
+        if self._pivots is None:
+            bases = store.packed(n - 2, w) if leads and n >= 2 else ()
+            pivots = {b + xy for xy in leads for b in bases}
+        else:
+            pivots = {mons[c] for c in self._pivots}
+            self._pivots = None
+        reps = store.view(mons)
+        if pivots:
+            reps = tuple([m for p, m in zip(mons, reps) if p not in pivots])
         self._representatives = reps
         positions = self._positions = dict(zip(reps, range(len(reps))))
         return positions
@@ -481,21 +472,17 @@ class SliceRing:
         cached = self._pieces.get(key)
         if cached is not None:
             return cached
-        store, leads = self._store, self._leads
+        store, leads, pivots = self._store, self._leads, None
         if leads is None:
             mons = store.packed(n, w)
             bases = store.packed(n - 2, w) if n >= 2 else ()
             pivots = tuple(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases, mons)))
-            piece = QuotientPiece(
-                n, w, len(mons), len(pivots), store, self._substitutions,
-                monomials=mons, pivots=pivots,
-            )
+            size, rank = len(mons), len(pivots)
         else:
-            rank = len(leads) * store.count(n - 2, w) if n >= 2 else 0
-            piece = QuotientPiece(
-                n, w, store.count(n, w), rank, store, self._substitutions, leads=leads,
-            )
-        self._pieces[key] = piece
+            size, rank = store.count(n, w), (len(leads) * store.count(n - 2, w) if n >= 2 else 0)
+        piece = self._pieces[key] = QuotientPiece(
+            n, w, size, rank, store, self._substitutions, leads, pivots
+        )
         return piece
 
     def dim(self, n: int, w: IntVec) -> int:

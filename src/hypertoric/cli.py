@@ -95,6 +95,7 @@ def main(argv=None) -> int:
             raise OutputError("cannot write the report: stdout is closed")
         try:
             sys.stdout.write(output)
+            sys.stdout.flush()
         except OSError as exc:
             raise _stdout_refused(exc)
     except HypertoricError as exc:
@@ -133,10 +134,12 @@ def console() -> NoReturn:
 
     After main returns, stdout and stderr are flushed and the process ends
     with os._exit, skipping interpreter finalization (module teardown, the
-    final collections, freeing every object).  A flush that stdout refuses
-    ends with OutputError's exit code and stderr line; a stderr that
-    refuses its flush loses the line, not the exit code.  An exception out
-    of main takes sys.exit's shutdown instead, which reports it as usual.
+    final collections, freeing every object).  main has flushed a report
+    itself, so the stdout flush is for argparse's help text; one that
+    stdout refuses ends with OutputError's exit code and stderr line.  A
+    stderr that refuses its flush loses the line, not the exit code.  An
+    exception out of main takes sys.exit's shutdown instead, which reports
+    it as usual.
     """
     code = main()
     if sys.stdout is not None:  # None: main has reported it, or wrote nothing

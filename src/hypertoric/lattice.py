@@ -305,15 +305,21 @@ def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     return piv
 
 
-def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
-    """Basis of {x : row . x = 0 for all rows}, one vector per free column.
+def column_kernel(columns: Sequence[tuple[SparseRow, int]]) -> list[SparseRow]:
+    """Basis of the kernel of the matrix whose j-th column is row_j / denominator_j.
 
-    Each vector is the rational one with a 1 at its free column, scaled by
-    the lcm of its denominators to integers, so its entries are coprime.
+    All columns take one common multiplier: scaling them apart would change
+    the kernel.  Each vector, 1 at a free column, is scaled to coprime ints.
     """
-    piv = sparse_rref(rows)
+    common = lcm(*(d for _, d in columns))
+    rows: dict[int, SparseRow] = {}
+    for j, (column, d) in enumerate(columns):
+        f = common // d
+        for r, v in column.items():
+            rows.setdefault(r, {})[j] = v * f
+    piv = sparse_rref(rows.values())
     basis = []
-    for free in range(ncols):
+    for free in range(len(columns)):
         if free in piv:
             continue
         hits = [(p, row) for p, row in piv.items() if free in row]
@@ -323,18 +329,3 @@ def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> list[SparseRow]:
             vec[p] = -row[free] * scale // row[p]
         basis.append(vec)
     return basis
-
-
-def column_kernel(columns: Sequence[tuple[SparseRow, int]]) -> list[SparseRow]:
-    """sparse_kernel of the matrix whose j-th column is row_j / denominator_j.
-
-    All columns are brought to one common multiplier: scaling them
-    separately would change the kernel.
-    """
-    common = lcm(*(d for _, d in columns))
-    rows: dict[int, SparseRow] = {}
-    for j, (column, d) in enumerate(columns):
-        f = common // d
-        for r, v in column.items():
-            rows.setdefault(r, {})[j] = v * f
-    return sparse_kernel(rows.values(), len(columns))

@@ -226,7 +226,7 @@ def _render_window(sec: dict) -> list[str]:
 def _quadrics(ctx: _Context):
     return {
         "xi": ctx.problem.xi,
-        "items": [dict(_jsonify(q), string=q.as_string()) for q in ctx.quadrics],
+        "items": [dict(q._asdict(), string=q.as_string()) for q in ctx.quadrics],
     }
 
 
@@ -281,7 +281,7 @@ def _codimension(ctx: _Context):
     for step in red.steps:
         xi = project_vec(xi, step.projection)
     est = singular_codim_estimate(red.reduced, xi)
-    return dict(_jsonify(est), on_reduced=not red.is_trivial)
+    return dict(est._asdict(), on_reduced=not red.is_trivial)
 
 
 def _render_codimension(sec: dict) -> list[str]:

@@ -383,19 +383,30 @@ def test_multiply_respects_relations(rep_a):
     assert piece.reduce(tuple(map(add, x2, y2))) == ({at: -1}, 1)
 
 
+def echelon_representatives(ring, n, w):
+    """The slice's monomials outside the echelon pivot columns of its relations."""
+    store = ring._store
+    mons = store.packed(n, w)
+    bases = store.packed(n - 2, w) if n >= 2 else ()
+    pivots = sparse_echelon(_relation_rows(ring.quadrics, store.pairs, bases, mons))
+    reps = tuple(m for c, m in enumerate(ring.monomials(n, w)) if c not in pivots)
+    return reps, len(pivots)
+
+
 def test_piece_rank_accounting(rep_b):
     ring = quotient_ring(rep_b, upto=4)
     for n in range(5):
         for w in weight_box(rep_b, n):
             piece = ring.piece(n, w)
-            assert piece.monomials is ring._store.packed(n, w)
             fields = 2 * rep_b.num_pairs
             assert ring.monomials(n, w) == tuple(
-                unpacked(m, ring._store.width, fields) for m in piece.monomials
+                unpacked(m, ring._store.width, fields) for m in ring._store.packed(n, w)
             )
-            assert piece.ambient_dim == len(piece.monomials)
+            assert piece.ambient_dim == len(ring.monomials(n, w))
             assert piece.dim == piece.ambient_dim - piece.relation_rank
             assert piece.dim == len(piece.representatives)
+            want, rank = echelon_representatives(ring, n, w)
+            assert piece.representatives == want and piece.relation_rank == rank
 
 
 def test_counting_lists_no_representatives():
@@ -441,7 +452,8 @@ def test_one_quadric_pivots_equal_the_echelon():
     picks, so the closed form and the elimination agree on every slice up
     to N=8, including entries whose last pair has weight zero and a zero
     quadric, which has rank 0.  The piece counts its rank before it lists
-    anything, and lists its pivots on the first read of its monomials.
+    anything, and its representatives are the monomials outside those
+    columns.
     """
     rings = list(one_quadric_rings())
     assert len(rings) == 2 + 18 + 18 + 2
@@ -453,11 +465,10 @@ def test_one_quadric_pivots_equal_the_echelon():
             for w in weight_box(rep, n):
                 piece = ring.piece(n, w)
                 rank = piece.relation_rank
-                mons = piece.monomials
-                bases = ring._store.packed(n - 2, w) if n >= 2 else ()
-                want = sparse_echelon(_relation_rows(quadrics, ring._store.pairs, bases, mons))
-                assert piece._pivots == tuple(want), (rep, quadrics, n, w)
-                assert rank == len(want) == (0 if zero else len(bases))
+                assert (n, w) not in ring._store.slices, (rep, quadrics, n, w)
+                want, pivots = echelon_representatives(ring, n, w)
+                assert piece.representatives == want, (rep, quadrics, n, w)
+                assert rank == pivots == (0 if zero else ring.ambient_dim(n - 2, w))
 
 
 def counted_rings():
@@ -496,9 +507,10 @@ def test_counts_equal_the_listings():
     """A counted slice agrees with its listing on every slice up to N=8.
 
     ambient_dim, read off the ring's Hilbert series, is the number of
-    listed monomials; a piece's counted relation_rank is the number of
-    pivots it lists on the first read of its monomials, and its counted
-    dim the number of representatives.
+    listed monomials; a piece lists nothing until its representatives are
+    read, its counted relation_rank is the number of echelon pivots of the
+    slice's relations, and its representatives, as many as its counted
+    dim, are the monomials outside them.
     """
     rings = list(counted_rings())
     assert len(rings) == 5 + 2 + 24 + 24
@@ -509,11 +521,13 @@ def test_counts_equal_the_listings():
             for w in weights(ring.rep, n):
                 piece = ring.piece(n, w)
                 counted = (ring.ambient_dim(n, w), piece.relation_rank, piece.dim)
-                assert piece._monomials is None, (ring.rep, n, w)
+                assert (n, w) not in store.slices, (ring.rep, n, w)
+                reps = piece.representatives
                 assert counted[0] == store.count(n, w) == len(store.packed(n, w)), (ring.rep, n, w)
-                mons = piece.monomials
-                listed = (len(mons), len(piece._pivots), len(piece.representatives))
+                want, pivots = echelon_representatives(ring, n, w)
+                listed = (len(store.packed(n, w)), pivots, len(reps))
                 assert counted == listed, (ring.rep, ring.quadrics, n, w)
+                assert reps == want, (ring.rep, ring.quadrics, n, w)
                 slices += 1
     assert slices > 15000
 
@@ -702,8 +716,8 @@ def test_pieces_compare_by_identity(rep_b):
     first, second = quotient_ring(rep_b, 4), quotient_ring(rep_b, 4)
     a, b = first.piece(4, (0, 0)), second.piece(4, (0, 0))
     assert a is first.piece(4, (0, 0))
-    assert (a.monomials, a.representatives, a.relation_rank) == (
-        b.monomials, b.representatives, b.relation_rank
+    assert (a.ambient_dim, a.representatives, a.relation_rank) == (
+        b.ambient_dim, b.representatives, b.relation_rank
     )
     assert a != b and a == a
 

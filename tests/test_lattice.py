@@ -5,6 +5,7 @@ shares no code with the sparse echelon under test, and Smith invariant
 factors against the gcds of the minors.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -16,6 +17,7 @@ from hypertoric.errors import DimensionError
 from hypertoric.lattice import (
     IncrementalEchelon,
     _column_hermite,
+    column_kernel,
     content,
     dot,
     hyperplane_normals,
@@ -24,7 +26,6 @@ from hypertoric.lattice import (
     primitive,
     smith_invariant_factors,
     sparse_echelon,
-    sparse_kernel,
     sparse_rref,
     vec_neg,
     vec_sub,
@@ -274,15 +275,20 @@ def test_sparse_echelon_pivot_signs():
     assert rows[0][0] > 0
 
 
-@given(small_matrix())
-def test_sparse_kernel_annihilates(mat):
+@given(small_matrix(), st.lists(st.integers(1, 6), min_size=4, max_size=4))
+def test_column_kernel_annihilates(mat, denominators):
+    # column j is mat's column j over a positive denominator d_j, so the
+    # kernel must be taken after one common multiplier, not column by column
     ncols = len(mat[0])
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
-    kernel = sparse_kernel(sparse, ncols)
+    columns = [
+        ({r: row[j] for r, row in enumerate(mat) if row[j]}, denominators[j])
+        for j in range(ncols)
+    ]
+    kernel = column_kernel(columns)
     assert len(kernel) == ncols - dense_rank(mat)
     # back-substitution keeps every pivot entry positive, and each pivot
     # column in its own row only
-    reduced = sparse_rref(sparse)
+    reduced = sparse_rref({j: x for j, x in enumerate(row) if x} for row in mat)
     for j, row in reduced.items():
         assert row[j] > 0
         assert not any(c in reduced for c in row if c != j)
@@ -290,7 +296,7 @@ def test_sparse_kernel_annihilates(mat):
         # primitive: the quiver relations are not divided by their content
         assert content(list(vec.values())) == 1
         for row in mat:
-            assert sum(row[j] * c for j, c in vec.items()) == 0
+            assert sum(Fraction(row[j] * c, denominators[j]) for j, c in vec.items()) == 0
 
 
 @settings(max_examples=50)

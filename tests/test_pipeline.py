@@ -903,13 +903,18 @@ def test_cli_entry_writes_the_in_process_bytes(tmp_path, capsys):
     assert out.read_bytes() == want
 
 
-def entry_with(redirect, flags, **kwargs):
+# cli.main called in process by a script that exits with its code
+IN_PROCESS = ("-c", "import sys; from hypertoric.cli import main; sys.exit(main())")
+
+
+def entry_with(redirect, flags, entry=("-m", "hypertoric"), **kwargs):
     """Run the process entry with stdout or stderr redirected; return (exit code, stderr).
 
     "pipe" gives it a pipe whose read end is closed before it writes;
     anything else is a shell redirection such as ">/dev/full" or "2>&-".
+    entry is what follows the interpreter: the process entry, or IN_PROCESS.
     """
-    argv = [sys.executable, "-m", "hypertoric", "run", *flags]
+    argv = [sys.executable, *entry, "run", *flags]
     if redirect == "pipe":
         proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
         proc.stdout.close()  # before the child writes: its write or flush meets a closed pipe
@@ -921,21 +926,42 @@ def entry_with(redirect, flags, **kwargs):
     return proc.returncode, proc.stderr
 
 
+def refused(redirect):
+    reason = {
+        "pipe": "Broken pipe", ">/dev/full": "No space left on device", ">&-": "stdout is closed",
+    }[redirect]
+    return 5, f"output error: cannot write the report: {reason}\n".encode()
+
+
 @pytest.mark.parametrize("redirect", ["pipe", ">/dev/full", ">&-"], ids=["pipe", "full", "closed"])
 def test_cli_entry_unwritable_stdout_exits_with_output_error(problems_dir, redirect):
     """A report that stdout refuses ends with exit 5 and one stderr line, no traceback.
 
-    A pipe or a full file refuses a short report only at the entry's
-    flush, and hexagon's, past the 8 KiB buffer, already at the write in
-    main; a closed stdout refuses both at the write.
+    A pipe or a full file refuses a short report only at its flush in main,
+    and hexagon's, past the 8 KiB buffer, already at the write; a closed
+    stdout refuses both at the write.  The same holds for a script that
+    calls main in process and ends with sys.exit(main()), whose stdout is
+    flushed again at interpreter shutdown, outside main.
     """
-    reason = {
-        "pipe": "Broken pipe", ">/dev/full": "No space left on device", ">&-": "stdout is closed",
-    }[redirect]
-    want = (5, f"output error: cannot write the report: {reason}\n".encode())
     for flags in (["conifold.json", "--analyses", "validation"], ["hexagon.json"]):
         flags[0] = str(problems_dir / flags[0])
-        assert entry_with(redirect, flags, env=BUFFERED_ENV) == want, flags
+        for entry in (("-m", "hypertoric"), IN_PROCESS):
+            got = entry_with(redirect, flags, entry, env=BUFFERED_ENV)
+            assert got == refused(redirect), (flags, entry)
+
+
+def test_cli_entry_flushes_the_help_text():
+    """argparse's help text waits in stdout's buffer for the entry's flush.
+
+    main flushes a report itself, so this is what the entry's own flush is
+    for: through a pipe the help arrives whole, and into a pipe whose
+    reader has gone the run exits 5 with one stderr line.
+    """
+    argv = [sys.executable, "-m", "hypertoric", "run", "--help"]
+    piped = subprocess.run(argv, capture_output=True, env=BUFFERED_ENV)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout.startswith(b"usage: hypertoric run") and b"--budget" in piped.stdout
+    assert entry_with("pipe", ["--help"], env=BUFFERED_ENV) == refused("pipe")
 
 
 @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
