@@ -3,9 +3,12 @@
 
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
-Every entry is cross-checked against the brute-force oracle; mismatches are
-reported loudly and make the script exit 1.  A count that the corpus cannot
-reach within its draw cap exits 2 with one line on stderr.
+Every entry is cross-checked against the brute-force oracle: its window,
+its blocks up to degree K, and its quiver presentation, whose arrows and
+relations read the representatives and reduce of the degree <= 2 slices.
+Mismatches are reported loudly and make the script exit 1.  A count that
+the corpus cannot reach within its draw cap exits 2 with one line on
+stderr.
 """
 
 import argparse
@@ -19,12 +22,13 @@ from hypertoric import (
     koszul_check,
     oracle_block_dimension,
     oracle_lattice_points,
+    quiver_presentation,
     verify_regular_sequence,
 )
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import ResourceBudgetError
 from hypertoric.koszul import default_depth
-from hypertoric.oracle import MAX_DEGREE
+from hypertoric.oracle import MAX_DEGREE, oracle_quiver_problems
 from hypertoric.reps import reduce_to_generic, singular_codim_estimate
 
 
@@ -68,21 +72,22 @@ def main(argv=None) -> int:
                     if alg.dim(i, j, n) != oracle_block_dimension(rep, mu, mup, n, True):
                         blocks_ok = False
 
+        quiver_ok = not oracle_quiver_problems(rep, eps, quiver_presentation(alg))
+        oracle_ok = window_ok and blocks_ok and quiver_ok
         regseq = verify_regular_sequence(alg)
         reduced = reduce_to_generic(rep).reduced
         codim = singular_codim_estimate(reduced).estimate
         koszul = koszul_check(alg, depth=default_depth(alg))
         statuses[koszul.status] += 1
 
-        ok = window_ok and blocks_ok and regseq.passed
-        if not ok:
+        if not (oracle_ok and regseq.passed):
             mismatches += 1
         print(
             f"[{k:02d}] s={rep.torus_rank} e={rep.num_pairs} "
             f"|window|={len(window.points)} codim={codim} "
             f"regseq={'ok' if regseq.passed else 'FAIL'} "
             f"koszul={koszul.status} "
-            f"oracle={'ok' if window_ok and blocks_ok else 'MISMATCH'}"
+            f"oracle={'ok' if oracle_ok else 'MISMATCH'}"
         )
 
     print()

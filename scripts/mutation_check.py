@@ -53,17 +53,29 @@ CLI = "src/hypertoric/cli.py"
 
 MUTATIONS = [
     Mutation(
-        "one-quadric-first-support-pair", ALGEBRA,
-        "self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]",
-        "self._leads = [xy for q in self.quadrics"
-        " for xy, c in zip(self._store.pairs, q.coefficients) if c][:1]",
-        "the one-quadric pivots read from the first pair of the support, not the last",
+        "pivot-first-support-pair", ALGEBRA,
+        "{b + store.pairs[p] for p, _, _ in self._substitutions for b in bases}",
+        "{b + store.pairs[min([p] + [z.index(1) for z, _ in free])]"
+        " for p, _, free in self._substitutions for b in bases}",
+        "the pivots read from the first pair of each reduced quadric's support, not its pivot pair",
     ),
     Mutation(
-        "one-quadric-last-pair", ALGEBRA,
-        "self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]",
-        "self._leads = self._store.pairs[-1:] if self.quadrics else []",
-        "the one-quadric pivots read from the last pair whatever its coefficient",
+        "pivot-last-pair", ALGEBRA,
+        "{b + store.pairs[p] for p, _, _ in self._substitutions for b in bases}",
+        "{b + store.pairs[-1] for p, _, _ in self._substitutions for b in bases}",
+        "the pivots read from the last pair whatever the reduced quadrics' support",
+    ),
+    Mutation(
+        "pivot-first-pair-only", ALGEBRA,
+        "for p, _, _ in self._substitutions for b in bases}",
+        "for p, _, _ in self._substitutions[:1] for b in bases}",
+        "the pivots are read from the first reduced quadric's pivot pair only",
+    ),
+    Mutation(
+        "weight-length-unchecked", ALGEBRA,
+        "        if len(w) != self.rank:\n",
+        "        if False:\n",
+        "a weight whose length is not the torus rank packs to another slice's key",
     ),
     Mutation(
         "series-one-degree-short", ALGEBRA,
@@ -79,20 +91,20 @@ MUTATIONS = [
     ),
     Mutation(
         "counted-rank-one-degree-down", ALGEBRA,
-        "(len(leads) * store.count(n - 2, w)",
-        "(len(leads) * store.count(n - 1, w)",
+        "len(subs) * store.count(n - 2, w)",
+        "len(subs) * store.count(n - 1, w)",
         "a counted slice's relation rank reads the degree n-1 slice, not n-2",
     ),
     Mutation(
-        "counted-pivots-one-degree-down", ALGEBRA,
-        "bases = store.packed(n - 2, w) if leads and n >= 2 else ()",
-        "bases = store.packed(n - 1, w) if leads and n >= 2 else ()",
-        "a counted piece forms its pivots from the degree n-1 slice, not n-2",
+        "pivots-one-degree-down", ALGEBRA,
+        "bases = store.packed(n - 2, w) if self._substitutions and n >= 2 else ()",
+        "bases = store.packed(n - 1, w) if self._substitutions and n >= 2 else ()",
+        "a piece forms its pivots from the degree n-1 slice, not n-2",
     ),
     Mutation(
         "count-without-reach-guard", ALGEBRA,
-        "key = self.keys[w] = None if any(abs(c) > limit for c in w) else self.key(w)",
-        "key = self.keys[w] = self.key(w)",
+        "key = self.keys[w] = None if any(abs(c) > limit for c in w) else key",
+        "key = self.keys[w] = key",
         "a count looks up the key of a weight beyond every degree's reach, which may alias",
     ),
     Mutation(

@@ -33,33 +33,31 @@ slice is counted without listing it: its size is a coefficient of the
 ring's Hilbert series prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), which
 the store expands once, on the same keys.
 
-Everything here is integer arithmetic.  A slice's relations are the
-quadric multiples that land in it (_relation_rows): each quadric times each
-base, a degree n-2 monomial of the slice's weight.  A piece keeps only the
-pivot columns of their echelon form and no rows: the Hilbert blocks only
-count a slice, and its dimension is its monomials less its rank.  In
-z_i = x_i y_i the quadrics are linear forms (Hausel-Sturmfels), and a ring
-brings them to reduced echelon form once, with the pivots on the last
+Everything here is integer arithmetic.  In z_i = x_i y_i the moment
+quadrics are linear forms (Hausel-Sturmfels), and a ring brings them to
+reduced echelon form once (_substitutions), with the pivots on the last
 pairs.  Their leading monomials x_p y_p are pairwise coprime, so they are
-a Groebner basis (Buchberger's first criterion), and a slice's pivots are
-its monomials with a factor x_p y_p.  So the quadrics are a regular
-sequence exactly when the echelon keeps all of them, which is what
-verify_regular_sequence tests.
-With at most one quadric piece() counts both, listing nothing and
-eliminating nothing: the lex-least monomial of q*b is b + x_p y_p, p the
-last pair in q's support, so the rank is the number of bases b, and a zero
-quadric, or none, has rank 0.  With two or more quadrics piece() lists the
-slice and still eliminates the relations (sparse_echelon), and the piece
-keeps the pivot columns.  Either way a piece holds counts until its
-representatives, the slice's monomials less its pivots, are first read (the
-quiver, the minimal resolutions, reduce); they are formed in one step from
-the listed slice and the pivot set, b + x_p y_p over the bases b or the
-echelon's pivot columns.  QuotientPiece.reduce substitutes the ring's
-reduced quadrics for the pivot factors z_p and so writes any monomial of
-the slice as an integer row over the representatives and a denominator,
-with no relation rows and no elimination.  The quiver relations are the
-kernel of those products (lattice.column_kernel), the same product and
-kernel that the minimal resolutions use.
+a Groebner basis (Buchberger's first criterion): for any number of
+quadrics, a slice's pivots are its monomials b + x_p y_p, b a base, a
+degree n-2 monomial of the slice's weight, and p a pivot pair.  So the
+quadrics are a regular sequence exactly when the echelon keeps all of
+them, which is what verify_regular_sequence tests.  A piece is built with
+two counts, its monomials and its rank, and the Hilbert blocks read no
+more: its dimension is the one less the other.  With at most one quadric
+piece() counts both and lists nothing: C[x,y] is a domain, so the
+multiples q*b are independent and the rank is the number of bases, or 0
+for a zero quadric or none.  With two or more quadrics piece() lists the
+slice and still eliminates its relations, the quadric multiples that land
+in it (_relation_rows), but only for their rank (sparse_echelon).  A
+piece's representatives, the slice's monomials less its pivots, are formed
+in one step on their first read (the quiver, the minimal resolutions,
+reduce), from the listed slice and the pivots b + x_p y_p.
+QuotientPiece.reduce substitutes the ring's reduced quadrics for the pivot
+factors z_p and so writes any monomial of the slice as an integer row over
+the representatives and a denominator, with no relation rows and no
+elimination.  The quiver relations are the kernel of those products
+(lattice.column_kernel), the same product and kernel that the minimal
+resolutions use.
 """
 
 from __future__ import annotations
@@ -92,7 +90,9 @@ class _MonomialStore:
 
     An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
     monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
-    x_i y_i, and key(w) packs a weight.  tables holds the exponent tables
+    x_i y_i, and key(w) packs a weight; it raises DimensionError for a
+    weight whose length is not the torus rank, which every slice or count
+    not yet cached passes through.  tables holds the exponent tables
     by degree, slices each listed slice, series the counts of every slice
     up to max_degree once one is asked for, and keys the packed key of each
     weight counted.  The decode table is views, which maps each packed
@@ -104,13 +104,14 @@ class _MonomialStore:
     """
 
     __slots__ = (
-        "max_degree", "width", "fields", "pairs", "reach", "base", "steps",
+        "max_degree", "rank", "width", "fields", "pairs", "reach", "base", "steps",
         "tables", "slices", "series", "keys", "views", "halves",
     )
 
     def __init__(self, rep: SymplecticRep, max_degree: int):
         e = rep.num_pairs
         self.max_degree = max_degree
+        self.rank = rep.torus_rank
         self.width = width = max_degree.bit_length()
         self.fields = e
         self.pairs = [(1 << width * (2 * e - 1 - i)) + (1 << width * (e - 1 - i)) for i in range(e)]
@@ -125,6 +126,9 @@ class _MonomialStore:
         self.halves: dict[int, Monomial] = {}
 
     def key(self, w: IntVec) -> int:
+        """A weight packed to one integer; a weight of another length would alias."""
+        if len(w) != self.rank:
+            raise DimensionError(f"weight {tuple(w)} of length {len(w)} for torus rank {self.rank}")
         return sum(v * self.base**j for j, v in enumerate(w))
 
     def _bound(self, n: int) -> None:
@@ -170,10 +174,10 @@ class _MonomialStore:
         heads (a, bs) have distinct a; sorted by a, they give the slice in
         ascending order as (a << W e) + b for b in their ascending y-list bs.
         """
-        # answered before packing: the key of an unreachable weight may alias
+        key = self.key(w)
+        # an unreachable weight is answered empty: its key may alias
         if any(abs(c) > n * self.reach for c in w):
             return ()
-        key = self.key(w)
         shift = self.width * self.fields
         heads = []
         for d in range(n + 1):
@@ -202,14 +206,14 @@ class _MonomialStore:
         alias.  Within it the balanced base keeps keys apart, and series[n]
         holds only weights that degree n reaches, so one lookup answers.
         """
-        if not 0 <= n <= self.max_degree:
-            self._bound(n)
-            return 0
         try:
             key = self.keys[w]
         except KeyError:
-            limit = self.max_degree * self.reach
-            key = self.keys[w] = None if any(abs(c) > limit for c in w) else self.key(w)
+            limit, key = self.max_degree * self.reach, self.key(w)
+            key = self.keys[w] = None if any(abs(c) > limit for c in w) else key
+        if not 0 <= n <= self.max_degree:
+            self._bound(n)
+            return 0
         series = self.series
         if series is None:
             top = self.max_degree
@@ -254,8 +258,6 @@ def _relation_rows(
     from the degree n-2 monomials of the same weight.  All monomials are
     packed: the column of x_i y_i * base is that of base + pairs[i].
     """
-    if not bases:
-        return
     index = dict(zip(monomials, range(len(monomials))))
     # each quadric's nonzero (pair, coefficient) terms; distinct pairs give
     # distinct monomials, so a row has one entry per term
@@ -280,18 +282,17 @@ class QuotientPiece:
     order as exponent tuples, descend to a basis of the quotient slice.
     They and the index that position() looks them up in are formed in one
     step on the first read of representatives, position or reduce: the
-    store lists the slice, packed, the pivot set is formed, and the slice
-    is decoded through the store's view less the pivots.  In a ring with at
-    most one quadric (pivots None) the pivots are b + x_p y_p over the
-    degree n-2 monomials b for each of leads; a ring with more quadrics
-    passes the echelon's pivot columns.  The pivots are then dropped, and
+    store lists the slice, packed, and it is decoded through the store's
+    view less its pivots.  These are b + x_p y_p over the degree n-2
+    monomials b of the weight and the pivot pairs p of _substitutions, the
+    ring's reduced quadrics, whatever their number; they are not kept, and
     the positions tell them apart.  The piece keeps no relations:
-    _substitutions, the ring's reduced quadrics, is all that reduce reads.
-    Pieces compare by identity: a ring builds each slice once.
+    _substitutions is all that reduce reads.  Pieces compare by identity:
+    a ring builds each slice once.
     """
 
     __slots__ = (
-        "degree", "weight", "ambient_dim", "relation_rank", "_pivots", "_leads",
+        "degree", "weight", "ambient_dim", "relation_rank",
         "_representatives", "_positions", "_substitutions", "_store",
     )
 
@@ -303,15 +304,11 @@ class QuotientPiece:
         relation_rank: int,
         store: _MonomialStore,
         substitutions: tuple[tuple[int, int, tuple[tuple[Monomial, int], ...]], ...],
-        leads: list[int] | None,
-        pivots: tuple[int, ...] | None,
     ):
         self.degree = degree
         self.weight = weight
         self.ambient_dim = ambient_dim
         self.relation_rank = relation_rank
-        self._pivots = pivots
-        self._leads = leads
         self._positions: dict[Monomial, int] | None = None
         self._substitutions = substitutions
         self._store = store
@@ -327,15 +324,11 @@ class QuotientPiece:
         return self._representatives
 
     def _index(self) -> dict[Monomial, int]:
-        """Form the representatives and their positions; drop the pivots."""
-        store, n, w, leads = self._store, self.degree, self.weight, self._leads
+        """Form the representatives and their positions."""
+        store, n, w = self._store, self.degree, self.weight
         mons = store.packed(n, w)
-        if self._pivots is None:
-            bases = store.packed(n - 2, w) if leads and n >= 2 else ()
-            pivots = {b + xy for xy in leads for b in bases}
-        else:
-            pivots = {mons[c] for c in self._pivots}
-            self._pivots = None
+        bases = store.packed(n - 2, w) if self._substitutions and n >= 2 else ()
+        pivots = {b + store.pairs[p] for p, _, _ in self._substitutions for b in bases}
         reps = store.view(mons)
         if pivots:
             reps = tuple([m for p, m in zip(mons, reps) if p not in pivots])
@@ -398,7 +391,8 @@ class SliceRing:
     docstring); monomials(n, w) is a slice's exponent-tuple view.  Only
     homogeneous quadrics (shift zero) define a graded quotient; a nonzero
     shift raises UnsupportedShiftError.  A slice beyond max_degree raises
-    ResourceBudgetError.  ambient() passes its store, which no other
+    ResourceBudgetError, and a weight whose length is not the torus rank
+    DimensionError.  ambient() passes its store, which no other
     caller does.
     """
 
@@ -438,12 +432,6 @@ class SliceRing:
             (e - 1 - col, row[col], tuple((z[e - 1 - j], c) for j, c in row.items() if j != col))
             for col, row in sorted(echelon.items())
         )
-        # at most one quadric: the packed x_p y_p of its pivot pair p, none
-        # for a zero quadric or no quadric, and the slices are counted;
-        # None: the relations are eliminated
-        self._leads = None
-        if len(self.quadrics) <= 1:
-            self._leads = [self._store.pairs[p] for p, _, _ in self._substitutions]
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
@@ -458,31 +446,27 @@ class SliceRing:
     def piece(self, n: int, w: IntVec) -> QuotientPiece:
         """The degree-n, weight-w quotient slice, built once per ring.
 
-        Its pivot columns are those of the echelon form of its relations.
-        With at most one quadric q the piece is counted, and nothing is
-        listed or eliminated: the rows q*b over the bases b are independent,
-        and their lex-least monomials b + x_p y_p, p the last pair in q's
-        support (its smallest packed pair), are distinct, so they are the
-        pivots, as many as the degree n-2 monomials of weight w.  A zero
-        quadric, or none, has rank 0.  With two or more quadrics the slice
-        and its bases are listed and the relations go through sparse_echelon.
+        Its pivots follow one rule in every ring (QuotientPiece); the one
+        branch here counts its rank.  With at most one quadric q nothing is
+        listed: the rows q*b over the degree n-2 bases b are independent, so
+        the rank is the number of bases, or 0 for a zero quadric or none.
+        With two or more quadrics the slice and its bases are listed, and
+        the rank is that of the relations' echelon form (sparse_echelon).
         """
         w = tuple(w)
         key = (n, w)
         cached = self._pieces.get(key)
         if cached is not None:
             return cached
-        store, leads, pivots = self._store, self._leads, None
-        if leads is None:
+        store, subs = self._store, self._substitutions
+        if len(self.quadrics) <= 1:
+            size, rank = store.count(n, w), len(subs) * store.count(n - 2, w)
+        else:
             mons = store.packed(n, w)
             bases = store.packed(n - 2, w) if n >= 2 else ()
-            pivots = tuple(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases, mons)))
-            size, rank = len(mons), len(pivots)
-        else:
-            size, rank = store.count(n, w), (len(leads) * store.count(n - 2, w) if n >= 2 else 0)
-        piece = self._pieces[key] = QuotientPiece(
-            n, w, size, rank, store, self._substitutions, leads, pivots
-        )
+            size = len(mons)
+            rank = len(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases, mons)))
+        piece = self._pieces[key] = QuotientPiece(n, w, size, rank, store, subs)
         return piece
 
     def dim(self, n: int, w: IntVec) -> int:

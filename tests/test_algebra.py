@@ -30,6 +30,7 @@ from hypertoric.algebra import (
 )
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import (
+    DimensionError,
     MalformedAlgebraError,
     ResourceBudgetError,
     UnsupportedShiftError,
@@ -444,31 +445,41 @@ def one_quadric_rings():
         yield rep, (MomentQuadric(0, (0,) * rep.num_pairs),)
 
 
-def test_one_quadric_pivots_equal_the_echelon():
-    """With one quadric a slice's pivots are read off its base monomials.
+def test_pivots_equal_the_echelon():
+    """A slice's pivots are read off its base monomials, for any number of quadrics.
 
-    q * b over the degree n-2 bases b has lex-least monomial b + x_p y_p, p
-    the last pair in q's support; these are the columns sparse_echelon
-    picks, so the closed form and the elimination agree on every slice up
-    to N=8, including entries whose last pair has weight zero and a zero
-    quadric, which has rank 0.  The piece counts its rank before it lists
-    anything, and its representatives are the monomials outside those
-    columns.
+    The reduced quadrics' leading monomials x_p y_p are a Groebner basis, so
+    the pivots are b + x_p y_p over the degree n-2 bases b and the pivot
+    pairs p; these are the columns sparse_echelon picks, so the rule and
+    the elimination agree on every slice up to N=8.  The rings are
+    one_quadric_rings(), with entries whose last pair has weight zero and
+    a zero quadric, which has rank 0, and every ring of
+    substitution_rings(), with two or more quadrics, a duplicated quadric
+    (r = 2 < q = 3) and a zero quadric beside a nonzero one.  The rank is
+    the inclusion-exclusion count over the r pivot pairs; a piece of a ring
+    with at most one quadric counts it before it lists anything, and its
+    representatives are the monomials outside those columns.
     """
-    rings = list(one_quadric_rings())
-    assert len(rings) == 2 + 18 + 18 + 2
+    rings = list(one_quadric_rings()) + substitution_rings()
+    assert len(rings) == 2 + 18 + 18 + 2 + 2 + 6 + 6 + 4
     assert sum(rep.half_weights[-1] == (0,) for rep, _ in rings) == 5
+    assert sum(len(quadrics) >= 2 for _, quadrics in rings) == 2 + 6 + 6 + 3
     for rep, quadrics in rings:
+        counted = len(quadrics) <= 1
         ring = SliceRing(rep, quadrics, max_degree=8)
-        zero = not any(quadrics[0].coefficients)
+        r = len(ring._substitutions)
         for n in range(9):
             for w in weight_box(rep, n):
                 piece = ring.piece(n, w)
                 rank = piece.relation_rank
-                assert (n, w) not in ring._store.slices, (rep, quadrics, n, w)
+                assert not counted or (n, w) not in ring._store.slices, (rep, quadrics, n, w)
                 want, pivots = echelon_representatives(ring, n, w)
                 assert piece.representatives == want, (rep, quadrics, n, w)
-                assert rank == pivots == (0 if zero else ring.ambient_dim(n - 2, w))
+                formula = sum(
+                    (-1) ** (k + 1) * comb(r, k) * ring.ambient_dim(n - 2 * k, w)
+                    for k in range(1, r + 1)
+                )
+                assert rank == pivots == formula, (rep, quadrics, n, w)
 
 
 def counted_rings():
@@ -720,6 +731,31 @@ def test_pieces_compare_by_identity(rep_b):
         b.ambient_dim, b.representatives, b.relation_rank
     )
     assert a != b and a == a
+
+
+def test_wrong_length_weight_is_refused():
+    """A weight whose length is not the torus rank raises DimensionError.
+
+    Its packed key would alias a slice of the right length: on hexagon,
+    (0,) and (0, 0, 0) would read the (0, 0) slice.  piece (of the ring and
+    of its ambient()), monomials, ambient_dim and hom_dimension each refuse
+    them in degrees 0 and 2, also once (0, 0) is cached, and no piece is
+    built for them.
+    """
+    hexagon = NAMED_REPS[2]
+    ring = quotient_ring(hexagon, 4)
+    ambient = ring.ambient()
+    reads = [
+        ring.piece, ambient.piece, ring.monomials, ring.ambient_dim,
+        lambda n, w: hom_dimension(hexagon, n, w),
+    ]
+    for n in (0, 2):
+        for read in reads:
+            read(n, (0, 0))
+            for w in ((0,), (0, 0, 0)):
+                with pytest.raises(DimensionError):
+                    read(n, w)
+    assert {w for _, w in ring._pieces} == {w for _, w in ambient._pieces} == {(0, 0)}
 
 
 def test_ambient_algebra_shares_monomials(rep_b, window_b):
