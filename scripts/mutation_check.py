@@ -102,10 +102,11 @@ MUTATIONS = [
         "a piece forms its pivots from the degree n-1 slice, not n-2",
     ),
     Mutation(
-        "count-without-reach-guard", ALGEBRA,
-        "key = self.keys[w] = None if any(abs(c) > limit for c in w) else key",
-        "key = self.keys[w] = key",
-        "a count looks up the key of a weight beyond every degree's reach, which may alias",
+        "gate-without-reach-guard", ALGEBRA,
+        "        if any(abs(c) > limit for c in w):\n            return None\n",
+        "        if False:\n            return None\n",
+        "the weight gate packs a weight beyond the degree's reach, whose key may alias,"
+        " for listing and counting alike",
     ),
     Mutation(
         "resolution-bound-off-by-one", KOSZUL,
@@ -118,6 +119,12 @@ MUTATIONS = [
         "q, r = len(ring.quadrics), len(ring._substitutions)",
         "q, r = len(ring.quadrics), len(ring.quadrics)",
         "the regular-sequence test reads the quadrics' rank as their number",
+    ),
+    Mutation(
+        "regseq-got-without-rank", ALGEBRA,
+        "got = ring.ambient_dim(2, zero) - r",
+        "got = ring.ambient_dim(2, zero)",
+        "a failed regular sequence reports the ambient count as its dimension",
     ),
     Mutation(
         "leading-label-from-last-term", KOSZUL,

@@ -28,10 +28,12 @@ in lex order inside each group, and builds a table only when a slice
 reaches its degree.  Each weight is packed into one integer too,
 sum_j u_j B^j: a ring holds slices up to its degree bound P, and the base
 B = 2 P max|beta_ij| + 1 keeps every key and every difference u - w that a
-join looks up apart, once weights beyond reach are answered empty.  A
-slice is counted without listing it: its size is a coefficient of the
-ring's Hilbert series prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), which
-the store expands once, on the same keys.
+join looks up apart, once weights beyond reach are answered empty.  One
+gate (_MonomialStore.key) packs the weight of every slice that is listed
+or counted, and answers the weights beyond reach.  A slice is counted
+without listing it: its size is a coefficient of the ring's Hilbert
+series prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), which the store
+expands once, on the same keys.
 
 Everything here is integer arithmetic.  In z_i = x_i y_i the moment
 quadrics are linear forms (Hausel-Sturmfels), and a ring brings them to
@@ -48,10 +50,11 @@ piece() counts both and lists nothing: C[x,y] is a domain, so the
 multiples q*b are independent and the rank is the number of bases, or 0
 for a zero quadric or none.  With two or more quadrics piece() lists the
 slice and still eliminates its relations, the quadric multiples that land
-in it (_relation_rows), but only for their rank (sparse_echelon).  A
-piece's representatives, the slice's monomials less its pivots, are formed
-in one step on their first read (the quiver, the minimal resolutions,
-reduce), from the listed slice and the pivots b + x_p y_p.
+in it (_relation_rows, on packed columns), but only for their rank
+(sparse_echelon).  A piece's representatives, the slice's monomials less
+its pivots, are formed in one step on their first read (the quiver, the
+minimal resolutions, reduce), from the listed slice and the pivots
+b + x_p y_p.
 QuotientPiece.reduce substitutes the ring's reduced quadrics for the pivot
 factors z_p and so writes any monomial of the slice as an integer row over
 the representatives and a denominator, with no relation rows and no
@@ -90,22 +93,20 @@ class _MonomialStore:
 
     An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
     monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
-    x_i y_i, and key(w) packs a weight; it raises DimensionError for a
-    weight whose length is not the torus rank, which every slice or count
-    not yet cached passes through.  tables holds the exponent tables
-    by degree, slices each listed slice, series the counts of every slice
-    up to max_degree once one is asked for, and keys the packed key of each
-    weight counted.  The decode table is views, which maps each packed
-    slice whose monomials were read as tuples to its exponent tuples, and
-    halves, which maps the packed x- and y-parts met there to theirs.  A
-    ring, its ambient() and the pieces of both hold one store; it holds no
-    ring and no piece, so a piece that lists its slice later makes no
-    reference cycle.
+    x_i y_i, and key(w, n) is the gate that every slice listed or counted
+    passes through.  tables holds the exponent tables by degree, slices
+    each listed slice, and series the counts of every slice up to
+    max_degree once one is asked for.  The decode table is views, which
+    maps each packed slice whose monomials were read as tuples to its
+    exponent tuples, and halves, which maps the packed x- and y-parts met
+    there to theirs.  A ring, its ambient() and the pieces of both hold
+    one store; it holds no ring and no piece, so a piece that lists its
+    slice later makes no reference cycle.
     """
 
     __slots__ = (
         "max_degree", "rank", "width", "fields", "pairs", "reach", "base", "steps",
-        "tables", "slices", "series", "keys", "views", "halves",
+        "tables", "slices", "series", "views", "halves",
     )
 
     def __init__(self, rep: SymplecticRep, max_degree: int):
@@ -117,18 +118,26 @@ class _MonomialStore:
         self.pairs = [(1 << width * (2 * e - 1 - i)) + (1 << width * (e - 1 - i)) for i in range(e)]
         self.reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
         self.base = 2 * max_degree * self.reach + 1
-        self.steps = [self.key(beta) for beta in rep.half_weights]
+        self.steps = [self.key(beta, 1) for beta in rep.half_weights]
         self.tables: dict[int, dict[int, list[int]]] = {}
         self.slices: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self.series: list[dict[int, int]] | None = None
-        self.keys: dict[IntVec, int | None] = {}
         self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
         self.halves: dict[int, Monomial] = {}
 
-    def key(self, w: IntVec) -> int:
-        """A weight packed to one integer; a weight of another length would alias."""
+    def key(self, w: IntVec, n: int) -> int | None:
+        """The packed key of weight w in degree n, or None if no monomial reaches it.
+
+        A weight whose length is not the torus rank raises DimensionError,
+        and one with a coordinate beyond n * reach is answered None: no
+        degree-n monomial has it, and its key may alias.  Every other
+        weight packs to sum_j w_j B^j.
+        """
         if len(w) != self.rank:
             raise DimensionError(f"weight {tuple(w)} of length {len(w)} for torus rank {self.rank}")
+        limit = n * self.reach
+        if any(abs(c) > limit for c in w):
+            return None
         return sum(v * self.base**j for j, v in enumerate(w))
 
     def _bound(self, n: int) -> None:
@@ -174,9 +183,8 @@ class _MonomialStore:
         heads (a, bs) have distinct a; sorted by a, they give the slice in
         ascending order as (a << W e) + b for b in their ascending y-list bs.
         """
-        key = self.key(w)
-        # an unreachable weight is answered empty: its key may alias
-        if any(abs(c) > n * self.reach for c in w):
+        key = self.key(w, n)
+        if key is None:
             return ()
         shift = self.width * self.fields
         heads = []
@@ -201,16 +209,13 @@ class _MonomialStore:
         It is the coefficient of t^n z^w in the Hilbert series
         prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), expanded once up to
         t^max_degree on the packed weight keys: each factor 1/(1 - t z^s)
-        adds z^s A[d - 1] to A[d], for d ascending.  Each weight's key is
-        packed once, and is None beyond max_degree * reach, where a key may
-        alias.  Within it the balanced base keeps keys apart, and series[n]
-        holds only weights that degree n reaches, so one lookup answers.
+        adds z^s A[d - 1] to A[d], for d ascending.  The key is read through
+        the gate before the degree is checked, so a weight of the wrong
+        length raises at any degree.  Within reach the balanced base keeps
+        keys apart, and series[n] holds only weights that degree n reaches,
+        so one lookup answers.
         """
-        try:
-            key = self.keys[w]
-        except KeyError:
-            limit, key = self.max_degree * self.reach, self.key(w)
-            key = self.keys[w] = None if any(abs(c) > limit for c in w) else key
+        key = self.key(w, n)
         if not 0 <= n <= self.max_degree:
             self._bound(n)
             return 0
@@ -246,31 +251,21 @@ class _MonomialStore:
         return view
 
 
-def _relation_rows(
-    quadrics: tuple[MomentQuadric, ...],
-    pairs: list[int],
-    bases: tuple[int, ...],
-    monomials: tuple[int, ...],
-):
-    """Each quadric times each base monomial, as a sparse row over monomials.
+def _relation_rows(quadrics: tuple[MomentQuadric, ...], pairs: list[int], bases: tuple[int, ...]):
+    """Each quadric times each base monomial, as a sparse row over packed monomials.
 
     A quadric has weight zero, so its multiples in a degree-n slice come
-    from the degree n-2 monomials of the same weight.  All monomials are
-    packed: the column of x_i y_i * base is that of base + pairs[i].
+    from the degree n-2 monomials of the same weight.  The column of
+    x_i y_i * base is the packed monomial base + pairs[i]; packed order is
+    lex order, and a rank does not depend on how the columns are labelled.
     """
-    index = dict(zip(monomials, range(len(monomials))))
-    # each quadric's nonzero (pair, coefficient) terms; distinct pairs give
-    # distinct monomials, so a row has one entry per term
-    terms = []
-    for q in quadrics:
-        at = [i for i, c in enumerate(q.coefficients) if c]
-        if at:
-            terms.append((at, [q.coefficients[i] for i in at]))
+    # each quadric's nonzero (packed x_i y_i, coefficient) terms; distinct
+    # pairs give distinct monomials, so a row has one entry per term, and a
+    # zero quadric's empty rows add nothing to the echelon
+    terms = [[(xy, c) for xy, c in zip(pairs, q.coefficients) if c] for q in quadrics]
     for base in bases:
-        cols = [index[base + xy] for xy in pairs]
-        column = cols.__getitem__
-        for at, coeffs in terms:
-            yield dict(zip(map(column, at), coeffs))
+        for term in terms:
+            yield {base + xy: c for xy, c in term}
 
 
 class QuotientPiece:
@@ -465,12 +460,9 @@ class SliceRing:
             mons = store.packed(n, w)
             bases = store.packed(n - 2, w) if n >= 2 else ()
             size = len(mons)
-            rank = len(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases, mons)))
+            rank = len(sparse_echelon(_relation_rows(self.quadrics, store.pairs, bases)))
         piece = self._pieces[key] = QuotientPiece(n, w, size, rank, store, subs)
         return piece
-
-    def dim(self, n: int, w: IntVec) -> int:
-        return self.piece(n, w).dim
 
     def ambient(self) -> SliceRing:
         """The ring without relations, on this ring's monomial store."""
@@ -480,8 +472,9 @@ class SliceRing:
 def hom_dimension(rep: SymplecticRep, n: int, w: IntVec) -> int:
     """Monomials of total degree n and torus weight w in the full ring.
 
+    They are counted by a monomial store of degree bound n, with no ring.
     The benchmark's oracle check (bench/checks.py) is its caller."""
-    return SliceRing(rep, max_degree=n).ambient_dim(n, tuple(w))
+    return _MonomialStore(rep, n).count(n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +503,20 @@ def verify_regular_sequence(alg: GradedQuiverAlgebra) -> RegSeqReport:
     echelon of them has r rows with pairwise coprime leading monomials
     x_p y_p, a Groebner basis (Buchberger's first criterion).  So they are
     a regular sequence, and each weight-w Hilbert series of the quotient is
-    the ambient one times (1 - t^2)^q, exactly when r = q; this reads no
-    slice.  Otherwise the series first differ at degree 2 and weight 0,
-    which is always a block weight: that slice's rank is r where the
-    target subtracts q, so the report's failure is there and its got,
-    read from the ring, exceeds the expected dimension by q - r.
+    the ambient one times (1 - t^2)^q, exactly when r = q.  Otherwise the
+    series first differ at degree 2 and weight 0, which is always a block
+    weight: that slice's rank is r where the target subtracts q, so the
+    report's failure is there, with got = amb(2, 0) - r, read from the
+    counts, exceeding the expected dimension by q - r.  Either way no
+    piece is built and no slice listed.
     """
     ring = alg.ring
     q, r = len(ring.quadrics), len(ring._substitutions)
-    weights = sorted({vec_sub(b, a) for a in alg.vertices for b in alg.vertices})
+    weights = sorted({w for row in alg._weights for w in row})
     failure = None
     if r < q:
         zero = (0,) * alg.rep.torus_rank
-        got = ring.dim(2, zero)
+        got = ring.ambient_dim(2, zero) - r
         failure = RegSeqFailure(degree=2, weight=zero, got=got, expected=got + r - q)
     return RegSeqReport(
         passed=failure is None,

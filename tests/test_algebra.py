@@ -146,6 +146,11 @@ def packed_of(mono, width):
     return sum(v << width * k for k, v in enumerate(reversed(mono)))
 
 
+def packed_weight(w, base):
+    """A weight packed as sum_j w_j base^j, its first entry least significant."""
+    return sum(v * base**j for j, v in enumerate(w))
+
+
 def brute_exponent_tables(rep, top):
     """Every v in N^e with |v|_1 = d <= top, by degree and weight, in lex order."""
     by_degree = [{} for _ in range(top + 1)]
@@ -165,7 +170,7 @@ def test_exponent_tables_match_brute_force(corpus):
         store, e = ring._store, rep.num_pairs
         for d, want in enumerate(brute_exponent_tables(rep, top)):
             got = {key: [unpacked(v, store.width, e) for v in vs] for key, vs in store.table(d).items()}
-            assert got == {store.key(w): vs for w, vs in want.items()}, (rep, d)
+            assert got == {packed_weight(w, store.base): vs for w, vs in want.items()}, (rep, d)
     bare = SliceRing(empty, max_degree=0)
     assert bare._store.table(0) == {0: [0]} and bare.monomials(0, ()) == ((),)
 
@@ -236,8 +241,8 @@ def test_nonzero_shift_rejected_in_graded_ring(rep_a):
 
 def test_hilbert_blocks_conifold(rep_a):
     ring = quotient_ring(rep_a)
-    assert [ring.dim(n, (0,)) for n in range(7)] == [1, 0, 3, 0, 5, 0, 7]
-    assert [ring.dim(n, (1,)) for n in range(7)] == [0, 2, 0, 4, 0, 6, 0]
+    assert [ring.piece(n, (0,)).dim for n in range(7)] == [1, 0, 3, 0, 5, 0, 7]
+    assert [ring.piece(n, (1,)).dim for n in range(7)] == [0, 2, 0, 4, 0, 6, 0]
 
 
 def test_reduce_collapses_quadric(rep_a):
@@ -350,26 +355,31 @@ def test_reduce_substitution_matches_rref():
 
     Every non-representative monomial up to N=6 of each ring of
     substitution_rings(): the row over the representatives and its positive
-    denominator are the integers of the eliminated relation.
+    denominator are the integers of the eliminated relation.  The relation
+    rows' columns are packed monomials, decoded here field by field.
     """
     cases = substitution_rings()
     assert len(cases) == 2 + 6 + 6 + 4
     checked = 0
     for rep, quadrics in cases:
         ring = SliceRing(rep, quadrics, max_degree=6)
+        store, fields = ring._store, 2 * rep.num_pairs
         one_term = len(quadrics) == 1 and sum(map(bool, quadrics[0].coefficients)) == 1
         for n in range(7):
             for w in sorted(_monomials_by_weight(rep, n)):
-                piece, mons = ring.piece(n, w), ring._store.packed(n, w)
-                view = ring.monomials(n, w)
-                bases = ring._store.packed(n - 2, w) if n >= 2 else ()
-                pivots = sparse_rref(_relation_rows(quadrics, ring._store.pairs, bases, mons))
+                piece, view = ring.piece(n, w), ring.monomials(n, w)
+                bases = store.packed(n - 2, w) if n >= 2 else ()
+                pivots = sparse_rref(_relation_rows(quadrics, store.pairs, bases))
                 position = {m: p for p, m in enumerate(piece.representatives)}
                 assert piece.relation_rank == len(pivots) == len(view) - len(position)
                 for c, row in pivots.items():
-                    want = ({position[view[k]]: -v for k, v in row.items() if k != c}, row[c])
-                    got = piece.reduce(view[c])
-                    assert got == want, (rep, quadrics, n, w, view[c])
+                    mono = unpacked(c, store.width, fields)
+                    want = ({
+                        position[unpacked(k, store.width, fields)]: -v
+                        for k, v in row.items() if k != c
+                    }, row[c])
+                    got = piece.reduce(mono)
+                    assert got == want, (rep, quadrics, n, w, mono)
                     assert not one_term or got == ({}, 1)
                 checked += len(pivots)
     assert checked > 5000
@@ -385,12 +395,15 @@ def test_multiply_respects_relations(rep_a):
 
 
 def echelon_representatives(ring, n, w):
-    """The slice's monomials outside the echelon pivot columns of its relations."""
+    """The slice's monomials outside the echelon pivot columns of its relations.
+
+    The columns are packed monomials; the ones left are decoded field by field.
+    """
     store = ring._store
-    mons = store.packed(n, w)
     bases = store.packed(n - 2, w) if n >= 2 else ()
-    pivots = sparse_echelon(_relation_rows(ring.quadrics, store.pairs, bases, mons))
-    reps = tuple(m for c, m in enumerate(ring.monomials(n, w)) if c not in pivots)
+    pivots = sparse_echelon(_relation_rows(ring.quadrics, store.pairs, bases))
+    fields = 2 * ring.rep.num_pairs
+    reps = tuple(unpacked(m, store.width, fields) for m in store.packed(n, w) if m not in pivots)
     return reps, len(pivots)
 
 
@@ -653,7 +666,7 @@ def scanned_regular_sequence(alg):
                 (-1) ** k * comb(q, k) * ring.ambient_dim(n - 2 * k, w)
                 for k in range(min(q, n // 2) + 1)
             )
-            got = ring.dim(n, w)
+            got = ring.piece(n, w).dim
             if got != expected:
                 failure = RegSeqFailure(n, w, got, expected)
                 return RegSeqReport(False, alg.degree_bound, q, weights, failure)
@@ -740,7 +753,9 @@ def test_wrong_length_weight_is_refused():
     (0,) and (0, 0, 0) would read the (0, 0) slice.  piece (of the ring and
     of its ambient()), monomials, ambient_dim and hom_dimension each refuse
     them in degrees 0 and 2, also once (0, 0) is cached, and no piece is
-    built for them.
+    built for them.  A weight given as a list reads the slice of its
+    tuple: each read, and the piece's ambient_dim, count 3 for [0, 0] in
+    degree 2.
     """
     hexagon = NAMED_REPS[2]
     ring = quotient_ring(hexagon, 4)
@@ -755,6 +770,9 @@ def test_wrong_length_weight_is_refused():
             for w in ((0,), (0, 0, 0)):
                 with pytest.raises(DimensionError):
                     read(n, w)
+    listed = [0, 0]
+    assert ring.ambient_dim(2, listed) == ring.piece(2, listed).ambient_dim == 3
+    assert len(ring.monomials(2, listed)) == hom_dimension(hexagon, 2, listed) == 3
     assert {w for _, w in ring._pieces} == {w for _, w in ambient._pieces} == {(0, 0)}
 
 

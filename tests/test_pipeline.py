@@ -370,12 +370,13 @@ def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch
 
 
 def test_regular_sequence_alone_reads_no_slice(problems_dir, monkeypatch):
-    """The regular-sequence test reads the quadrics' rank, and one slice to report a failure.
+    """The regular-sequence test reads the quadrics' rank and counts, and no slice.
 
     Hexagon, `regular_sequence` alone at N=8: its two independent quadrics
-    pass with no piece built, no slice listed and no echelon; with the
-    first quadric duplicated (rank 2 of 3) the run builds the degree-2,
-    weight-0 piece alone, where it reports the failure.
+    pass with no piece built, no slice listed and no echelon.  With the
+    first quadric duplicated (rank 2 of 3) the run still builds, lists and
+    eliminates nothing; it reports the failure at degree 2 and weight 0,
+    in the JSON section and in the text report, and exits 2.
     """
     work = SliceWork(problems_dir, monkeypatch)
     built = []
@@ -401,8 +402,11 @@ def test_regular_sequence_alone_reads_no_slice(problems_dir, monkeypatch):
     section = report.sections["regular_sequence"]
     assert not section["passed"] and section["num_quadrics"] == 3
     assert section["first_failure"] == {"degree": 2, "weight": [0, 0], "got": 1, "expected": 0}
-    assert built == [(2, (0, 0))] and len(work.echelons) == 1
+    assert built == [] and work.enumerations == [] and work.echelons == []
     assert report.exit_code == 2
+    assert (
+        "first failure: degree 2, weight (0, 0), dimension 1 vs expected 0" in report.to_text()
+    )
 
 
 def test_pipeline_run_leaves_no_cyclic_garbage(problems_dir):
