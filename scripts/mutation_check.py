@@ -109,6 +109,18 @@ MUTATIONS = [
         " for listing and counting alike",
     ),
     Mutation(
+        "quiver-pivot-test-skipped", ALGEBRA,
+        "            if pivots.isdisjoint(products):\n",
+        "            if True:\n",
+        "every quiver block is written as binomials, also one with a pivot product x_p y_p",
+    ),
+    Mutation(
+        "quiver-binomial-sign", ALGEBRA,
+        "Relation(i, k, ((1, earlier), (-1, path)))",
+        "Relation(i, k, ((-1, earlier), (1, path)))",
+        "a binomial quiver relation is written this - first, against the kernel's sign rule",
+    ),
+    Mutation(
         "resolution-bound-off-by-one", KOSZUL,
         "        if step > bound:",
         "        if step >= bound:",
@@ -239,6 +251,13 @@ MUTATIONS = [
         "        self._substitutions = tuple(\n"
         "            (col, row[col], tuple((z[j], c)",
         "the reduced quadrics put their pivots on the first pairs",
+    ),
+    Mutation(
+        "writer-empty-before-type", PIPELINE,
+        "    elif kind is list or kind is tuple:\n",
+        "    elif not value or kind is list or kind is tuple:\n",
+        "the report writer tests for emptiness before the type, so an empty set, empty"
+        " bytes, 0.0 or Fraction(0) is written as [] instead of refused",
     ),
     Mutation(
         "cli-main-without-flush", CLI,

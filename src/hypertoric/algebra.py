@@ -58,9 +58,12 @@ b + x_p y_p.
 QuotientPiece.reduce substitutes the ring's reduced quadrics for the pivot
 factors z_p and so writes any monomial of the slice as an integer row over
 the representatives and a denominator, with no relation rows and no
-elimination.  The quiver relations are the kernel of those products
+elimination.  The quiver reads degree 2 through reduce only in a block
+where some product of two arrows is a pivot monomial x_p y_p, which has
+weight 0.  There its relations are the kernel of those products
 (lattice.column_kernel), the same product and kernel that the minimal
-resolutions use.
+resolutions use.  In every other block each product is a representative,
+so the relations are binomials, written with no slice listed.
 """
 
 from __future__ import annotations
@@ -636,8 +639,23 @@ class QuiverPresentation(NamedTuple):
 
 
 def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
-    """Arrows from the degree-1 blocks, relations from the degree-2 kernel."""
+    """Arrows from the degree-1 blocks, relations from the degree-2 kernel.
+
+    Each length-2 path multiplies to one degree-2 monomial, and the only
+    degree-2 monomials that are no representative are the pivot products
+    x_p y_p of the ring's reduced quadrics.  So in a block whose products
+    avoid them every column is a unit vector, and the kernel pairs each
+    path whose product an earlier path has with the first such path:
+    first - this, in column order, with no piece listed and no
+    elimination.  Only a block with a pivot product, which has weight 0
+    and so lies on the diagonal, reduces its products and takes their
+    kernel (column_kernel).
+    """
     v = alg.num_vertices
+    e = alg.rep.num_pairs
+    pivots = {
+        tuple([int(k % e == p) for k in range(2 * e)]) for p, _, _ in alg.ring._substitutions
+    }
     arrows: list[Arrow] = []
     for i in range(v):
         for j in range(v):
@@ -657,11 +675,18 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
             ]
             if not paths:
                 continue
-            piece = alg.piece(i, k, 2)
-            columns = [
-                piece.reduce(tuple(map(add, arrows[a].monomial, arrows[b].monomial)))
-                for a, b in paths
+            products = [
+                tuple(map(add, arrows[a].monomial, arrows[b].monomial)) for a, b in paths
             ]
+            if pivots.isdisjoint(products):
+                first: dict[Monomial, tuple[int, int]] = {}
+                for path, mono in zip(paths, products):
+                    earlier = first.setdefault(mono, path)
+                    if earlier != path:
+                        relations.append(Relation(i, k, ((1, earlier), (-1, path))))
+                continue
+            piece = alg.piece(i, k, 2)
+            columns = [piece.reduce(mono) for mono in products]
             # kernel vectors are primitive; only the sign is normalised
             for vec in column_kernel(columns):
                 sign = -1 if vec[min(vec)] < 0 else 1

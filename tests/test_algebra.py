@@ -24,6 +24,7 @@ from hypertoric import (
 from hypertoric.algebra import (
     RegSeqFailure,
     RegSeqReport,
+    Relation,
     SliceRing,
     _MonomialStore,
     _relation_rows,
@@ -36,7 +37,7 @@ from hypertoric.errors import (
     UnsupportedShiftError,
 )
 from hypertoric.koszul import hilbert_inverse_coefficients
-from hypertoric.lattice import sparse_echelon, sparse_rref, vec_sub
+from hypertoric.lattice import column_kernel, sparse_echelon, sparse_rref, vec_sub
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
 from hypertoric.reps import MomentQuadric, moment_quadrics
 
@@ -917,6 +918,82 @@ def test_arrow_count_matches_degree_one_blocks(rep_b, window_b):
         for j in range(alg.num_vertices)
     )
     assert len(pres.arrows) == expected
+
+
+def kernel_relations(alg, arrows):
+    """The quiver relations of every block with paths, each the kernel of its reduced products.
+
+    The reference: column_kernel over piece.reduce of every path's product,
+    each kernel vector signed so that its first term is positive.  Returns
+    the relations and the number of blocks with a product that is no
+    representative.
+    """
+    relations, blocks = [], 0
+    v = alg.num_vertices
+    for i in range(v):
+        for k in range(v):
+            paths = [
+                (a, b)
+                for a, first in enumerate(arrows) if first.source == i
+                for b, second in enumerate(arrows)
+                if second.source == first.target and second.target == k
+            ]
+            if not paths:
+                continue
+            piece = alg.piece(i, k, 2)
+            products = [tuple(map(add, arrows[a].monomial, arrows[b].monomial)) for a, b in paths]
+            blocks += any(piece.position(m) is None for m in products)
+            for vec in column_kernel([piece.reduce(m) for m in products]):
+                sign = -1 if vec[min(vec)] < 0 else 1
+                relations.append(
+                    Relation(i, k, tuple((sign * vec[c], paths[c]) for c in sorted(vec)))
+                )
+    return relations, blocks
+
+
+def test_binomial_relations_equal_the_kernel(monkeypatch):
+    """Every quiver relation equals the kernel's, and only pivot blocks take a kernel.
+
+    Corpus entries for two seeds, four-pair, three-pair, hexagon, conifold
+    and the conifold's ambient algebra.  A block whose products are all
+    representatives is written as binomials with no kernel and no listed
+    slice, so no degree-2 piece of nonzero weight has positions after the
+    quiver.  A product of two variables comes from at most two paths, u*v
+    and v*u, so pairing a repeated product with its first path or with the
+    previous one gives the same relation; that variant is equivalent.
+    """
+    kernels = []
+
+    def counted_kernel(columns):
+        kernels.append(columns)
+        return column_kernel(columns)
+
+    monkeypatch.setattr("hypertoric.algebra.column_kernel", counted_kernel)
+    cases = [
+        (entry.rep, entry.epsilon, False)
+        for seed in (DEFAULT_SEED, 7) for entry in fixed_corpus(24, seed)
+    ]
+    cases += [(rep, epsilon, False) for rep, epsilon in zip(NAMED_REPS[:3], [(3, 1), (1,), (2, 1)])]
+    conifold = SymplecticRep(1, ((1,), (1,)))
+    cases += [(conifold, (1,), False), (conifold, (1,), True)]
+    pivot_blocks = 0
+    for rep, epsilon, ambient in cases:
+        window = enumerate_window(build_zonotope(rep), epsilon)
+        alg, reference = GradedQuiverAlgebra(rep, window, 2), GradedQuiverAlgebra(rep, window, 2)
+        if ambient:
+            alg, reference = alg.ambient(), reference.ambient()
+        kernels.clear()
+        pres = quiver_presentation(alg)
+        want, blocks = kernel_relations(reference, pres.arrows)
+        assert list(pres.relations) == want, rep
+        assert len(kernels) == blocks, rep
+        pivot_blocks += blocks
+        assert not any(
+            piece._positions is not None
+            for (n, w), piece in alg.ring._pieces.items() if n == 2 and any(w)
+        ), rep
+        assert all(n == 1 or not any(w) for n, w in alg.ring._store.slices), rep
+    assert pivot_blocks > 0 and blocks == 0
 
 
 # -- inverse Hilbert series --------------------------------------------------

@@ -553,9 +553,14 @@ def test_report_writer_on_corpus_sweep_reports(problems_dir):
         assert report.to_json() == dumps(report._asdict())
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", Fraction(1, 2), 1.5])
+@pytest.mark.parametrize(
+    "value",
+    [object(), {1, 2}, b"bytes", Fraction(1, 2), 1.5,
+     set(), frozenset(), b"", 0.0, Fraction(0)],
+)
 def test_report_writer_rejects_non_json_values(value):
-    # floats are refused too: no report value is a float
+    # floats are refused too: no report value is a float; the empty and
+    # zero values are refused by their type, not written as an empty list
     with pytest.raises(TypeError):
         report_with(value).to_json()
     with pytest.raises(TypeError):
