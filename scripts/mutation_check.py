@@ -145,6 +145,12 @@ MUTATIONS = [
         "the leading-column prediction reads an element's largest label",
     ),
     Mutation(
+        "slice-product-keeps-cancelled-column", KOSZUL,
+        "                    out.pop(c, None)\n",
+        "                    pass\n",
+        "a resolution product keeps a column whose terms cancel as a zero entry",
+    ),
+    Mutation(
         "certify-at-dim-minus-one", KOSZUL,
         "                if len(counted) == dim:\n                    continue",
         "                if len(counted) >= dim - 1:\n                    continue",
@@ -202,9 +208,16 @@ MUTATIONS = [
     ),
     Mutation(
         "smith-without-divisibility-pass", LATTICE,
-        "    changed = True\n    while changed:",
-        "    changed = False\n    while changed:",
+        "for i, j in combinations(range(len(factors)), 2):",
+        "for i, j in ():",
         "the invariant factors skip the divisibility chain",
+    ),
+    Mutation(
+        "smith-adjacent-pairs-only", LATTICE,
+        "for i, j in combinations(range(len(factors)), 2):",
+        "for i, j in zip(range(len(factors)), range(1, len(factors))):",
+        "the divisibility chain takes one pass over adjacent pairs, which moves"
+        " a smaller factor forward by one place only",
     ),
     Mutation(
         "packing-one-bit-short", ALGEBRA,
@@ -289,9 +302,17 @@ MUTATIONS = [
     ),
     Mutation(
         "cli-write-error-escapes", CLI,
-        "        except OSError as exc:\n            raise _stdout_refused(exc)",
-        "        except ValueError as exc:\n            raise _stdout_refused(exc)",
+        "        except (OSError, UnicodeEncodeError) as exc:\n"
+        "            raise _stdout_refused(exc)",
+        "        except UnicodeEncodeError as exc:\n            raise _stdout_refused(exc)",
         "a write that a full stdout refuses raises out of main with a traceback",
+    ),
+    Mutation(
+        "output-encode-error-escapes", CLI,
+        "        except (OSError, UnicodeEncodeError) as exc:\n"
+        "            raise _stdout_refused(exc)",
+        "        except OSError as exc:\n            raise _stdout_refused(exc)",
+        "a text report that stdout's encoding cannot take raises out of main with a traceback",
     ),
     Mutation(
         "cli-error-line-to-closed-stderr", CLI,

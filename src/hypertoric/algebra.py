@@ -673,8 +673,6 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
                 for b in outgoing[arrows[a].target]
                 if arrows[b].target == k
             ]
-            if not paths:
-                continue
             products = [
                 tuple(map(add, arrows[a].monomial, arrows[b].monomial)) for a, b in paths
             ]

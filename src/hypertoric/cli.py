@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         try:
             sys.stdout.write(output)
             sys.stdout.flush()
-        except OSError as exc:
+        except (OSError, UnicodeEncodeError) as exc:
             raise _stdout_refused(exc)
     except HypertoricError as exc:
         return _fail(exc)
@@ -113,12 +113,13 @@ def _fail(exc: HypertoricError) -> int:
     return exc.exit_code
 
 
-def _stdout_refused(exc: OSError) -> OutputError:
-    """The error for a write or flush that stdout refused.
+def _stdout_refused(exc: OSError | UnicodeEncodeError) -> OutputError:
+    """The error for a write or flush that stdout refused, or a report it cannot encode.
 
-    stdout stays unwritable, so file descriptor 1 is pointed at os.devnull:
-    what is still buffered then goes nowhere at a later flush instead of
-    failing again (Python docs, "Note on SIGPIPE").
+    A refused stdout stays unwritable, so file descriptor 1 is pointed at
+    os.devnull: what is still buffered then goes nowhere at a later flush
+    instead of failing again (Python docs, "Note on SIGPIPE").  A report
+    that stdout cannot encode is not buffered at all; its error has no strerror.
     """
     try:
         null = os.open(os.devnull, os.O_WRONLY)
@@ -126,7 +127,7 @@ def _stdout_refused(exc: OSError) -> OutputError:
         os.close(null)
     except OSError:
         pass
-    return OutputError(f"cannot write the report: {exc.strerror or exc}")
+    return OutputError(f"cannot write the report: {getattr(exc, 'strerror', None) or exc}")
 
 
 def console() -> NoReturn:

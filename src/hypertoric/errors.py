@@ -41,10 +41,6 @@ class NonGenericError(HypertoricError, ValueError):
         super().__init__(f"{subject} is annihilated by the flat normal {witness}")
 
 
-class DegenerateZonotopeError(HypertoricError, ValueError):
-    """Weights do not span the character space, so the zonotope is lower-dimensional."""
-
-
 class ReductionError(HypertoricError, ValueError):
     """The splitting step of the reduction is not available for this input."""
 

@@ -184,16 +184,11 @@ def smith_invariant_factors(mat: Sequence[Sequence[int]]) -> tuple[int, ...]:
         if len(factors) == rank:
             break
         h, ncols = list(zip(*h)), len(h)
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            x, y = factors[i], factors[i + 1]
-            if y % x:
-                g = gcd(x, y)
-                factors[i], factors[i + 1] = g, x * y // g
-                changed = True
+    # the divisibility chain: each pair i < j keeps its gcd at i and its lcm
+    # at j, which sorts every prime's exponents, as a selection sort would
+    for i, j in combinations(range(len(factors)), 2):
+        x, y = factors[i], factors[j]
+        factors[i], factors[j] = gcd(x, y), lcm(x, y)
     return tuple(factors)
 
 

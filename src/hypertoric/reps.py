@@ -290,14 +290,13 @@ def reduce_to_generic(
     (all Smith invariant factors 1); otherwise the split direction cannot be
     made an exact lattice factor and ReductionError is raised.
     """
-    require_valid(rep)
     steps: list[ReductionStep] = []
     current = rep
     while True:
+        report = require_valid(current)
         found = nongeneric_pair(current)
         if found is None:
             break
-        report = validate(current)
         if not report.strictly_faithful:
             raise ReductionError(
                 "cannot split off a non-generic pair: the half-weights do not "

@@ -12,9 +12,9 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .errors import DegenerateZonotopeError, DimensionError, NonGenericError
+from .errors import DimensionError, NonGenericError
 from .lattice import IntVec, as_int, dot, hyperplane_normals, vec_neg
-from .reps import SymplecticRep, validate
+from .reps import SymplecticRep, require_valid
 
 
 class Facet(NamedTuple):
@@ -71,14 +71,9 @@ class Zonotope(NamedTuple):
 
 
 def build_zonotope(rep: SymplecticRep) -> Zonotope:
-    """Facet description of the weight zonotope; requires full-dimensional weights."""
-    report = validate(rep)
+    """Facet description of the weight zonotope, full-dimensional when the action is faithful."""
+    require_valid(rep)
     s = rep.torus_rank
-    if report.weight_rank < s:
-        raise DegenerateZonotopeError(
-            f"half-weights span rank {report.weight_rank} < {s}; "
-            "the zonotope is not full-dimensional"
-        )
     normals = tuple(hyperplane_normals(rep.half_weights, s))
     facets = []
     for n in normals:

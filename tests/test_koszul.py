@@ -414,6 +414,25 @@ def test_leading_column_is_smallest_column_of_product(
     assert checked and multi_term
 
 
+def test_slice_product_drops_a_cancelled_column():
+    """times leaves out a column whose terms cancel, not a zero entry.
+
+    On three pairs of weight 1, z1 + z2 + z3 = 0 in the quotient, so
+    (x2 x3 y2 - x1 x3 y1) * y3 = (z2 - z1) z3 = z1^2 - z2^2: the z1 z2
+    column that both terms reach cancels.
+    """
+    alg = GradedQuiverAlgebra(THREE_PAIR, generic_window(THREE_PAIR), 4)
+    dom = koszul._Slice(alg, [0], 4, 0)
+    # exponents (x1, x2, x3, y1, y2, y3)
+    terms = ((0, (0, 1, 1, 0, 1, 0), 1), (0, (1, 0, 1, 1, 0, 0), -1))
+    row, scale = dom.times(terms, (0, 0, 0, 0, 0, 1))
+    assert scale == 1
+    assert {dom.labels[c]: v for c, v in row.items()} == {
+        (0, (2, 0, 0, 2, 0, 0)): 1,
+        (0, (0, 2, 0, 0, 2, 0)): -1,
+    }
+
+
 def pair_symmetry_cases(rep_a, rep_b, corpus):
     """The golden reps and the corpus, each with its window's tilt."""
     yield rep_a, (1,)  # conifold, as window_a

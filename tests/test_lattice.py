@@ -200,6 +200,9 @@ def test_smith_invariant_factors_known():
     assert smith_invariant_factors([(2, 0), (0, 3)]) == (1, 6)
     assert smith_invariant_factors([(2, 0), (0, 2)]) == (2, 2)
     assert smith_invariant_factors([(1,), (1,)]) == (1,)
+    # one pass over adjacent pairs would leave (2, 1, 2): the 1 must reach
+    # the front past both 2s
+    assert smith_invariant_factors([(2, 0, 0), (0, 2, 0), (0, 0, 1)]) == (1, 2, 2)
     # eliminating by the smallest pivot grows the first's entries past 4,300
     # digits and runs for over 15 s on the second
     square = [

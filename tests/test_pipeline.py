@@ -959,6 +959,30 @@ def test_cli_entry_unwritable_stdout_exits_with_output_error(problems_dir, redir
             assert got == refused(redirect), (flags, entry)
 
 
+@pytest.mark.parametrize(
+    "name, encoding", [("café", "ascii"), ("\ud800", "utf-8")], ids=["ascii", "surrogate"]
+)
+def test_cli_entry_unencodable_text_report_exits_with_output_error(tmp_path, name, encoding):
+    """A text report that stdout's encoding cannot take exits 5, as a refused write does.
+
+    Nothing of it reaches stdout, and the JSON report of the same problem,
+    escaped to ASCII, is written as usual.
+    """
+    problem = tmp_path / "named.json"
+    problem.write_text(json.dumps({
+        "torus_rank": 1, "half_weights": [[1], [1]], "chi": [1], "name": name,
+    }))
+    env = dict(BUFFERED_ENV, PYTHONIOENCODING=encoding)
+    argv = [sys.executable, "-m", "hypertoric", "run", str(problem)]
+    text = subprocess.run([*argv, "--format", "text"], capture_output=True, env=env)
+    lines = text.stderr.decode().splitlines()
+    assert (text.returncode, text.stdout) == (5, b"")
+    assert len(lines) == 1 and lines[0].startswith("output error: cannot write the report: ")
+    report = subprocess.run(argv, capture_output=True, env=env)
+    assert (report.returncode, report.stderr) == (0, b"")
+    assert json.loads(report.stdout)["exit_code"] == 0
+
+
 def test_cli_entry_flushes_the_help_text():
     """argparse's help text waits in stdout's buffer for the entry's flush.
 
