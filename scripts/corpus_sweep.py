@@ -4,8 +4,9 @@
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
 Every entry is cross-checked against the brute-force oracle: its window,
-its blocks up to degree K, and its quiver presentation, whose arrows and
-relations read the representatives and reduce of the degree <= 2 slices.
+its blocks up to degree K, and its quiver presentation, which the engine
+writes from the half-weights and the ring's reduced quadrics, with no
+slice listed.
 Mismatches are reported loudly and make the script exit 1.  A count that
 the corpus cannot reach within its draw cap exits 2 with one line on
 stderr.

@@ -110,15 +110,33 @@ MUTATIONS = [
     ),
     Mutation(
         "quiver-pivot-test-skipped", ALGEBRA,
-        "            if pivots.isdisjoint(products):\n",
-        "            if True:\n",
+        "            taken = () if pivots.isdisjoint(products) else zs\n",
+        "            taken = ()\n",
         "every quiver block is written as binomials, also one with a pivot product x_p y_p",
     ),
     Mutation(
         "quiver-binomial-sign", ALGEBRA,
-        "Relation(i, k, ((1, earlier), (-1, path)))",
-        "Relation(i, k, ((-1, earlier), (1, path)))",
+        "Relation(i, k, ((1, paths[earlier]), (-1, paths[c])))",
+        "Relation(i, k, ((-1, paths[earlier]), (1, paths[c])))",
         "a binomial quiver relation is written this - first, against the kernel's sign rule",
+    ),
+    Mutation(
+        "quiver-arrows-ascending", ALGEBRA,
+        "    for pos in range(2 * e - 1, -1, -1):\n",
+        "    for pos in range(2 * e):\n",
+        "a block's arrows are listed x_1 .. x_e, y_1 .. y_e, against the slice's lex order",
+    ),
+    Mutation(
+        "quiver-free-z-column-doubled", ALGEBRA,
+        "({j: 1}, 1) for j in range(e)}",
+        "({j: 2}, 1) for j in range(e)}",
+        "a free z_j's kernel column is 2 e_j, not the e_j that reduce gives",
+    ),
+    Mutation(
+        "quiver-block-relations-unmerged", ALGEBRA,
+        "                block.sort(key=itemgetter(0))\n",
+        "",
+        "a pivot block's kernel relations follow its binomials, not merged in free-column order",
     ),
     Mutation(
         "resolution-bound-off-by-one", KOSZUL,

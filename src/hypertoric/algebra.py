@@ -52,18 +52,19 @@ for a zero quadric or none.  With two or more quadrics piece() lists the
 slice and still eliminates its relations, the quadric multiples that land
 in it (_relation_rows, on packed columns), but only for their rank
 (sparse_echelon).  A piece's representatives, the slice's monomials less
-its pivots, are formed in one step on their first read (the quiver, the
-minimal resolutions, reduce), from the listed slice and the pivots
-b + x_p y_p.
+its pivots, are formed in one step on their first read (the minimal
+resolutions, reduce), from the listed slice and the pivots b + x_p y_p.
 QuotientPiece.reduce substitutes the ring's reduced quadrics for the pivot
 factors z_p and so writes any monomial of the slice as an integer row over
 the representatives and a denominator, with no relation rows and no
-elimination.  The quiver reads degree 2 through reduce only in a block
-where some product of two arrows is a pivot monomial x_p y_p, which has
-weight 0.  There its relations are the kernel of those products
-(lattice.column_kernel), the same product and kernel that the minimal
-resolutions use.  In every other block each product is a representative,
-so the relations are binomials, written with no slice listed.
+elimination.  The quiver reads no slice and builds no piece.  Its arrows
+are the variables, placed by their half-weights, and a product of two
+arrows that is no z_j = x_j y_j is a representative of its own, so its
+relations are binomials.  Only in a block where some product is a pivot
+monomial x_p y_p, which has weight 0, do the products that are some z_j
+take their kernel (lattice.column_kernel, which the minimal resolutions
+use too), over the columns that reduce gives them: the reduced quadrics
+read off _substitutions.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from .lattice import (
     column_kernel,
     sparse_echelon,
     sparse_rref,
+    vec_neg,
     vec_sub,
 )
 from .reps import MomentQuadric, SymplecticRep, moment_quadrics, signed_sum
@@ -420,7 +422,7 @@ class SliceRing:
         # the quadrics' coefficient rows in reduced echelon form, pair i in
         # column e-1-i so that the pivots land on the last pairs; for each
         # pivot pair p, lead z_p + sum_j c_j z_j = 0 over the free pairs j,
-        # kept as (p, lead, ((z_j exponents, c_j), ...)) for reduce
+        # kept as (p, lead, ((z_j exponents, c_j), ...)) for reduce and the quiver
         e = rep.num_pairs
         z = [tuple([int(k % e == i) for k in range(2 * e)]) for i in range(e)]
         echelon = sparse_rref(
@@ -601,12 +603,6 @@ class GradedQuiverAlgebra:
 # quiver presentation by arrows and quadratic relations
 
 
-def _variable_label(rep: SymplecticRep, mono: Monomial) -> str:
-    e = rep.num_pairs
-    pos = next(i for i, v in enumerate(mono) if v)
-    return f"x{pos + 1}" if pos < e else f"y{pos - e + 1}"
-
-
 class Arrow(NamedTuple):
     source: int
     target: int
@@ -639,57 +635,78 @@ class QuiverPresentation(NamedTuple):
 
 
 def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
-    """Arrows from the degree-1 blocks, relations from the degree-2 kernel.
+    """Arrows from the half-weights, relations from the reduced quadrics.
 
-    Each length-2 path multiplies to one degree-2 monomial, and the only
+    The degree-1 block i -> j holds the variables of weight
+    points[j] - points[i], in the slice's lex order: descending position,
+    y_e .. y_1, x_e .. x_1.  Each length-2 path multiplies to one degree-2
+    monomial, keyed here by its two variable positions, and the only
     degree-2 monomials that are no representative are the pivot products
-    x_p y_p of the ring's reduced quadrics.  So in a block whose products
-    avoid them every column is a unit vector, and the kernel pairs each
-    path whose product an earlier path has with the first such path:
-    first - this, in column order, with no piece listed and no
-    elimination.  Only a block with a pivot product, which has weight 0
-    and so lies on the diagonal, reduces its products and takes their
-    kernel (column_kernel).
+    x_p y_p of the ring's reduced quadrics.  So a product that is no
+    z_j = x_j y_j is a representative that no other product's column
+    touches, and the kernel pairs each path whose product an earlier path
+    has with the first such path: first - this.  In a block with no pivot
+    product every product is written so.  A block with one has weight 0,
+    so it lies on the diagonal; there the paths whose product is some z_j
+    take their kernel (column_kernel) over the free z's, with the columns
+    that reduce gives: e_j for a free pair, -(sum_j c_j e_j) / lead for a
+    pivot pair.  The kernel basis is one primitive vector per free
+    column, zero at the other free columns, so it splits along the
+    disjoint rows, and the block's relations are merged in free-column
+    order as one kernel lists them.  No slice is listed and no piece
+    built.
     """
-    v = alg.num_vertices
-    e = alg.rep.num_pairs
-    pivots = {
-        tuple([int(k % e == p) for k in range(2 * e)]) for p, _, _ in alg.ring._substitutions
-    }
+    rep, e = alg.rep, alg.rep.num_pairs
+    variables: dict[IntVec, list[tuple[int, str, Monomial]]] = {}
+    for pos in range(2 * e - 1, -1, -1):
+        beta = rep.half_weights[pos % e]
+        weight, label = (beta, f"x{pos + 1}") if pos < e else (vec_neg(beta), f"y{pos - e + 1}")
+        mono = tuple([int(k == pos) for k in range(2 * e)])
+        variables.setdefault(weight, []).append((pos, label, mono))
     arrows: list[Arrow] = []
-    for i in range(v):
-        for j in range(v):
-            for mono in alg.basis(i, j, 1):
-                arrows.append(Arrow(i, j, _variable_label(alg.rep, mono), mono))
-    outgoing: dict[int, list[int]] = {i: [] for i in range(v)}
-    for idx, a in enumerate(arrows):
-        outgoing[a.source].append(idx)
+    codes: list[int] = []  # 4^position: a path's product is the sum of its two codes
+    outgoing: list[range] = []
+    for i, row in enumerate(alg._weights):
+        start = len(arrows)
+        for j, w in enumerate(row):
+            for pos, label, mono in variables.get(w, ()):
+                arrows.append(Arrow(i, j, label, mono))
+                codes.append(1 << 2 * pos)
+        outgoing.append(range(start, len(arrows)))
+    # each z_j's column over the free z's, by its product's code
+    zs = {(1 << 2 * j) + (1 << 2 * (e + j)): ({j: 1}, 1) for j in range(e)}
+    pivots = set()
+    for p, lead, free in alg.ring._substitutions:
+        code = (1 << 2 * p) + (1 << 2 * (e + p))
+        zs[code] = ({z.index(1): -c for z, c in free}, lead)
+        pivots.add(code)
     relations: list[Relation] = []
-    for i in range(v):
-        for k in range(v):
-            paths = [
-                (a, b)
-                for a in outgoing[i]
-                for b in outgoing[arrows[a].target]
-                if arrows[b].target == k
-            ]
-            products = [
-                tuple(map(add, arrows[a].monomial, arrows[b].monomial)) for a, b in paths
-            ]
-            if pivots.isdisjoint(products):
-                first: dict[Monomial, tuple[int, int]] = {}
-                for path, mono in zip(paths, products):
-                    earlier = first.setdefault(mono, path)
-                    if earlier != path:
-                        relations.append(Relation(i, k, ((1, earlier), (-1, path))))
-                continue
-            piece = alg.piece(i, k, 2)
-            columns = [piece.reduce(mono) for mono in products]
-            # kernel vectors are primitive; only the sign is normalised
-            for vec in column_kernel(columns):
-                sign = -1 if vec[min(vec)] < 0 else 1
-                terms = tuple((sign * vec[c], paths[c]) for c in sorted(vec))
-                relations.append(Relation(i, k, terms))
+    for i, sources in enumerate(outgoing):
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for a in sources:
+            for b in outgoing[arrows[a].target]:
+                ends.setdefault(arrows[b].target, []).append((a, b))
+        for k in sorted(ends):
+            paths = ends[k]
+            products = [codes[a] + codes[b] for a, b in paths]
+            # with a pivot product, the z_j products go to the kernel
+            taken = () if pivots.isdisjoint(products) else zs
+            block, first = [], {}
+            for c, m in enumerate(products):
+                if m not in taken:
+                    earlier = first.setdefault(m, c)
+                    if earlier != c:
+                        block.append((c, Relation(i, k, ((1, paths[earlier]), (-1, paths[c])))))
+            kernel = [c for c, m in enumerate(products) if m in taken]
+            if kernel:
+                # kernel vectors are primitive and positive at their free
+                # column, the last; only the sign is normalised
+                for vec in column_kernel([zs[products[c]] for c in kernel]):
+                    sign = -1 if vec[min(vec)] < 0 else 1
+                    terms = tuple((sign * vec[c], paths[kernel[c]]) for c in sorted(vec))
+                    block.append((kernel[max(vec)], Relation(i, k, terms)))
+                block.sort(key=itemgetter(0))
+            relations.extend([r for _, r in block])
     return QuiverPresentation(
         vertices=alg.vertices,
         arrows=tuple(arrows),

@@ -474,37 +474,47 @@ def _parse_xi_entry(raw) -> Fraction:
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "integer": int, "null": type(None)}
 
 
+def _at(path: tuple) -> str | None:
+    """The dotted error path of a schema failure, None at the top level."""
+    return ".".join(map(str, path)) or None
+
+
 def _check_schema(value, schema: dict, path: tuple = ()) -> None:
     """Check `value` against the draft-07 keywords that PROBLEM_SCHEMA uses.
 
     One rule is stricter than draft-07: only an `int` (never a bool, nor an
     integral float such as 6.0) is an integer, so no float reaches the engine.
     """
-    at = ".".join(map(str, path)) or None
     types = schema.get("type", [])
     types = [types] if isinstance(types, str) else types
     if types and (isinstance(value, bool)
                   or not isinstance(value, tuple(_JSON_TYPES[t] for t in types))):
-        raise ProblemFormatError(f"{value!r} is not of type {', '.join(map(repr, types))}", at)
+        raise ProblemFormatError(
+            f"{value!r} is not of type {', '.join(map(repr, types))}", _at(path)
+        )
     if "enum" in schema and value not in schema["enum"]:
-        raise ProblemFormatError(f"{value!r} is not one of {schema['enum']!r}", at)
+        raise ProblemFormatError(f"{value!r} is not one of {schema['enum']!r}", _at(path))
     if "minimum" in schema and isinstance(value, int) and value < schema["minimum"]:
-        raise ProblemFormatError(f"{value!r} is less than the minimum of {schema['minimum']}", at)
+        raise ProblemFormatError(
+            f"{value!r} is less than the minimum of {schema['minimum']}", _at(path)
+        )
     if "pattern" in schema and isinstance(value, str) and not re.search(schema["pattern"], value):
-        raise ProblemFormatError(f"{value!r} does not match {schema['pattern']!r}", at)
+        raise ProblemFormatError(f"{value!r} does not match {schema['pattern']!r}", _at(path))
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            raise ProblemFormatError(f"{value!r} is too short", at)
+            raise ProblemFormatError(f"{value!r} is too short", _at(path))
         for idx, item in enumerate(value):
             _check_schema(item, schema.get("items", {}), path + (idx,))
     if isinstance(value, dict):
         props = schema.get("properties", {})
         for key in schema.get("required", []):
             if key not in value:
-                raise ProblemFormatError(f"{key!r} is a required property", at)
+                raise ProblemFormatError(f"{key!r} is a required property", _at(path))
         extra = [key for key in value if key not in props]
         if extra and schema.get("additionalProperties") is False:
-            raise ProblemFormatError(f"additional properties are not allowed: {extra!r}", at)
+            raise ProblemFormatError(
+                f"additional properties are not allowed: {extra!r}", _at(path)
+            )
         for key, sub in props.items():
             if key in value:
                 _check_schema(value[key], sub, path + (key,))

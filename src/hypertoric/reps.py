@@ -31,7 +31,8 @@ class ValueRecord:
 
     Immutable, and equal and hashed by value; an instance equals only an
     instance of its own class, never a plain tuple.  _replace builds the
-    copy through __init__, so the copy is checked as the original was.
+    copy through __init__, so the copy is checked as the original was; with
+    no change it returns the record itself.
     """
 
     __slots__ = _fields = ()
@@ -53,6 +54,8 @@ class ValueRecord:
         return dict(zip(self._fields, self._values()))
 
     def _replace(self, **changes):
+        if not changes:
+            return self
         return type(self)(**{**self._asdict(), **changes})
 
     def __eq__(self, other):

@@ -40,6 +40,7 @@ from hypertoric.koszul import hilbert_inverse_coefficients
 from hypertoric.lattice import column_kernel, sparse_echelon, sparse_rref, vec_sub
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
 from hypertoric.reps import MomentQuadric, moment_quadrics
+from hypertoric.zonotope import find_generic_direction
 
 
 def quotient_ring(rep, upto=8):
@@ -558,13 +559,13 @@ def test_counts_equal_the_listings():
 
 
 def test_counted_blocks_list_nothing():
-    """Blocks, regular-sequence test and the bench's slice count list nothing when counted.
+    """Blocks, regular-sequence test, the bench's slice count and the quiver list nothing.
 
     Three-pair at N=8 and the ambient side of four-pair: after the Hilbert
     blocks, the regular-sequence test and reading ambient_dim,
     relation_rank and dim of every block piece (what bench/tracing.py's
     count_slices reads), the store holds no exponent table and no listed
-    slice; the quiver then lists slices of degree <= 2 only.
+    slice, and the quiver lists none either.
     """
     four_pair, three_pair = NAMED_REPS[0], NAMED_REPS[1]
     quotient = GradedQuiverAlgebra(three_pair, enumerate_window(build_zonotope(three_pair), (1,)), 8)
@@ -584,7 +585,7 @@ def test_counted_blocks_list_nothing():
         assert store.tables == {} and store.slices == {}, alg.rep
         assert store.series is not None
         quiver_presentation(alg)
-        assert store.slices and {n for n, _ in store.slices} <= {0, 1, 2}, alg.rep
+        assert store.tables == {} and store.slices == {}, alg.rep
 
 
 # SHA-256 of repr((n, w, representatives)) over every nonempty slice, and of
@@ -925,11 +926,12 @@ def kernel_relations(alg, arrows):
 
     The reference: column_kernel over piece.reduce of every path's product,
     each kernel vector signed so that its first term is positive.  Returns
-    the relations and the number of blocks with a product that is no
-    representative.
+    the relations and, for each block with a product that is no
+    representative, in block order, the number of its paths whose product
+    is some z_j = x_j y_j.
     """
-    relations, blocks = [], 0
-    v = alg.num_vertices
+    relations, blocks = [], []
+    v, e = alg.num_vertices, alg.rep.num_pairs
     for i in range(v):
         for k in range(v):
             paths = [
@@ -942,7 +944,8 @@ def kernel_relations(alg, arrows):
                 continue
             piece = alg.piece(i, k, 2)
             products = [tuple(map(add, arrows[a].monomial, arrows[b].monomial)) for a, b in paths]
-            blocks += any(piece.position(m) is None for m in products)
+            if any(piece.position(m) is None for m in products):
+                blocks.append(sum(m[:e] == m[e:] for m in products))
             for vec in column_kernel([piece.reduce(m) for m in products]):
                 sign = -1 if vec[min(vec)] < 0 else 1
                 relations.append(
@@ -951,16 +954,57 @@ def kernel_relations(alg, arrows):
     return relations, blocks
 
 
+# zero and repeated half-weights: x2 and y2 are loops, x1 and x3 parallel arrows
+LOOPED_REP = SymplecticRep(2, ((1, 0), (0, 0), (1, 0), (0, 1), (1, 1)))
+
+
+def quiver_cases():
+    """(rep, epsilon, ambient) for the quiver tests.
+
+    Corpus entries for two seeds, the named reps, the looped rep, conifold
+    and the conifold's ambient algebra.
+    """
+    cases = [
+        (entry.rep, entry.epsilon, False)
+        for seed in (DEFAULT_SEED, 7) for entry in fixed_corpus(24, seed)
+    ]
+    epsilons = [(3, 1), (1,), (2, 1), (-1, -1), (-1, 1)]
+    cases += [(rep, epsilon, False) for rep, epsilon in zip(NAMED_REPS + [LOOPED_REP], epsilons)]
+    conifold = SymplecticRep(1, ((1,), (1,)))
+    return cases + [(conifold, (1,), False), (conifold, (1,), True)]
+
+
+def test_arrows_are_the_degree_one_bases():
+    """The arrows are the degree-1 bases of a fresh algebra: order, monomials and labels.
+
+    quiver_cases(): the arrows of each block i -> j, blocks in row-major
+    order, are alg.basis(i, j, 1) in its order, each labelled by the
+    variable it is.
+    """
+    for rep, epsilon, ambient in quiver_cases():
+        window = enumerate_window(build_zonotope(rep), epsilon)
+        alg, reference = GradedQuiverAlgebra(rep, window, 2), GradedQuiverAlgebra(rep, window, 2)
+        if ambient:
+            alg, reference = alg.ambient(), reference.ambient()
+        e, v = rep.num_pairs, reference.num_vertices
+        want = []
+        for i, j in product(range(v), repeat=2):
+            for mono in reference.basis(i, j, 1):
+                pos = mono.index(1)
+                want.append((i, j, f"x{pos + 1}" if pos < e else f"y{pos - e + 1}", mono))
+        assert list(quiver_presentation(alg).arrows) == want, rep
+
+
 def test_binomial_relations_equal_the_kernel(monkeypatch):
     """Every quiver relation equals the kernel's, and only pivot blocks take a kernel.
 
-    Corpus entries for two seeds, four-pair, three-pair, hexagon, conifold
-    and the conifold's ambient algebra.  A block whose products are all
-    representatives is written as binomials with no kernel and no listed
-    slice, so no degree-2 piece of nonzero weight has positions after the
-    quiver.  A product of two variables comes from at most two paths, u*v
-    and v*u, so pairing a repeated product with its first path or with the
-    previous one gives the same relation; that variant is equivalent.
+    quiver_cases(): the quiver lists no slice and builds no piece.  A
+    block with a pivot product takes one kernel, over the columns of its
+    paths whose product is some z_j, and every other block and product is
+    written as binomials.  A product of two variables comes from at most
+    two paths, u*v and v*u, so pairing a repeated product with its first
+    path or with the previous one gives the same relation; that variant
+    is equivalent.
     """
     kernels = []
 
@@ -969,31 +1013,41 @@ def test_binomial_relations_equal_the_kernel(monkeypatch):
         return column_kernel(columns)
 
     monkeypatch.setattr("hypertoric.algebra.column_kernel", counted_kernel)
-    cases = [
-        (entry.rep, entry.epsilon, False)
-        for seed in (DEFAULT_SEED, 7) for entry in fixed_corpus(24, seed)
-    ]
-    cases += [(rep, epsilon, False) for rep, epsilon in zip(NAMED_REPS[:3], [(3, 1), (1,), (2, 1)])]
-    conifold = SymplecticRep(1, ((1,), (1,)))
-    cases += [(conifold, (1,), False), (conifold, (1,), True)]
     pivot_blocks = 0
-    for rep, epsilon, ambient in cases:
+    for rep, epsilon, ambient in quiver_cases():
         window = enumerate_window(build_zonotope(rep), epsilon)
         alg, reference = GradedQuiverAlgebra(rep, window, 2), GradedQuiverAlgebra(rep, window, 2)
         if ambient:
             alg, reference = alg.ambient(), reference.ambient()
         kernels.clear()
         pres = quiver_presentation(alg)
+        assert alg.ring._pieces == {} and alg.ring._store.slices == {}, rep
         want, blocks = kernel_relations(reference, pres.arrows)
         assert list(pres.relations) == want, rep
-        assert len(kernels) == blocks, rep
-        pivot_blocks += blocks
-        assert not any(
-            piece._positions is not None
-            for (n, w), piece in alg.ring._pieces.items() if n == 2 and any(w)
-        ), rep
-        assert all(n == 1 or not any(w) for n, w in alg.ring._store.slices), rep
-    assert pivot_blocks > 0 and blocks == 0
+        assert [len(columns) for columns in kernels] == blocks, rep
+        pivot_blocks += len(blocks)
+    assert pivot_blocks > 0 and blocks == []
+
+
+def test_custom_quadric_relations_equal_the_kernel():
+    """The quiver of every ring of substitution_rings() equals the kernel's.
+
+    GradedQuiverAlgebra(rep, window, n, quadrics) at n = 2 and 4: rank
+    r < q, a zero quadric, x_2 y_2 = 0 (a pivot pair with no free term)
+    and reduced quadrics with a gcd to divide out, beside the moment
+    quadrics of the named and corpus reps.
+    """
+    pivot_blocks = 0
+    for rep, quadrics in substitution_rings():
+        window = enumerate_window(build_zonotope(rep), find_generic_direction(build_zonotope(rep)))
+        for n in (2, 4):
+            pres = quiver_presentation(GradedQuiverAlgebra(rep, window, n, quadrics))
+            want, blocks = kernel_relations(
+                GradedQuiverAlgebra(rep, window, n, quadrics), pres.arrows
+            )
+            assert list(pres.relations) == want, (rep, quadrics)
+            pivot_blocks += len(blocks)
+    assert pivot_blocks > 0
 
 
 # -- inverse Hilbert series --------------------------------------------------
