@@ -4,9 +4,10 @@
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
 Every entry is cross-checked against the brute-force oracle: its window,
-its blocks up to degree K, and its quiver presentation, which the engine
-writes from the half-weights and the ring's reduced quadrics, with no
-slice listed.
+its Hilbert blocks up to degree K as the report prints them
+(hilbert_matrices, one series per block weight), and its quiver
+presentation, which the engine writes from the half-weights and the ring's
+reduced quadrics, with no slice listed.
 Mismatches are reported loudly and make the script exit 1.  A count that
 the corpus cannot reach within its draw cap exits 2 with one line on
 stderr.
@@ -67,10 +68,11 @@ def main(argv=None) -> int:
 
         blocks_ok = True
         alg = GradedQuiverAlgebra(rep, window, args.upto)
+        matrices = alg.hilbert_matrices()
         for i, mu in enumerate(window.points):
             for j, mup in enumerate(window.points):
                 for n in range(args.upto + 1):
-                    if alg.dim(i, j, n) != oracle_block_dimension(rep, mu, mup, n, True):
+                    if matrices[n][i][j] != oracle_block_dimension(rep, mu, mup, n, True):
                         blocks_ok = False
 
         quiver_ok = not oracle_quiver_problems(rep, eps, quiver_presentation(alg))

@@ -90,10 +90,17 @@ MUTATIONS = [
         "the Hilbert series multiplies in the x-variables only",
     ),
     Mutation(
-        "counted-rank-one-degree-down", ALGEBRA,
-        "len(subs) * store.count(n - 2, w)",
-        "len(subs) * store.count(n - 1, w)",
-        "a counted slice's relation rank reads the degree n-1 slice, not n-2",
+        "series-rank-one-degree-down", ALGEBRA,
+        "(a, r * amb[n - 2] if n >= 2 else 0)",
+        "(a, r * amb[n - 1] if n >= 2 else 0)",
+        "a counted weight's series, which its pieces read too, subtracts r amb(n - 1, w),"
+        " not r amb(n - 2, w)",
+    ),
+    Mutation(
+        "counted-piece-without-rank", ALGEBRA,
+        "size, rank = counts[n] if n >= 0 else (0, 0)",
+        "size, rank = (counts[n][0], 0) if n >= 0 else (0, 0)",
+        "a counted piece reads its monomials off the weight's counts but not its rank",
     ),
     Mutation(
         "pivots-one-degree-down", ALGEBRA,
@@ -288,7 +295,19 @@ MUTATIONS = [
         "    elif kind is list or kind is tuple:\n",
         "    elif not value or kind is list or kind is tuple:\n",
         "the report writer tests for emptiness before the type, so an empty set, empty"
-        " bytes, 0.0 or Fraction(0) is written as [] instead of refused",
+        " bytes or 0.0 is written as [] instead of refused, and Fraction(0) as [], not 0",
+    ),
+    Mutation(
+        "writer-record-fields-unsorted", PIPELINE,
+        "keys, read = sorted(names), partial(getattr, value)",
+        "keys, read = names, partial(getattr, value)",
+        "the report writer writes a record's fields in declaration order, not sorted",
+    ),
+    Mutation(
+        "writer-fraction-numerator-only", PIPELINE,
+        """write(repr(n) if d == 1 else f'"{n}/{d}"')""",
+        "write(repr(n))",
+        "the report writer writes a Fraction as its numerator alone",
     ),
     Mutation(
         "cli-main-without-flush", CLI,

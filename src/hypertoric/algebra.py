@@ -44,11 +44,13 @@ quadrics, a slice's pivots are its monomials b + x_p y_p, b a base, a
 degree n-2 monomial of the slice's weight, and p a pivot pair.  So the
 quadrics are a regular sequence exactly when the echelon keeps all of
 them, which is what verify_regular_sequence tests.  A piece is built with
-two counts, its monomials and its rank, and the Hilbert blocks read no
-more: its dimension is the one less the other.  With at most one quadric
-piece() counts both and lists nothing: C[x,y] is a domain, so the
-multiples q*b are independent and the rank is the number of bases, or 0
-for a zero quadric or none.  With two or more quadrics piece() lists the
+two counts, its monomials and its rank, and its dimension is the one less
+the other.  With at most one quadric both are counted and nothing is
+listed: C[x,y] is a domain, so the multiples q*b are independent and the
+rank is the number of bases, or 0 for a zero quadric or none.  So there
+each block weight's dimensions are one series, amb(n, w) - r amb(n - 2, w),
+which the Hilbert blocks read with no piece built.  With two or more
+quadrics the blocks read each piece's dimension, and piece() lists the
 slice and still eliminates its relations, the quadric multiples that land
 in it (_relation_rows, on packed columns), but only for their rank
 (sparse_echelon).  A piece's representatives, the slice's monomials less
@@ -208,22 +210,16 @@ class _MonomialStore:
         heads.sort(key=itemgetter(0))
         return tuple([a + b for a, bs in heads for b in bs])
 
-    def count(self, n: int, w: IntVec) -> int:
-        """The number of degree-n, weight-w monomials, listing none.
+    def expansion(self) -> list[dict[int, int]]:
+        """The Hilbert series prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)).
 
-        It is the coefficient of t^n z^w in the Hilbert series
-        prod_i 1/((1 - t z^beta_i)(1 - t z^-beta_i)), expanded once up to
-        t^max_degree on the packed weight keys: each factor 1/(1 - t z^s)
-        adds z^s A[d - 1] to A[d], for d ascending.  The key is read through
-        the gate before the degree is checked, so a weight of the wrong
-        length raises at any degree.  Within reach the balanced base keeps
-        keys apart, and series[n] holds only weights that degree n reaches,
-        so one lookup answers.
+        Its coefficients by degree up to t^max_degree, each a map from the
+        packed weight keys, expanded once: each factor 1/(1 - t z^s) adds
+        z^s A[d - 1] to A[d], for d ascending.  Within reach the balanced
+        base keeps keys apart, and series[n] holds only weights that degree
+        n reaches, so one lookup of a gated key answers; the key None of a
+        weight beyond reach is in no degree.
         """
-        key = self.key(w, n)
-        if not 0 <= n <= self.max_degree:
-            self._bound(n)
-            return 0
         series = self.series
         if series is None:
             top = self.max_degree
@@ -236,7 +232,20 @@ class _MonomialStore:
                         for k, c in series[d - 1].items():
                             k += s
                             row[k] = get(k, 0) + c
-        return series[n].get(key, 0)
+        return series
+
+    def count(self, n: int, w: IntVec) -> int:
+        """The number of degree-n, weight-w monomials, listing none.
+
+        It is the coefficient of t^n z^w in the expansion.  The key is read
+        through the gate before the degree is checked, so a weight of the
+        wrong length raises at any degree.
+        """
+        key = self.key(w, n)
+        if not 0 <= n <= self.max_degree:
+            self._bound(n)
+            return 0
+        return self.expansion()[n].get(key, 0)
 
     def _half(self, v: int) -> Monomial:
         width, mask = self.width, (1 << self.width) - 1
@@ -433,6 +442,7 @@ class SliceRing:
             for col, row in sorted(echelon.items())
         )
         self._pieces: dict[tuple[int, IntVec], QuotientPiece] = {}
+        self._counted: dict[IntVec, list[tuple[int, int]]] = {}
 
     def monomials(self, n: int, w: IntVec) -> tuple[Monomial, ...]:
         """The degree-n, weight-w monomials in lex order, as exponent tuples."""
@@ -443,15 +453,44 @@ class SliceRing:
 
     # -- quotient slices -----------------------------------------------------
 
+    def _counts(self, w: IntVec) -> list[tuple[int, int]]:
+        """(monomials, relation rank) of the weight-w slices by degree, counted.
+
+        For a ring with at most one quadric q, degrees 0 .. max_degree,
+        formed once per weight, and nothing is listed.  amb(n, w) is read
+        off the store's expansion, each degree's key through the gate; the
+        rows q*b over the degree n-2 bases b are independent, so the rank
+        is r amb(n - 2, w), r = 1, or 0 for a zero quadric or none.
+        """
+        counts = self._counted.get(w)
+        if counts is None:
+            series, key = self._store.expansion(), self._store.key
+            amb = [series[n].get(key(w, n), 0) for n in range(self.max_degree + 1)]
+            r = len(self._substitutions)
+            counts = self._counted[w] = [
+                (a, r * amb[n - 2] if n >= 2 else 0) for n, a in enumerate(amb)
+            ]
+        return counts
+
+    def series(self, w: IntVec) -> list[int]:
+        """The quotient's weight-w dimensions in degrees 0 .. max_degree.
+
+        With at most one quadric they are read off the counts (_counts):
+        amb(n, w) - r amb(n - 2, w), and no piece is built and no slice
+        listed.  With two or more quadrics each degree's piece is built.
+        """
+        if len(self.quadrics) <= 1:
+            return [size - rank for size, rank in self._counts(w)]
+        return [self.piece(n, w).dim for n in range(self.max_degree + 1)]
+
     def piece(self, n: int, w: IntVec) -> QuotientPiece:
         """The degree-n, weight-w quotient slice, built once per ring.
 
         Its pivots follow one rule in every ring (QuotientPiece); the one
-        branch here counts its rank.  With at most one quadric q nothing is
-        listed: the rows q*b over the degree n-2 bases b are independent, so
-        the rank is the number of bases, or 0 for a zero quadric or none.
-        With two or more quadrics the slice and its bases are listed, and
-        the rank is that of the relations' echelon form (sparse_echelon).
+        branch here counts its rank.  With at most one quadric nothing is
+        listed: the size and rank are the weight's counts (_counts).  With
+        two or more quadrics the slice and its bases are listed, and the
+        rank is that of the relations' echelon form (sparse_echelon).
         """
         w = tuple(w)
         key = (n, w)
@@ -460,7 +499,9 @@ class SliceRing:
             return cached
         store, subs = self._store, self._substitutions
         if len(self.quadrics) <= 1:
-            size, rank = store.count(n, w), len(subs) * store.count(n - 2, w)
+            counts = self._counts(w)
+            store._bound(n)
+            size, rank = counts[n] if n >= 0 else (0, 0)
         else:
             mons = store.packed(n, w)
             bases = store.packed(n - 2, w) if n >= 2 else ()
@@ -589,14 +630,18 @@ class GradedQuiverAlgebra:
     def dim(self, i: int, j: int, n: int) -> int:
         return self.piece(i, j, n).dim
 
-    def hilbert_matrix(self, n: int) -> tuple[tuple[int, ...], ...]:
-        v = self.num_vertices
-        return tuple(
-            tuple(self.dim(i, j, n) for j in range(v)) for i in range(v)
-        )
-
     def hilbert_matrices(self) -> list[tuple[tuple[int, ...], ...]]:
-        return [self.hilbert_matrix(n) for n in range(self.degree_bound + 1)]
+        """The Hilbert blocks: matrices[n][i][j] = dim(i, j, n), n = 0 .. degree_bound.
+
+        A block's dimensions depend on its weight alone, so the ring gives
+        each distinct block weight's dimensions in every degree at once
+        (SliceRing.series), and the matrices are laid out from them.
+        """
+        weights = dict.fromkeys(w for row in self._weights for w in row)
+        series = {w: self.ring.series(w) for w in weights}
+        rows = [[series[w] for w in row] for row in self._weights]
+        degrees = range(self.degree_bound + 1)
+        return [tuple(tuple(dims[n] for dims in row) for row in rows) for n in degrees]
 
 
 # ---------------------------------------------------------------------------

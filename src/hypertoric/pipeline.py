@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii as _json_string
 from math import prod
 from typing import NamedTuple
@@ -119,8 +119,9 @@ class _Context:
 
 
 # Each stage has a section builder, which returns the section (records
-# allowed; run() normalizes it with _jsonify) and records its checks, and a
-# text renderer, which turns the normalized section into report lines.
+# allowed; the report writer writes them, field by field) and records its
+# checks, and a text renderer, which turns the section, as the report's JSON
+# text decodes it, into report lines.
 
 
 def _validation(ctx: _Context):
@@ -329,7 +330,6 @@ def _koszul(ctx: _Context):
     for side, algebra in (("quotient", ctx.algebra), ("ambient", ctx.algebra.ambient())):
         ledger = koszul_check(algebra, depth=ctx.problem.depth)
         numeric = numerical_koszul_consistency(algebra.hilbert_matrices())
-        # run() normalizes the records, field by field
         section[side] = dict(ledger._asdict(), all_exhausted=ledger.all_exhausted, numeric=numeric)
     quotient = section["quotient"]
     if quotient["status"] == "violation" or not quotient["numeric"].consistent:
@@ -567,33 +567,13 @@ def load_problem(path: str) -> ProblemFile:
 # report plumbing
 
 
-def _jsonify(value):
-    """Normalize values for canonical JSON output; records field by field.
-
-    A record is any class with a _fields tuple: the named tuples and the
-    ValueRecord classes (SymplecticRep, ProblemFile).  Its exact type is
-    never tuple, so it is written as an object of its fields, not a list.
-    """
-    kind = type(value)
-    if kind is int or kind is str or kind is bool or value is None:
-        return value
-    if kind is tuple or kind is list:
-        return [_jsonify(v) for v in value]
-    if kind is dict:
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if kind is Fraction:
-        if value.denominator == 1:
-            return int(value)
-        return f"{value.numerator}/{value.denominator}"
-    names = getattr(kind, "_fields", None)
-    if names is not None:
-        return {name: _jsonify(getattr(value, name)) for name in names}
-    return value
-
-
 def _json_text(value, indent: str, write) -> None:
-    """value as json.dumps(value, sort_keys=True, indent=2) writes it, in chunks.
+    """value's plain form as json.dumps(sort_keys=True, indent=2) writes it, in chunks.
 
+    The plain form is JSON's: a tuple is a list, a Fraction an int or the
+    string "n/d", and a record, any class with a _fields tuple (the named
+    tuples and the ValueRecord classes), an object of its fields.  A
+    record's exact type is never tuple, so it is not written as a list.
     Each chunk goes to write, in order.  indent is a newline and the
     indentation of value's line.  Keys are str.
     """
@@ -606,14 +586,6 @@ def _json_text(value, indent: str, write) -> None:
         write("true" if value else "false")
     elif value is None:
         write("null")
-    elif kind is dict:
-        inner = indent + "  "
-        lead = "{" + inner
-        for k in sorted(value):
-            write(lead + _json_string(k) + ": ")
-            _json_text(value[k], inner, write)
-            lead = "," + inner
-        write(indent + "}" if value else "{}")
     elif kind is list or kind is tuple:
         inner = indent + "  "
         lead = "[" + inner
@@ -622,11 +594,35 @@ def _json_text(value, indent: str, write) -> None:
             _json_text(v, inner, write)
             lead = "," + inner
         write(indent + "]" if value else "[]")
+    elif kind is Fraction:
+        n, d = value.numerator, value.denominator
+        write(repr(n) if d == 1 else f'"{n}/{d}"')
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        if kind is dict:
+            keys, read = sorted(value), value.__getitem__
+        else:
+            names = getattr(kind, "_fields", None)
+            if names is None:
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            keys, read = sorted(names), partial(getattr, value)
+        inner = indent + "  "
+        lead = "{" + inner
+        for k in keys:
+            write(lead + _json_string(k) + ": ")
+            _json_text(read(k), inner, write)
+            lead = "," + inner
+        write(indent + "}" if keys else "{}")
 
 
 class Report(NamedTuple):
+    """A run's report: its fields hold values as the builders return them.
+
+    The input echo is the problem's fields, and each section is as its
+    builder returns it, records, tuples and Fractions allowed.  The one
+    plain form of a report is its JSON text (to_json), decoded; to_text
+    renders from that.
+    """
+
     input: dict
     engine: dict
     sections: dict
@@ -634,12 +630,12 @@ class Report(NamedTuple):
     exit_code: int
 
     def to_json(self) -> str:
-        """json.dumps(self._asdict(), sort_keys=True, indent=2) and a newline.
+        """json.dumps of the report's plain form, sort_keys=True, indent=2, and a newline.
 
-        json.dumps drops to its pure-Python encoder whenever indent is set;
-        _json_text writes the same bytes in about 40 % of its time, from
-        the plain JSON values that run() puts in every field, as chunks
-        that are joined once.
+        json.dumps drops to its pure-Python encoder whenever indent is set,
+        and would need the plain form built first; _json_text writes the
+        same bytes straight from the records, tuples and Fractions of every
+        field, as chunks that are joined once.
         """
         chunks: list[str] = []
         _json_text(self._asdict(), "\n", chunks.append)
@@ -647,23 +643,26 @@ class Report(NamedTuple):
         return "".join(chunks)
 
     def to_text(self) -> str:
-        lines = [f"hypertoric {self.engine['version']} report"]
-        name = self.input.get("name")
+        """The report as text, rendered from its decoded JSON text."""
+        report = json.loads(self.to_json())
+        given, sections = report["input"], report["sections"]
+        lines = [f"hypertoric {report['engine']['version']} report"]
+        name = given.get("name")
         if name:
             lines.append(f"problem: {name}")
         lines.append(
-            f"torus rank {self.input['torus_rank']}, "
-            f"{len(self.input['half_weights'])} coordinate pairs"
+            f"torus rank {given['torus_rank']}, "
+            f"{len(given['half_weights'])} coordinate pairs"
         )
         for section, (_, render) in STAGES.items():
-            if section in self.sections:
-                lines += ["", f"== {section} ==", *render(self.sections[section])]
+            if section in sections:
+                lines += ["", f"== {section} ==", *render(sections[section])]
         lines.append("")
         lines.append("== checks ==")
-        for check in self.checks:
+        for check in report["checks"]:
             detail = f"  ({check['detail']})" if check.get("detail") else ""
             lines.append(f"{check['name']}: {check['status']}{detail}")
-        lines.append(f"exit code: {self.exit_code}")
+        lines.append(f"exit code: {report['exit_code']}")
         return "\n".join(lines) + "\n"
 
 
@@ -676,7 +675,7 @@ def _fmt_vec(v) -> str:
 
 
 def _echo_input(problem: ProblemFile) -> dict:
-    echo = _jsonify(problem)
+    echo = problem._asdict()
     if problem.name is None:
         del echo["name"]
     return echo
@@ -716,7 +715,7 @@ def run(problem: ProblemFile, budget: Budget = Budget()) -> Report:
             and any(w is not None for w in ctx.witnesses.values())
         )
         if name in requested or stop:
-            sections[name] = _jsonify(build(ctx))
+            sections[name] = build(ctx)
         if stop:
             break
 

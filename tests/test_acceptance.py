@@ -41,11 +41,12 @@ def test_criterion_1_conifold_end_to_end(problems_dir, acceptance_log):
     with criterion("criterion 1: conifold end to end", acceptance_log):
         report = run(load_problem(str(problems_dir / "conifold.json")))
         assert report.exit_code == 0
+        sections = json.loads(report.to_json())["sections"]
 
-        window = report.sections["window"]
+        window = sections["window"]
         assert window["points"] == [[0], [1]]
 
-        quiver = report.sections["quiver"]
+        quiver = sections["quiver"]
         assert len(quiver["vertices"]) == 2
         arrows = [(a["source"], a["target"]) for a in quiver["arrows"]]
         assert arrows.count((0, 1)) == 2 and arrows.count((1, 0)) == 2
@@ -55,7 +56,7 @@ def test_criterion_1_conifold_end_to_end(problems_dir, acceptance_log):
         for rel in relations:
             assert all(len(t["path"]) == 2 for t in rel["terms"])
 
-        koszul = report.sections["koszul"]
+        koszul = sections["koszul"]
         quo = koszul["quotient"]
         assert (quo["depth"], quo["degree_bound"]) == (4, 6)
         assert quo["status"] == "linear" and quo["all_exhausted"]
@@ -151,7 +152,8 @@ def test_criterion_4_genericity_rejection(rep_a, rep_b, acceptance_log):
                 )
             )
             assert report.exit_code == 2
-            assert report.sections["genericity"]["chi"]["witness"] == witness
+            decoded = json.loads(report.to_json())["sections"]
+            assert decoded["genericity"]["chi"]["witness"] == witness
 
         accepted = run(
             parse_problem(

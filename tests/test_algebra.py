@@ -733,8 +733,68 @@ def test_quotient_series_is_ambient_times_euler_factor(rep_b, window_b, upto):
             ]
             for i in range(amb.num_vertices)
         ]
-        got = [list(row) for row in quo.hilbert_matrix(n)]
+        got = [list(row) for row in quo.hilbert_matrices()[n]]
         assert got == want
+
+
+def series_cases():
+    """(rep, epsilon, quadrics) for the Hilbert-series tests.
+
+    Every ring of substitution_rings(), each on its generic direction;
+    fixed_corpus(24) on two seeds; the named reps and the looped rep; a
+    zero half-weight; and four pairs of weight 1, whose window spans three
+    steps, so its corner blocks' weight lies beyond reach in degrees 0..2.
+    """
+    cases = [
+        (rep, find_generic_direction(build_zonotope(rep)), quadrics)
+        for rep, quadrics in substitution_rings()
+    ]
+    cases += [
+        (entry.rep, entry.epsilon, moment_quadrics(entry.rep))
+        for seed in (DEFAULT_SEED, 7) for entry in fixed_corpus(24, seed)
+    ]
+    epsilons = [(3, 1), (1,), (2, 1), (-1, -1), (-1, 1)]
+    cases += [
+        (rep, epsilon, moment_quadrics(rep))
+        for rep, epsilon in zip(NAMED_REPS + [LOOPED_REP], epsilons)
+    ]
+    for rep in (SymplecticRep(1, ((1,), (2,), (0,))), SymplecticRep(1, ((1,),) * 4)):
+        cases.append((rep, (1,), moment_quadrics(rep)))
+    return cases
+
+
+def test_hilbert_series_equals_the_pieces():
+    """hilbert_matrices() equals each block's piece, and lists nothing with one quadric.
+
+    series_cases() at N=6, the quotient and its ambient(), each on a fresh
+    algebra: every block of every degree is piece(n, w).dim, which is the
+    number of representatives that the piece lists.  Before the pieces are
+    read, a ring with at most one quadric has built no piece and listed no
+    slice.
+    """
+    cases = series_cases()
+    assert len(cases) == 18 + 48 + 5 + 2
+    beyond = 0
+    for rep, epsilon, quadrics in cases:
+        window = enumerate_window(build_zonotope(rep), epsilon)
+        quotient = GradedQuiverAlgebra(rep, window, 6, quadrics)
+        for alg in (quotient, GradedQuiverAlgebra(rep, window, 6, quadrics).ambient()):
+            ring = alg.ring
+            matrices = alg.hilbert_matrices()
+            if len(ring.quadrics) <= 1:
+                assert ring._pieces == {} and ring._store.slices == {}, (rep, quadrics)
+            v = alg.num_vertices
+            assert len(matrices) == 7
+            for n, matrix in enumerate(matrices):
+                assert len(matrix) == v and all(len(row) == v for row in matrix)
+                for i, j in product(range(v), repeat=2):
+                    piece = alg.piece(i, j, n)
+                    assert matrix[i][j] == piece.dim == len(piece.representatives), (
+                        rep, quadrics, n, i, j,
+                    )
+                    reach = n * ring._store.reach
+                    beyond += n > 0 and max(map(abs, piece.weight), default=0) > reach
+    assert beyond > 0
 
 
 def test_pieces_compare_by_identity(rep_b):
@@ -752,10 +812,10 @@ def test_wrong_length_weight_is_refused():
     """A weight whose length is not the torus rank raises DimensionError.
 
     Its packed key would alias a slice of the right length: on hexagon,
-    (0,) and (0, 0, 0) would read the (0, 0) slice.  piece (of the ring and
-    of its ambient()), monomials, ambient_dim and hom_dimension each refuse
-    them in degrees 0 and 2, also once (0, 0) is cached, and no piece is
-    built for them.  A weight given as a list reads the slice of its
+    (0,) and (0, 0, 0) would read the (0, 0) slice.  piece and series (of
+    the ring, which eliminates, and of its ambient(), which counts),
+    monomials, ambient_dim and hom_dimension each refuse them in degrees 0
+    and 2, also once (0, 0) is cached, and no piece is built for them.  A weight given as a list reads the slice of its
     tuple: each read, and the piece's ambient_dim, count 3 for [0, 0] in
     degree 2.
     """
@@ -764,6 +824,7 @@ def test_wrong_length_weight_is_refused():
     ambient = ring.ambient()
     reads = [
         ring.piece, ambient.piece, ring.monomials, ring.ambient_dim,
+        lambda n, w: ring.series(w), lambda n, w: ambient.series(w),
         lambda n, w: hom_dimension(hexagon, n, w),
     ]
     for n in (0, 2):
@@ -1085,4 +1146,4 @@ def test_diagonal_blocks_positive(rep_b, window_b, n):
 def test_custom_quadrics_accepted(rep_a, window_a):
     q = MomentQuadric(0, (1, 1), 0)
     alg = GradedQuiverAlgebra(rep_a, window_a, 4, quadrics=(q,))
-    assert alg.hilbert_matrix(2) == ((3, 0), (0, 3))
+    assert alg.hilbert_matrices()[2] == ((3, 0), (0, 3))

@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertoric import algebra, cli, errors, pipeline
+from hypertoric import SymplecticRep, algebra, cli, errors, pipeline
 from hypertoric.cli import main
 from hypertoric.corpus import fixed_corpus
 from hypertoric.errors import (
@@ -151,6 +152,11 @@ def test_schema_doc_in_sync(problems_dir):
 # -- report assembly ---------------------------------------------------------
 
 
+def decoded_sections(report) -> dict:
+    """The report's sections as its JSON text decodes them: plain JSON values."""
+    return json.loads(report.to_json())["sections"]
+
+
 def test_validation_only_report():
     report = run(conifold_problem(analyses=["validation"]))
     assert list(report.sections) == ["validation"]
@@ -161,14 +167,14 @@ def test_validation_only_report():
 def test_window_only_report():
     report = run(conifold_problem(analyses=["window"]))
     assert list(report.sections) == ["window"]
-    assert report.sections["window"]["points"] == [[0], [1]]
+    assert decoded_sections(report)["window"]["points"] == [[0], [1]]
 
 
 def test_auto_epsilon_recorded_but_not_echoed():
     data = dict(CONIFOLD)
     del data["epsilon"]
     report = run(parse_problem(data))
-    eps = report.sections["genericity"]["epsilon"]
+    eps = decoded_sections(report)["genericity"]["epsilon"]
     assert eps["source"] == "auto"
     assert eps["value"] == [-1]
     echoed = json.loads(report.to_json())["input"]
@@ -194,7 +200,7 @@ def test_failed_genericity_sets_exit_two(rep_b):
     )
     report = run(p)
     assert report.exit_code == 2
-    chi = report.sections["genericity"]["chi"]
+    chi = decoded_sections(report)["genericity"]["chi"]
     assert not chi["generic"]
     assert chi["witness"] == [1, -1]
 
@@ -206,8 +212,9 @@ def test_nonzero_level_with_graded_analysis_rejected():
 
 def test_nonzero_level_allowed_off_the_graded_path():
     report = run(conifold_problem(xi=[1], analyses=["validation", "quadrics", "codimension"]))
-    assert report.sections["quadrics"]["items"][0]["shift"] == 1
-    assert report.sections["codimension"]["estimate"] is None
+    sections = decoded_sections(report)
+    assert sections["quadrics"]["items"][0]["shift"] == 1
+    assert sections["codimension"]["estimate"] is None
     assert report.exit_code == 0
     # a fractional level is written as a "p/q" string in JSON, as p/q in text
     hexagon = {"torus_rank": 2, "half_weights": [[1, 0], [0, 1], [1, 1]], "chi": [1, 2]}
@@ -234,7 +241,7 @@ def test_reduction_section_on_split_rep():
         }
     )
     report = run(p)
-    sec = report.sections["reduction"]
+    sec = decoded_sections(report)["reduction"]
     assert sec["needed"] is True
     assert sec["steps"][0]["removed_pair"] == 2
     assert sec["reduced"]["torus_rank"] == 1
@@ -330,9 +337,9 @@ def test_graded_analyses_build_each_slice_once(problems_dir, monkeypatch):
     def run_hexagon(*analyses):
         return work.run("hexagon", *analyses)
 
-    report = run_hexagon("hilbert", "regular_sequence")
-    assert report.sections["regular_sequence"]["passed"]
-    points = report.sections["hilbert"]["vertices"]
+    sections = decoded_sections(run_hexagon("hilbert", "regular_sequence"))
+    assert sections["regular_sequence"]["passed"]
+    points = sections["hilbert"]["vertices"]
     weights = {tuple(b - a for a, b in zip(p, q)) for p in points for q in points}
     # the blocks read ranks only: one echelon per slice, and
     # one reduced echelon of the quadrics per ring
@@ -369,7 +376,7 @@ def test_one_quadric_counts_slices_without_elimination(problems_dir, monkeypatch
     """
     work = SliceWork(problems_dir, monkeypatch)
     report = work.run("conifold", "hilbert", "regular_sequence")
-    assert report.sections["regular_sequence"]["passed"]
+    assert decoded_sections(report)["regular_sequence"]["passed"]
     assert work.enumerations == [] and work.echelons == []
     assert len(work.rrefs) == len(work.rings) > 0
 
@@ -390,7 +397,7 @@ def test_regular_sequence_alone_reads_no_slice(problems_dir, monkeypatch):
     """
     work = SliceWork(problems_dir, monkeypatch)
     report = work.run("hexagon", "regular_sequence")
-    assert report.sections["regular_sequence"]["passed"]
+    assert decoded_sections(report)["regular_sequence"]["passed"]
     assert work.pieces == [] and work.enumerations == [] and work.echelons == []
 
     moment_quadrics = pipeline.moment_quadrics
@@ -401,7 +408,7 @@ def test_regular_sequence_alone_reads_no_slice(problems_dir, monkeypatch):
 
     monkeypatch.setattr(pipeline, "moment_quadrics", duplicated)
     report = work.run("hexagon", "regular_sequence")
-    section = report.sections["regular_sequence"]
+    section = decoded_sections(report)["regular_sequence"]
     assert not section["passed"] and section["num_quadrics"] == 3
     assert section["first_failure"] == {"degree": 2, "weight": [0, 0], "got": 1, "expected": 0}
     assert work.pieces == [] and work.enumerations == [] and work.echelons == []
@@ -438,10 +445,10 @@ def test_window_algebra_independent_of_chi_chamber(problems_dir):
     chambers = set()
     sections = []
     for chi in ([2, 1], [1, 2], [2, -1]):
-        report = run(parse_problem(dict(data, chi=chi)))
-        assert report.sections["genericity"]["chi"]["generic"]
+        decoded = decoded_sections(run(parse_problem(dict(data, chi=chi))))
+        assert decoded["genericity"]["chi"]["generic"]
         chambers.add(tuple(dot(chi, v) > 0 for v in normals))
-        sections.append({k: report.sections[k] for k in ("window", "hilbert", "quiver", "koszul")})
+        sections.append({k: decoded[k] for k in ("window", "hilbert", "quiver", "koszul")})
     assert len(chambers) == 3
     assert sections[0] == sections[1] == sections[2]
 
@@ -479,7 +486,8 @@ def test_single_analysis_matches_full_run(problems_dir, name, drop_epsilon, gene
     full = run(parse_problem(data))
     for analysis in ANALYSES:
         single = run(parse_problem(dict(data, analyses=[analysis])))
-        assert single.sections.get(analysis) == full.sections.get(analysis), analysis
+        got = decoded_sections(single).get(analysis)
+        assert got == decoded_sections(full).get(analysis), analysis
         assert _text_blocks(single, analysis) == _text_blocks(full, analysis), analysis
         if generic or analysis == "validation":
             expected = SINGLE_ANALYSIS_CHECKS.get(analysis, [])
@@ -500,8 +508,33 @@ def test_text_rendering_smoke():
 # -- JSON report writer ------------------------------------------------------
 
 
+def plain(value):
+    """The plain JSON form the writer writes, normalized independently of it.
+
+    A record is any class with a _fields tuple: the named tuples and the
+    ValueRecord classes (SymplecticRep, ProblemFile).  Its exact type is
+    never tuple, so it becomes an object of its fields, not a list.  A
+    Fraction becomes an int or "n/d"; any other value is left for json.dumps.
+    """
+    kind = type(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is tuple or kind is list:
+        return [plain(v) for v in value]
+    if kind is dict:
+        return {str(k): plain(v) for k, v in value.items()}
+    if kind is Fraction:
+        if value.denominator == 1:
+            return int(value)
+        return f"{value.numerator}/{value.denominator}"
+    names = getattr(kind, "_fields", None)
+    if names is not None:
+        return {name: plain(getattr(value, name)) for name in names}
+    return value
+
+
 def dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+    return json.dumps(plain(value), sort_keys=True, indent=2) + "\n"
 
 
 def report_with(section) -> Report:
@@ -557,8 +590,7 @@ def test_report_writer_on_corpus_sweep_reports(problems_dir):
 
 @pytest.mark.parametrize(
     "value",
-    [object(), {1, 2}, b"bytes", Fraction(1, 2), 1.5,
-     set(), frozenset(), b"", 0.0, Fraction(0)],
+    [object(), {1, 2}, b"bytes", 1.5, b"", set(), frozenset(), 0.0],
 )
 def test_report_writer_rejects_non_json_values(value):
     # floats are refused too: no report value is a float; the empty and
@@ -570,6 +602,38 @@ def test_report_writer_rejects_non_json_values(value):
     if not isinstance(value, float):
         with pytest.raises(TypeError):
             dumps(value)
+
+
+class Nested(NamedTuple):
+    zeta: tuple
+    alpha: Fraction
+    middle: dict
+
+
+@pytest.mark.parametrize(
+    "value, plain_value",
+    [
+        (Fraction(1, 2), "1/2"),
+        (Fraction(-3, 4), "-3/4"),
+        (Fraction(4, 2), 2),
+        (Fraction(0), 0),
+        (
+            [Nested((Nested((), Fraction(5, 3), {}),), Fraction(-2), {"b": (1,), "a": None})],
+            [{
+                "alpha": -2,
+                "middle": {"a": None, "b": [1]},
+                "zeta": [{"alpha": "5/3", "middle": {}, "zeta": []}],
+            }],
+        ),
+        (SymplecticRep(1, [[1], [2]]), {"half_weights": [[1], [2]], "torus_rank": 1}),
+    ],
+    ids=["half", "negative", "integral", "zero", "nested-record", "value-record"],
+)
+def test_report_writer_writes_fractions_and_records(value, plain_value):
+    """A Fraction is an int or "n/d", a record an object of its fields in sorted order."""
+    text = report_with(value).to_json()
+    assert text == dumps(report_with(plain_value)._asdict())
+    assert json.loads(text)["sections"]["s"] == plain_value
 
 
 # -- CLI ---------------------------------------------------------------------
