@@ -4,13 +4,10 @@
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
 Every entry is cross-checked against the brute-force oracle: its window,
-its Hilbert blocks up to degree K as the report prints them
-(hilbert_matrices, one series per block weight), and its quiver
-presentation, which the engine writes from the half-weights and the ring's
-reduced quadrics, with no slice listed.
-Mismatches are reported loudly and make the script exit 1.  A count that
-the corpus cannot reach within its draw cap exits 2 with one line on
-stderr.
+its Hilbert blocks up to degree K as the report prints them, and its
+quiver presentation.  Mismatches are reported loudly and make the script
+exit 1.  A count that the corpus cannot reach within its draw cap exits 2
+with one line on stderr.
 """
 
 import argparse

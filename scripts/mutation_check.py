@@ -122,6 +122,12 @@ MUTATIONS = [
         "every quiver block is written as binomials, also one with a pivot product x_p y_p",
     ),
     Mutation(
+        "quiver-pivot-product-untaken", ALGEBRA,
+        "        pivots.add(store.pairs[p])\n",
+        "",
+        "the quiver finds no pivot product x_p y_p, so every block is written as binomials",
+    ),
+    Mutation(
         "quiver-binomial-sign", ALGEBRA,
         "Relation(i, k, ((1, paths[earlier]), (-1, paths[c])))",
         "Relation(i, k, ((-1, paths[earlier]), (1, paths[c])))",
@@ -249,6 +255,12 @@ MUTATIONS = [
         "self.width = width = max_degree.bit_length()",
         "self.width = width = max(max_degree.bit_length() - 1, 1)",
         "a packed exponent field one bit narrower, so high exponents carry",
+    ),
+    Mutation(
+        "decode-field-order", ALGEBRA,
+        "range(2 * self.fields - 1, -1, -1)",
+        "range(2 * self.fields)",
+        "the store's view reads a packed monomial's fields from the least significant",
     ),
     Mutation(
         "window-extra-point", ZONOTOPE,

@@ -13,11 +13,14 @@ exponents of x^a y^b gets a field of W = P.bit_length() bits, P the ring's
 degree bound: a_1 in the most significant field, then the rest of a, then
 b.  Integer order is lex order, and a product within the bound is one
 addition: no exponent of a monomial of degree <= P reaches 2^W, so no field
-carries.  The exponent tables, the slice joins, the relation rows and a
-piece's pivots all hold packed integers.  Exponent tuples appear only at a
-piece's boundary (representatives, and the monomials that position and
-reduce take), decoded on first read through a table in the ring's store
-(_MonomialStore), which a ring shares with its ambient().
+carries.  The exponent tables, the slice joins, the relation rows, a
+piece's pivots and the quiver's path products all hold packed integers.
+One store (_MonomialStore), which a ring shares with its ambient(), owns
+the layout: it packs the variables (units) and the z_i = x_i y_i (pairs),
+and its view is the one decode from packed integers to exponent tuples.
+Those appear only at a piece's boundary (representatives, and the
+monomials that position and reduce take), in the ring's z's and in the
+quiver's arrows.
 
 A slice lists only its own monomials.  A monomial x^a y^b has degree
 |a| + |b| and weight beta.a - beta.b, so the degree-n, weight-w slice is the
@@ -99,21 +102,21 @@ class _MonomialStore:
     """A ring's monomials, packed, listed, counted and decoded, slice by slice.
 
     An e-field vector v_1..v_e packs to sum_k v_k 2^(width (e - k)); a
-    monomial x^a y^b packs to (a << width e) + b.  pairs[i] is the packed
-    x_i y_i, and key(w, n) is the gate that every slice listed or counted
-    passes through.  tables holds the exponent tables by degree, slices
-    each listed slice, and series the counts of every slice up to
-    max_degree once one is asked for.  The decode table is views, which
-    maps each packed slice whose monomials were read as tuples to its
-    exponent tuples, and halves, which maps the packed x- and y-parts met
-    there to theirs.  A ring, its ambient() and the pieces of both hold
-    one store; it holds no ring and no piece, so a piece that lists its
-    slice later makes no reference cycle.
+    monomial x^a y^b packs to (a << width e) + b.  units lists the packed
+    variables x_1 .. x_e, y_1 .. y_e, and pairs[i] = units[i] + units[e + i]
+    is the packed x_i y_i.  view decodes packed monomials in one pass, field
+    by field from the most significant; it keeps nothing.  key(w, n) is the
+    gate that every slice listed or counted passes through.  tables holds
+    the exponent tables by degree, slices each listed slice, and series the
+    counts of every slice up to max_degree once one is asked for.  A ring,
+    its ambient() and the pieces of both hold one store; it holds no ring
+    and no piece, so a piece that lists its slice later makes no reference
+    cycle.
     """
 
     __slots__ = (
-        "max_degree", "rank", "width", "fields", "pairs", "reach", "base", "steps",
-        "tables", "slices", "series", "views", "halves",
+        "max_degree", "rank", "width", "fields", "units", "pairs", "reach", "base", "steps",
+        "tables", "slices", "series",
     )
 
     def __init__(self, rep: SymplecticRep, max_degree: int):
@@ -122,15 +125,14 @@ class _MonomialStore:
         self.rank = rep.torus_rank
         self.width = width = max_degree.bit_length()
         self.fields = e
-        self.pairs = [(1 << width * (2 * e - 1 - i)) + (1 << width * (e - 1 - i)) for i in range(e)]
+        self.units = units = [1 << width * k for k in range(2 * e - 1, -1, -1)]
+        self.pairs = [units[i] + units[e + i] for i in range(e)]
         self.reach = max((abs(v) for beta in rep.half_weights for v in beta), default=0)
         self.base = 2 * max_degree * self.reach + 1
         self.steps = [self.key(beta, 1) for beta in rep.half_weights]
         self.tables: dict[int, dict[int, list[int]]] = {}
         self.slices: dict[tuple[int, IntVec], tuple[int, ...]] = {}
         self.series: list[dict[int, int]] | None = None
-        self.views: dict[tuple[int, ...], tuple[Monomial, ...]] = {}
-        self.halves: dict[int, Monomial] = {}
 
     def key(self, w: IntVec, n: int) -> int | None:
         """The packed key of weight w in degree n, or None if no monomial reaches it.
@@ -247,22 +249,11 @@ class _MonomialStore:
             return 0
         return self.expansion()[n].get(key, 0)
 
-    def _half(self, v: int) -> Monomial:
-        width, mask = self.width, (1 << self.width) - 1
-        vec = self.halves[v] = tuple([v >> width * k & mask for k in range(self.fields - 1, -1, -1)])
-        return vec
-
     def view(self, packed: tuple[int, ...]) -> tuple[Monomial, ...]:
-        """A packed slice as exponent tuples, decoded on its first read."""
-        view = self.views.get(packed)
-        if view is None:
-            shift = self.width * self.fields
-            low, get, half = (1 << shift) - 1, self.halves.get, self._half
-            view = self.views[packed] = tuple([
-                (get(m >> shift) or half(m >> shift)) + (get(m & low) or half(m & low))
-                for m in packed
-            ])
-        return view
+        """Packed monomials as exponent tuples, each field read from the most significant."""
+        mask = (1 << self.width) - 1
+        shifts = [self.width * k for k in range(2 * self.fields - 1, -1, -1)]
+        return tuple([tuple([m >> s & mask for s in shifts]) for m in packed])
 
 
 def _relation_rows(quadrics: tuple[MomentQuadric, ...], pairs: list[int], bases: tuple[int, ...]):
@@ -291,8 +282,8 @@ class QuotientPiece:
     order as exponent tuples, descend to a basis of the quotient slice.
     They and the index that position() looks them up in are formed in one
     step on the first read of representatives, position or reduce: the
-    store lists the slice, packed, and it is decoded through the store's
-    view less its pivots.  These are b + x_p y_p over the degree n-2
+    store lists the slice, packed, its pivots are dropped, and the store's
+    view decodes the rest.  The pivots are b + x_p y_p over the degree n-2
     monomials b of the weight and the pivot pairs p of _substitutions, the
     ring's reduced quadrics, whatever their number; they are not kept, and
     the positions tell them apart.  The piece keeps no relations:
@@ -338,10 +329,9 @@ class QuotientPiece:
         mons = store.packed(n, w)
         bases = store.packed(n - 2, w) if self._substitutions and n >= 2 else ()
         pivots = {b + store.pairs[p] for p, _, _ in self._substitutions for b in bases}
-        reps = store.view(mons)
         if pivots:
-            reps = tuple([m for p, m in zip(mons, reps) if p not in pivots])
-        self._representatives = reps
+            mons = tuple([m for m in mons if m not in pivots])
+        reps = self._representatives = store.view(mons)
         positions = self._positions = dict(zip(reps, range(len(reps))))
         return positions
 
@@ -431,9 +421,10 @@ class SliceRing:
         # the quadrics' coefficient rows in reduced echelon form, pair i in
         # column e-1-i so that the pivots land on the last pairs; for each
         # pivot pair p, lead z_p + sum_j c_j z_j = 0 over the free pairs j,
-        # kept as (p, lead, ((z_j exponents, c_j), ...)) for reduce and the quiver
-        e = rep.num_pairs
-        z = [tuple([int(k % e == i) for k in range(2 * e)]) for i in range(e)]
+        # kept as (p, lead, ((z_j exponents, c_j), ...)) for reduce and the
+        # quiver, the z's decoded from the store's pairs
+        e, store = rep.num_pairs, self._store
+        z = store.view(tuple(store.pairs))
         echelon = sparse_rref(
             {e - 1 - i: c for i, c in enumerate(q.coefficients)} for q in self.quadrics
         )
@@ -684,47 +675,48 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
 
     The degree-1 block i -> j holds the variables of weight
     points[j] - points[i], in the slice's lex order: descending position,
-    y_e .. y_1, x_e .. x_1.  Each length-2 path multiplies to one degree-2
-    monomial, keyed here by its two variable positions, and the only
-    degree-2 monomials that are no representative are the pivot products
-    x_p y_p of the ring's reduced quadrics.  So a product that is no
-    z_j = x_j y_j is a representative that no other product's column
-    touches, and the kernel pairs each path whose product an earlier path
-    has with the first such path: first - this.  In a block with no pivot
-    product every product is written so.  A block with one has weight 0,
-    so it lies on the diagonal; there the paths whose product is some z_j
-    take their kernel (column_kernel) over the free z's, with the columns
-    that reduce gives: e_j for a free pair, -(sum_j c_j e_j) / lead for a
-    pivot pair.  The kernel basis is one primitive vector per free
-    column, zero at the other free columns, so it splits along the
-    disjoint rows, and the block's relations are merged in free-column
-    order as one kernel lists them.  No slice is listed and no piece
-    built.
+    y_e .. y_1, x_e .. x_1, each arrow's monomial decoded from the store's
+    units.  Each length-2 path multiplies to one degree-2 monomial, keyed
+    here by its packed form, the sum of its arrows' units (a degree bound
+    of at least 2 gives fields of at least 2 bits, so the sum never
+    carries), and the only degree-2 monomials that are no representative
+    are the pivot products x_p y_p of the ring's reduced quadrics.  So a
+    product that is no z_j = x_j y_j is a representative that no other
+    product's column touches, and the kernel pairs each path whose product
+    an earlier path has with the first such path: first - this.  In a
+    block with no pivot product every product is written so.  A block with
+    one has weight 0, so it lies on the diagonal; there the paths whose
+    product is some z_j take their kernel (column_kernel) over the free
+    z's, with the columns that reduce gives: e_j for a free pair,
+    -(sum_j c_j e_j) / lead for a pivot pair.  The kernel basis is one
+    primitive vector per free column, zero at the other free columns, so
+    it splits along the disjoint rows, and the block's relations are
+    merged in free-column order as one kernel lists them.  No slice is
+    listed and no piece built.
     """
-    rep, e = alg.rep, alg.rep.num_pairs
-    variables: dict[IntVec, list[tuple[int, str, Monomial]]] = {}
+    rep, e, store = alg.rep, alg.rep.num_pairs, alg.ring._store
+    exponents = store.view(tuple(store.units))
+    variables: dict[IntVec, list[tuple[int, str]]] = {}
     for pos in range(2 * e - 1, -1, -1):
         beta = rep.half_weights[pos % e]
         weight, label = (beta, f"x{pos + 1}") if pos < e else (vec_neg(beta), f"y{pos - e + 1}")
-        mono = tuple([int(k == pos) for k in range(2 * e)])
-        variables.setdefault(weight, []).append((pos, label, mono))
+        variables.setdefault(weight, []).append((pos, label))
     arrows: list[Arrow] = []
-    codes: list[int] = []  # 4^position: a path's product is the sum of its two codes
+    codes: list[int] = []  # each arrow's unit: a path's product is the sum of two
     outgoing: list[range] = []
     for i, row in enumerate(alg._weights):
         start = len(arrows)
         for j, w in enumerate(row):
-            for pos, label, mono in variables.get(w, ()):
-                arrows.append(Arrow(i, j, label, mono))
-                codes.append(1 << 2 * pos)
+            for pos, label in variables.get(w, ()):
+                arrows.append(Arrow(i, j, label, exponents[pos]))
+                codes.append(store.units[pos])
         outgoing.append(range(start, len(arrows)))
-    # each z_j's column over the free z's, by its product's code
-    zs = {(1 << 2 * j) + (1 << 2 * (e + j)): ({j: 1}, 1) for j in range(e)}
+    # each z_j's column over the free z's, by its packed x_j y_j
+    zs = {store.pairs[j]: ({j: 1}, 1) for j in range(e)}
     pivots = set()
     for p, lead, free in alg.ring._substitutions:
-        code = (1 << 2 * p) + (1 << 2 * (e + p))
-        zs[code] = ({z.index(1): -c for z, c in free}, lead)
-        pivots.add(code)
+        zs[store.pairs[p]] = ({z.index(1): -c for z, c in free}, lead)
+        pivots.add(store.pairs[p])
     relations: list[Relation] = []
     for i, sources in enumerate(outgoing):
         ends: dict[int, list[tuple[int, int]]] = {}

@@ -51,24 +51,14 @@ def vec_neg(u: IntVec) -> IntVec:
     return tuple(-a for a in u)
 
 
-def content(v: Sequence[int]) -> int:
-    """Gcd of the absolute values of the entries (0 for the zero vector)."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
-
-
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide by the content and make the first nonzero entry positive."""
-    g = content(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     w = tuple(a // g for a in v)
-    for a in w:
-        if a:
-            return w if a > 0 else vec_neg(w)
-    raise AssertionError("unreachable")
+    first = next(a for a in w if a)
+    return w if first > 0 else vec_neg(w)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -51,9 +51,7 @@ _Row = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _norm_row(a: tuple[int, ...], b: tuple[int, ...]) -> _Row:
-    g = 0
-    for v in a + b:
-        g = gcd(g, abs(v))
+    g = gcd(*a, *b)
     if g > 1:
         a = tuple(v // g for v in a)
         b = tuple(v // g for v in b)

@@ -18,7 +18,6 @@ from hypertoric.lattice import (
     IncrementalEchelon,
     _column_hermite,
     column_kernel,
-    content,
     dot,
     hyperplane_normals,
     int_inverse,
@@ -85,21 +84,16 @@ def test_xgcd_bezout(a, b):
 
 
 @given(small_vec)
-def test_content_divides(v):
-    c = content(v)
-    if any(v):
-        assert c > 0
-        assert all(x % c == 0 for x in v)
-    else:
-        assert c == 0
-
-
-@given(small_vec)
 def test_primitive_normalization(v):
     if not any(v):
+        with pytest.raises(ValueError):
+            primitive(v)
         return
     p = primitive(v)
-    assert content(p) == 1
+    assert gcd(*p) == 1
+    # v is its content times its primitive form, up to sign
+    c = gcd(*v)
+    assert v in (tuple(c * x for x in p), tuple(-c * x for x in p))
     first = next(x for x in p if x)
     assert first > 0
     # sign-insensitive and scale-insensitive
@@ -137,7 +131,7 @@ def test_int_kernel_basis_saturated():
     # kernel of (2 4) is generated by (2, -1), not (4, -2)
     basis = int_kernel_basis([(2, 4)], 2)
     assert len(basis) == 1
-    assert content(basis[0]) == 1
+    assert gcd(*basis[0]) == 1
 
 
 def test_int_inverse_roundtrip():
@@ -297,7 +291,7 @@ def test_column_kernel_annihilates(mat, denominators):
         assert not any(c in reduced for c in row if c != j)
     for vec in kernel:
         # primitive: the quiver relations are not divided by their content
-        assert content(list(vec.values())) == 1
+        assert gcd(*vec.values()) == 1
         for row in mat:
             assert sum(Fraction(row[j] * c, denominators[j]) for j, c in vec.items()) == 0
 
