@@ -84,6 +84,20 @@ def test_xgcd_bezout(a, b):
 
 
 @given(small_vec)
+def test_content_divides(v):
+    # the content primitive divides by: gcd of the entries, 0 only for zero
+    c = gcd(*v)
+    if not any(v):
+        assert c == 0
+        return
+    assert c > 0
+    assert all(x % c == 0 for x in v)
+    # v is its content times its primitive form, up to sign
+    p = primitive(v)
+    assert v in (tuple(c * x for x in p), tuple(-c * x for x in p))
+
+
+@given(small_vec)
 def test_primitive_normalization(v):
     if not any(v):
         with pytest.raises(ValueError):
@@ -91,9 +105,6 @@ def test_primitive_normalization(v):
         return
     p = primitive(v)
     assert gcd(*p) == 1
-    # v is its content times its primitive form, up to sign
-    c = gcd(*v)
-    assert v in (tuple(c * x for x in p), tuple(-c * x for x in p))
     first = next(x for x in p if x)
     assert first > 0
     # sign-insensitive and scale-insensitive
