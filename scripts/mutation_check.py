@@ -200,6 +200,18 @@ MUTATIONS = [
         "strict faithfulness no longer asks for unit invariant factors",
     ),
     Mutation(
+        "reduction-projects-first-step-only", REPS,
+        "for step in self.steps:\n            v = project_vec(",
+        "for step in self.steps[:1]:\n            v = project_vec(",
+        "project maps chi, epsilon and xi through the first split only",
+    ),
+    Mutation(
+        "reduction-strictness-unchecked", REPS,
+        "if not report.strictly_faithful:",
+        "if False:",
+        "a rep whose half-weights do not generate the lattice is split anyway",
+    ),
+    Mutation(
         "violation-only-past-next-degree", KOSZUL,
         "bad = next((g for g in found if g.degree != step), None)",
         "bad = next((g for g in found if g.degree > step + 1), None)",
@@ -252,8 +264,8 @@ MUTATIONS = [
     ),
     Mutation(
         "packing-one-bit-short", ALGEBRA,
-        "self.width = width = max_degree.bit_length()",
-        "self.width = width = max(max_degree.bit_length() - 1, 1)",
+        "self.width = width = max(max_degree, 2).bit_length()",
+        "self.width = width = max(max_degree, 2).bit_length() - 1",
         "a packed exponent field one bit narrower, so high exponents carry",
     ),
     Mutation(

@@ -9,12 +9,14 @@ characters, with one vertex per window point.
 
 Inside a ring a monomial is one integer (Bachmann-Schoenemann, "Monomial
 representations for Groebner bases computations").  Each of the 2e
-exponents of x^a y^b gets a field of W = P.bit_length() bits, P the ring's
-degree bound: a_1 in the most significant field, then the rest of a, then
-b.  Integer order is lex order, and a product within the bound is one
-addition: no exponent of a monomial of degree <= P reaches 2^W, so no field
-carries.  The exponent tables, the slice joins, the relation rows, a
-piece's pivots and the quiver's path products all hold packed integers.
+exponents of x^a y^b gets a field of W = max(P, 2).bit_length() bits, P
+the ring's degree bound: a_1 in the most significant field, then the rest
+of a, then b.  Integer order is lex order, and a product within the bound
+is one addition: no exponent of a monomial of degree <= P reaches 2^W, so
+no field carries.  W is at least 2, so the variables and the z_i = x_i y_i
+decode in a ring of every degree bound.  The exponent tables, the slice
+joins, the relation rows, a piece's pivots and the quiver's path products
+all hold packed integers.
 One store (_MonomialStore), which a ring shares with its ambient(), owns
 the layout: it packs the variables (units) and the z_i = x_i y_i (pairs),
 and its view is the one decode from packed integers to exponent tuples.
@@ -123,7 +125,7 @@ class _MonomialStore:
         e = rep.num_pairs
         self.max_degree = max_degree
         self.rank = rep.torus_rank
-        self.width = width = max_degree.bit_length()
+        self.width = width = max(max_degree, 2).bit_length()
         self.fields = e
         self.units = units = [1 << width * k for k in range(2 * e - 1, -1, -1)]
         self.pairs = [units[i] + units[e + i] for i in range(e)]

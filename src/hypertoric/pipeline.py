@@ -36,7 +36,6 @@ from .reps import (
     SymplecticRep,
     ValueRecord,
     moment_quadrics,
-    project_vec,
     reduce_to_generic,
     require_valid,
     singular_codim_estimate,
@@ -90,7 +89,7 @@ class _Context:
 
     @cached_property
     def reduction(self) -> ReductionResult:
-        return reduce_to_generic(self.rep, chi=self.problem.chi, epsilon=self.epsilon)
+        return reduce_to_generic(self.rep)
 
     @cached_property
     def window(self) -> CharacterWindow:
@@ -172,8 +171,8 @@ def _reduction(ctx: _Context):
         "needed": not red.is_trivial,
         "steps": red.steps,
         "reduced": red.reduced,
-        "chi_reduced": red.chi,
-        "epsilon_reduced": red.epsilon,
+        "chi_reduced": red.project(ctx.problem.chi),
+        "epsilon_reduced": red.project(ctx.epsilon),
     }
 
 
@@ -190,8 +189,7 @@ def _render_reduction(sec: dict) -> list[str]:
         + " ".join(_fmt_vec(w) for w in red["half_weights"])
     )
     for key in ("chi", "epsilon"):
-        if sec[f"{key}_reduced"] is not None:
-            lines.append(f"{key} reduced: {_fmt_vec(sec[f'{key}_reduced'])}")
+        lines.append(f"{key} reduced: {_fmt_vec(sec[f'{key}_reduced'])}")
     return lines
 
 
@@ -278,10 +276,7 @@ def _render_regular_sequence(sec: dict) -> list[str]:
 
 def _codimension(ctx: _Context):
     red = ctx.reduction
-    xi = ctx.problem.xi
-    for step in red.steps:
-        xi = project_vec(xi, step.projection)
-    est = singular_codim_estimate(red.reduced, xi)
+    est = singular_codim_estimate(red.reduced, red.project(ctx.problem.xi))
     return dict(est._asdict(), on_reduced=not red.is_trivial)
 
 

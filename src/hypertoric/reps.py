@@ -5,6 +5,9 @@ by e half-weights beta_i in Z^s; the action on x_i has weight beta_i and on
 y_i weight -beta_i.  This module validates such data, produces the moment-map
 quadrics, tests the weight configuration for genericity, splits off the
 non-generic directions, and bounds the codimension of the non-free locus.
+The splits are one unimodular change of torus coordinates, which
+ReductionResult.project applies to chi, epsilon and xi alike; a split of a
+strictly faithful rep is strictly faithful, so the rep is validated once.
 """
 
 from __future__ import annotations
@@ -255,14 +258,26 @@ class ReductionStep(NamedTuple):
 
 
 class ReductionResult(NamedTuple):
+    """The generic rep that the splits reach, and the steps that reach it.
+
+    The steps are one change of torus coordinates.  project maps a
+    character-side vector (chi, epsilon, xi) of the original torus to the
+    reduced one, and lift_point maps a window point of the reduced problem
+    back to the original lattice.
+    """
+
     reduced: SymplecticRep
     steps: tuple[ReductionStep, ...]
-    chi: IntVec | None = None
-    epsilon: IntVec | None = None
 
     @property
     def is_trivial(self) -> bool:
         return not self.steps
+
+    def project(self, v: IntVec) -> IntVec:
+        """Restrict a character-side vector of the original torus to the reduced one."""
+        for step in self.steps:
+            v = project_vec(v, step.projection)
+        return v
 
     def lift_point(self, point: IntVec) -> IntVec:
         """Map a window point of the reduced problem to original coordinates."""
@@ -282,21 +297,21 @@ def project_vec(v: IntVec, projection: tuple[IntVec, ...]) -> IntVec:
     return tuple(dot(v, u) for u in projection)
 
 
-def reduce_to_generic(
-    rep: SymplecticRep,
-    chi: IntVec | None = None,
-    epsilon: IntVec | None = None,
-) -> ReductionResult:
+def reduce_to_generic(rep: SymplecticRep) -> ReductionResult:
     """Split off non-generic coordinate pairs until the weights are generic.
 
     Each split needs the half-weights to generate the full character lattice
     (all Smith invariant factors 1); otherwise the split direction cannot be
-    made an exact lattice factor and ReductionError is raised.
+    made an exact lattice factor and ReductionError is raised at the first
+    non-generic pair.  The rep is validated once, before the first split.
     """
+    report = require_valid(rep)
+    # One check suffices: a split's projection maps Z^s onto Z^(s-1) and
+    # sends the removed half-weight to 0, so the remaining half-weights of a
+    # strictly faithful rep still generate the lattice.
     steps: list[ReductionStep] = []
     current = rep
     while True:
-        report = require_valid(current)
         found = nongeneric_pair(current)
         if found is None:
             break
@@ -335,16 +350,7 @@ def reduce_to_generic(
             )
         )
         current = SymplecticRep(s - 1, new_weights)
-        if chi is not None:
-            chi = project_vec(chi, projection)
-        if epsilon is not None:
-            epsilon = project_vec(epsilon, projection)
-    return ReductionResult(
-        reduced=current,
-        steps=tuple(steps),
-        chi=chi,
-        epsilon=epsilon,
-    )
+    return ReductionResult(reduced=current, steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------

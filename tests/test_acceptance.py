@@ -186,11 +186,11 @@ def test_criterion_5_codimension_bound(corpus, acceptance_log):
 def test_criterion_6_reduction_reconstruction(acceptance_log):
     with criterion("criterion 6: reduction window reconstruction", acceptance_log):
         rep = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
-        red = reduce_to_generic(rep, chi=(1, 1), epsilon=(1, 2))
+        red = reduce_to_generic(rep)
         assert red.reduced.half_weights == ((1,), (1,))
 
         reduced_window = enumerate_window(
-            build_zonotope(red.reduced), red.epsilon
+            build_zonotope(red.reduced), red.project((1, 2))
         )
         reconstructed = {red.lift_point(p) for p in reduced_window.points}
         direct = set(

@@ -193,14 +193,14 @@ def test_packing_decodes_orders_and_adds(corpus):
 
     Every slice of the named reps up to N=8 (W = 4 bits; N=6 on four
     pairs, W = 3), of the corpus up to N=4 (W = 3) and of the named reps at
-    N=0 (W = 0, the one monomial 1), against the oracle's monomials: a
+    N=0 (W = 2, the one monomial 1), against the oracle's monomials: a
     second store decodes them back, packed order is tuple lex order, and
     adding the packed pure power x_i^(N-n) or y_i^(N-n) to a degree-n slice
     decodes to the exponent sums.  Those sums sit at the bound, where one
     field holds up to N (x_1^N from n = 0).  Every store, and one on five
-    pairs at N=16 (W = 5), decodes its units times N to the pure powers at
-    the bound; with W > 0 it decodes its units to the unit vectors and its
-    pairs to the z_i = x_i y_i, for which a W = 0 store has no room.
+    pairs at N=16 (W = 5), decodes its units to the unit vectors, its pairs
+    to the z_i = x_i y_i and its units times N to the pure powers at the
+    bound: W = max(N, 2).bit_length() leaves room for all three.
     """
     five = SymplecticRep(1, ((1,), (2,), (3,), (1,), (2,)))
     cases = [(rep, 6 if rep.num_pairs == 4 else 8) for rep in NAMED_REPS]
@@ -208,17 +208,16 @@ def test_packing_decodes_orders_and_adds(corpus):
     for rep, top in cases + [(five, 16)]:
         fresh, e = _MonomialStore(rep, top), rep.num_pairs
         units = tuple(tuple(int(k == i) for k in range(2 * e)) for i in range(2 * e))
-        if top:
-            assert fresh.view(tuple(fresh.units)) == units, rep
-            zs = tuple(tuple(map(add, units[i], units[e + i])) for i in range(e))
-            assert fresh.view(tuple(fresh.pairs)) == zs, rep
+        assert fresh.view(tuple(fresh.units)) == units, rep
+        zs = tuple(tuple(map(add, units[i], units[e + i])) for i in range(e))
+        assert fresh.view(tuple(fresh.pairs)) == zs, rep
         tops = tuple(tuple(top * v for v in u) for u in units)
         assert fresh.view(tuple(top * u for u in fresh.units)) == tops, rep
         if rep is five:
             continue
         ring = SliceRing(rep, max_degree=top)
         packing, fields = ring._store, 2 * e
-        assert packing.width == top.bit_length()
+        assert packing.width == max(top, 2).bit_length()
         for n in range(top + 1):
             powers = [tuple(top - n if j == i else 0 for j in range(fields)) for i in range(fields)]
             for w, mons in _monomials_by_weight(rep, n).items():

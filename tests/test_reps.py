@@ -194,9 +194,13 @@ def test_nongeneric_pair_detects_split():
 
 
 def assert_split_invariants(rep, red):
-    """Every split removes a half-weight pairing to 1 with its normal, and
-    drops the torus rank by one."""
-    current = rep
+    """Every split removes a half-weight pairing to 1 with its normal, drops
+    the torus rank by one and leaves a strictly faithful rep, which is why
+    reduce_to_generic validates only its input; and red.project maps the
+    unit vectors and (1, 2, .., s) as the steps do, one after another."""
+    s = rep.torus_rank
+    probes = [tuple(int(k == i) for k in range(s)) for i in range(s)] + [tuple(range(1, s + 1))]
+    current, projected = rep, probes
     for step in red.steps:
         removed = current.half_weights[step.removed_pair]
         assert sum(b * n for b, n in zip(removed, step.normal)) == 1
@@ -209,12 +213,18 @@ def assert_split_invariants(rep, red):
                 if j != step.removed_pair
             ),
         )
+        assert validate(current).strictly_faithful
+        projected = [
+            tuple(sum(x * u for x, u in zip(v, row)) for row in step.projection)
+            for v in projected
+        ]
     assert current == red.reduced
+    assert [red.project(v) for v in probes] == projected
 
 
 def test_reduce_to_generic_frozen_example():
     rep = SymplecticRep(2, ((1, 0), (1, 0), (0, 1)))
-    red = reduce_to_generic(rep, chi=(1, 1), epsilon=(1, 2))
+    red = reduce_to_generic(rep)
     assert len(red.steps) == 1
     assert_split_invariants(rep, red)
     step = red.steps[0]
@@ -224,22 +234,29 @@ def test_reduce_to_generic_frozen_example():
     assert step.window_level == 0
     assert step.lift == ((1, 0), (0, 1))
     assert red.reduced.half_weights == ((1,), (1,))
-    assert red.chi == (1,)
-    assert red.epsilon == (1,)
+    assert red.project((1, 1)) == (1,)
+    assert red.project((1, 2)) == (1,)
     # lifting a reduced window point lands on the original lattice
     assert red.lift_point((0,)) == (0, 0)
     assert red.lift_point((1,)) == (1, 0)
     # int() would truncate 0.9 to 0 and lift it to (0, 0)
     with pytest.raises(NonIntegralError, match="0.9"):
         red.lift_point((0.9,))
+    # two splits reach the same reduced rep, and project applies both
+    rep = SymplecticRep(3, ((1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    red = reduce_to_generic(rep)
+    assert len(red.steps) == 2
+    assert_split_invariants(rep, red)
+    assert red.reduced.half_weights == ((1,), (1,))
+    assert red.project((1, 2, 3)) == (1,)
 
 
 def test_reduce_trivial_on_generic(rep_b):
-    red = reduce_to_generic(rep_b, chi=(2, 1), epsilon=(2, 1))
+    red = reduce_to_generic(rep_b)
     assert red.is_trivial
     assert red.steps == ()
     assert red.reduced == rep_b
-    assert red.chi == (2, 1)
+    assert red.project((2, 1)) == (2, 1)
 
 
 def test_reduce_requires_strict_faithfulness():
