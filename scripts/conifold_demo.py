@@ -49,7 +49,7 @@ def main() -> None:
         print(f"  {a.label}: {a.source} -> {a.target}")
     print("relations:")
     for r in pres.relations:
-        print(f"  ({r.source} -> {r.target})  {r.as_string(pres.arrows)}")
+        print(f"  ({r.source} -> {r.target})  {r.string}")
 
     report = koszul_check(alg, depth=4)
     print("quotient resolution status:", report.status)

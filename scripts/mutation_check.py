@@ -129,9 +129,15 @@ MUTATIONS = [
     ),
     Mutation(
         "quiver-binomial-sign", ALGEBRA,
-        "Relation(i, k, ((1, paths[earlier]), (-1, paths[c])))",
-        "Relation(i, k, ((-1, paths[earlier]), (1, paths[c])))",
+        "relation(i, k, ((1, paths[earlier]), (-1, paths[c])))",
+        "relation(i, k, ((-1, paths[earlier]), (1, paths[c])))",
         "a binomial quiver relation is written this - first, against the kernel's sign rule",
+    ),
+    Mutation(
+        "relation-string-path-reversed", ALGEBRA,
+        'words = ((c, f"{arrows[a].label}*{arrows[b].label}") for c, (a, b) in terms)',
+        'words = ((c, f"{arrows[b].label}*{arrows[a].label}") for c, (a, b) in terms)',
+        "a relation's string writes each path second arrow first, against its terms",
     ),
     Mutation(
         "quiver-arrows-ascending", ALGEBRA,

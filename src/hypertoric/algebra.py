@@ -648,22 +648,25 @@ class Arrow(NamedTuple):
     monomial: Monomial
 
 
+class PathTerm(NamedTuple):
+    """One term of a relation: coefficient times the path (first arrow, second arrow)."""
+
+    coefficient: int
+    path: tuple[int, int]
+
+
 class Relation(NamedTuple):
     """Integer combination of length-2 paths that vanishes in the algebra.
 
-    Each term is (coefficient, (first arrow index, second arrow index)),
-    the path reading left to right.
+    The record is the relation as the report writes it: each term is a
+    PathTerm, the path reading left to right, and string is the terms in
+    the arrows' labels, as signed_sum writes them.
     """
 
     source: int
     target: int
-    terms: tuple[tuple[int, tuple[int, int]], ...]
-
-    def as_string(self, arrows: tuple[Arrow, ...]) -> str:
-        return signed_sum(
-            (coeff, f"{arrows[a].label}*{arrows[b].label}")
-            for coeff, (a, b) in self.terms
-        )
+    terms: tuple[PathTerm, ...]
+    string: str
 
 
 class QuiverPresentation(NamedTuple):
@@ -694,7 +697,8 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
     primitive vector per free column, zero at the other free columns, so
     it splits along the disjoint rows, and the block's relations are
     merged in free-column order as one kernel lists them.  No slice is
-    listed and no piece built.
+    listed and no piece built.  The presentation is the report's quiver
+    section: relation() makes each Relation, its string included, once.
     """
     rep, e, store = alg.rep, alg.rep.num_pairs, alg.ring._store
     exponents = store.view(tuple(store.units))
@@ -713,6 +717,12 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
                 arrows.append(Arrow(i, j, label, exponents[pos]))
                 codes.append(store.units[pos])
         outgoing.append(range(start, len(arrows)))
+
+    def relation(i: int, k: int, terms) -> Relation:
+        terms = tuple(map(PathTerm._make, terms))
+        words = ((c, f"{arrows[a].label}*{arrows[b].label}") for c, (a, b) in terms)
+        return Relation(i, k, terms, signed_sum(words))
+
     # each z_j's column over the free z's, by its packed x_j y_j
     zs = {store.pairs[j]: ({j: 1}, 1) for j in range(e)}
     pivots = set()
@@ -735,15 +745,15 @@ def quiver_presentation(alg: GradedQuiverAlgebra) -> QuiverPresentation:
                 if m not in taken:
                     earlier = first.setdefault(m, c)
                     if earlier != c:
-                        block.append((c, Relation(i, k, ((1, paths[earlier]), (-1, paths[c])))))
+                        block.append((c, relation(i, k, ((1, paths[earlier]), (-1, paths[c])))))
             kernel = [c for c, m in enumerate(products) if m in taken]
             if kernel:
                 # kernel vectors are primitive and positive at their free
                 # column, the last; only the sign is normalised
                 for vec in column_kernel([zs[products[c]] for c in kernel]):
                     sign = -1 if vec[min(vec)] < 0 else 1
-                    terms = tuple((sign * vec[c], paths[kernel[c]]) for c in sorted(vec))
-                    block.append((kernel[max(vec)], Relation(i, k, terms)))
+                    terms = [(sign * vec[c], paths[kernel[c]]) for c in sorted(vec)]
+                    block.append((kernel[max(vec)], relation(i, k, terms)))
                 block.sort(key=itemgetter(0))
             relations.extend([r for _, r in block])
     return QuiverPresentation(

@@ -293,20 +293,7 @@ def _render_codimension(sec: dict) -> list[str]:
 
 
 def _quiver(ctx: _Context):
-    pres = quiver_presentation(ctx.algebra)
-    return {
-        "vertices": pres.vertices,
-        "arrows": pres.arrows,
-        "relations": [
-            {
-                "source": r.source,
-                "target": r.target,
-                "terms": [{"coefficient": c, "path": path} for c, path in r.terms],
-                "string": r.as_string(pres.arrows),
-            }
-            for r in pres.relations
-        ],
-    }
+    return quiver_presentation(ctx.algebra)
 
 
 def _render_quiver(sec: dict) -> list[str]:

@@ -24,7 +24,6 @@ from hypertoric import (
 from hypertoric.algebra import (
     RegSeqFailure,
     RegSeqReport,
-    Relation,
     SliceRing,
     _MonomialStore,
     _relation_rows,
@@ -39,7 +38,7 @@ from hypertoric.errors import (
 from hypertoric.koszul import hilbert_inverse_coefficients
 from hypertoric.lattice import column_kernel, sparse_echelon, sparse_rref, vec_sub
 from hypertoric.oracle import _dense_rank, _monomials_by_weight
-from hypertoric.reps import MomentQuadric, moment_quadrics
+from hypertoric.reps import MomentQuadric, moment_quadrics, signed_sum
 from hypertoric.zonotope import find_generic_direction
 
 
@@ -899,7 +898,7 @@ def test_quiver_presentation_conifold(rep_a, window_a):
         (1, 0, "y2"),
         (1, 0, "y1"),
     ]
-    rendered = [(r.source, r.target, r.as_string(pres.arrows)) for r in pres.relations]
+    rendered = [(r.source, r.target, r.string) for r in pres.relations]
     assert rendered == [
         (0, 0, "x2*y2 + x1*y1"),
         (1, 1, "y2*x2 + y1*x1"),
@@ -927,7 +926,7 @@ def test_quiver_presentation_frozen_pivot_two():
     alg = GradedQuiverAlgebra(rep, enumerate_window(build_zonotope(rep), (-1,)), 2)
     pres = quiver_presentation(alg)
     assert len(pres.arrows) == 16
-    rendered = [(r.source, r.target, r.as_string(pres.arrows)) for r in pres.relations]
+    rendered = [(r.source, r.target, r.string) for r in pres.relations]
     assert rendered == [
         (0, 0, "y1*x1 - x2*y2 - 2*x3*y3"),
         (0, 2, "y1*x2 - x2*y1"),
@@ -999,7 +998,8 @@ def kernel_relations(alg, arrows):
 
     The reference: column_kernel over piece.reduce of every path's product,
     each kernel vector signed so that its first term is positive.  Returns
-    the relations and, for each block with a product that is no
+    the relations, each a plain (source, target, terms) tuple with terms of
+    (coefficient, path), and, for each block with a product that is no
     representative, in block order, the number of its paths whose product
     is some z_j = x_j y_j.
     """
@@ -1021,10 +1021,23 @@ def kernel_relations(alg, arrows):
                 blocks.append(sum(m[:e] == m[e:] for m in products))
             for vec in column_kernel([piece.reduce(m) for m in products]):
                 sign = -1 if vec[min(vec)] < 0 else 1
-                relations.append(
-                    Relation(i, k, tuple((sign * vec[c], paths[c]) for c in sorted(vec)))
-                )
+                relations.append((i, k, tuple((sign * vec[c], paths[c]) for c in sorted(vec))))
     return relations, blocks
+
+
+def assert_relations_equal(pres, want, case):
+    """pres.relations equal want, kernel_relations' tuples, in terms and in string.
+
+    Each relation's string is signed_sum of the reference terms, each path
+    written with the labels of pres.arrows.
+    """
+    assert [(r.source, r.target, r.terms) for r in pres.relations] == want, case
+    labels = [a.label for a in pres.arrows]
+    strings = [
+        signed_sum((c, f"{labels[a]}*{labels[b]}") for c, (a, b) in terms)
+        for _, _, terms in want
+    ]
+    assert [r.string for r in pres.relations] == strings, case
 
 
 # zero and repeated half-weights: x2 and y2 are loops, x1 and x3 parallel arrows
@@ -1096,7 +1109,7 @@ def test_binomial_relations_equal_the_kernel(monkeypatch):
         pres = quiver_presentation(alg)
         assert alg.ring._pieces == {} and alg.ring._store.slices == {}, rep
         want, blocks = kernel_relations(reference, pres.arrows)
-        assert list(pres.relations) == want, rep
+        assert_relations_equal(pres, want, rep)
         assert [len(columns) for columns in kernels] == blocks, rep
         pivot_blocks += len(blocks)
     assert pivot_blocks > 0 and blocks == []
@@ -1118,7 +1131,7 @@ def test_custom_quadric_relations_equal_the_kernel():
             want, blocks = kernel_relations(
                 GradedQuiverAlgebra(rep, window, n, quadrics), pres.arrows
             )
-            assert list(pres.relations) == want, (rep, quadrics)
+            assert_relations_equal(pres, want, (rep, quadrics))
             pivot_blocks += len(blocks)
     assert pivot_blocks > 0
 

@@ -17,7 +17,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypertoric.algebra import Arrow, QuiverPresentation, Relation
+from hypertoric.algebra import Arrow, PathTerm, QuiverPresentation, Relation
 from hypertoric.cli import main
 from hypertoric.errors import DimensionError, ResourceBudgetError
 from hypertoric.oracle import (
@@ -110,8 +110,8 @@ def check_against_oracle(report: dict):
             ),
             relations=tuple(
                 Relation(r["source"], r["target"], tuple(
-                    (t["coefficient"], tuple(t["path"])) for t in r["terms"]
-                ))
+                    PathTerm(t["coefficient"], tuple(t["path"])) for t in r["terms"]
+                ), r["string"])
                 for r in quiver["relations"]
             ),
         )

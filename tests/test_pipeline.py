@@ -1134,8 +1134,10 @@ def test_readme_library_tour_runs(problems_dir, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "True"
     assert lines[1] == (
-        "(Relation(source=0, target=0, terms=((1, (0, 2)), (1, (1, 3)))), "
-        "Relation(source=1, target=1, terms=((1, (2, 0)), (1, (3, 1)))))"
+        "(Relation(source=0, target=0, terms=(PathTerm(coefficient=1, path=(0, 2)), "
+        "PathTerm(coefficient=1, path=(1, 3))), string='x2*y2 + x1*y1'), "
+        "Relation(source=1, target=1, terms=(PathTerm(coefficient=1, path=(2, 0)), "
+        "PathTerm(coefficient=1, path=(3, 1))), string='y2*x2 + y1*x1'))"
     )
     assert lines[2:] == ["linear", "violation"]
 
