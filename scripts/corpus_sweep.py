@@ -3,32 +3,25 @@
 
     python3 scripts/corpus_sweep.py [--count N] [--seed S] [--upto K]
 
-Every entry is cross-checked against the brute-force oracle: its window,
-its Hilbert blocks up to degree K as the report prints them, and its
-quiver presentation.  Mismatches are reported loudly and make the script
-exit 1.  A count that the corpus cannot reach within its draw cap exits 2
-with one line on stderr.
+Each entry runs through pipeline.run once, with every analysis, chi and
+epsilon set to the entry's tilt, xi zero, truncation K and the default
+depth.  The report's window, its Hilbert blocks up to degree K and its
+quiver presentation are checked against the brute-force oracle.
+Mismatches are reported loudly and make the script exit 1.  A count that
+the corpus cannot reach within its draw cap exits 2 with one line on
+stderr.
 """
 
 import argparse
 import sys
 from collections import Counter
 
-from hypertoric import (
-    GradedQuiverAlgebra,
-    build_zonotope,
-    enumerate_window,
-    koszul_check,
-    oracle_block_dimension,
-    oracle_lattice_points,
-    quiver_presentation,
-    verify_regular_sequence,
-)
+from hypertoric import oracle_block_dimension, oracle_lattice_points
 from hypertoric.corpus import DEFAULT_SEED, fixed_corpus
 from hypertoric.errors import ResourceBudgetError
 from hypertoric.koszul import default_depth
 from hypertoric.oracle import MAX_DEGREE, oracle_quiver_problems
-from hypertoric.reps import reduce_to_generic, singular_codim_estimate
+from hypertoric.pipeline import ANALYSES, ProblemFile, run
 
 
 def positive_int(text: str) -> int:
@@ -58,35 +51,35 @@ def main(argv=None) -> int:
 
     for k, entry in enumerate(entries):
         rep, eps = entry.rep, entry.epsilon
-        zono = build_zonotope(rep)
-        window = enumerate_window(zono, eps)
-        oracle_pts = oracle_lattice_points(rep, eps)
-        window_ok = set(window.points) == oracle_pts
-
-        blocks_ok = True
-        alg = GradedQuiverAlgebra(rep, window, args.upto)
-        matrices = alg.hilbert_matrices()
-        for i, mu in enumerate(window.points):
-            for j, mup in enumerate(window.points):
-                for n in range(args.upto + 1):
-                    if matrices[n][i][j] != oracle_block_dimension(rep, mu, mup, n, True):
-                        blocks_ok = False
-
-        quiver_ok = not oracle_quiver_problems(rep, eps, quiver_presentation(alg))
+        problem = ProblemFile(
+            torus_rank=rep.torus_rank, half_weights=rep.half_weights, chi=eps, epsilon=eps,
+            xi=(0,) * rep.torus_rank, truncation=args.upto, depth=default_depth(rep),
+            analyses=ANALYSES,
+        )
+        sections = run(problem).sections
+        points = sections["window"]["points"]
+        matrices = sections["hilbert"]["matrices"]
+        window_ok = set(points) == oracle_lattice_points(rep, eps)
+        blocks_ok = all(
+            matrices[n][i][j] == oracle_block_dimension(rep, mu, mup, n, True)
+            for i, mu in enumerate(points)
+            for j, mup in enumerate(points)
+            for n in range(args.upto + 1)
+        )
+        quiver_ok = not oracle_quiver_problems(rep, eps, sections["quiver"])
         oracle_ok = window_ok and blocks_ok and quiver_ok
-        regseq = verify_regular_sequence(alg)
-        reduced = reduce_to_generic(rep).reduced
-        codim = singular_codim_estimate(reduced).estimate
-        koszul = koszul_check(alg, depth=default_depth(alg))
-        statuses[koszul.status] += 1
+        regseq = sections["regular_sequence"]
+        codim = sections["codimension"]["estimate"]
+        koszul = sections["koszul"]["quotient"]["status"]
+        statuses[koszul] += 1
 
         if not (oracle_ok and regseq.passed):
             mismatches += 1
         print(
             f"[{k:02d}] s={rep.torus_rank} e={rep.num_pairs} "
-            f"|window|={len(window.points)} codim={codim} "
+            f"|window|={len(points)} codim={codim} "
             f"regseq={'ok' if regseq.passed else 'FAIL'} "
-            f"koszul={koszul.status} "
+            f"koszul={koszul} "
             f"oracle={'ok' if oracle_ok else 'MISMATCH'}"
         )
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that tier-1 kills each listed mutation of the engine.
+"""Check that tier-1 kills each listed mutation of the engine, its oracle and the sweep.
 
     python3 scripts/mutation_check.py
 
@@ -9,7 +9,9 @@ make every mutation look killed, so it stops the check.  Then each
 mutation's old text, which must occur exactly once in its file, is replaced
 by its new text, `python -m pytest -x -q` runs with PYTHONPATH pointing at
 the copy's src/, and the file is restored.  A mutation is killed when
-pytest fails or runs past TIMEOUT_S, and survives when it passes.
+pytest fails or runs past TIMEOUT_S, and survives when it passes.  A
+failed run's line names the first test that pytest's summary lists as
+FAILED or ERROR, the test that killed the mutation.
 
 Mutations marked equivalent cannot change any result, for the reason
 given, and are expected to survive.  The script exits 1 when a mutation
@@ -49,7 +51,8 @@ class Mutation(NamedTuple):
 ALGEBRA, KOSZUL = "src/hypertoric/algebra.py", "src/hypertoric/koszul.py"
 REPS, LATTICE = "src/hypertoric/reps.py", "src/hypertoric/lattice.py"
 ZONOTOPE, PIPELINE = "src/hypertoric/zonotope.py", "src/hypertoric/pipeline.py"
-CLI = "src/hypertoric/cli.py"
+CLI, ORACLE = "src/hypertoric/cli.py", "src/hypertoric/oracle.py"
+CORPUS, SWEEP = "src/hypertoric/corpus.py", "scripts/corpus_sweep.py"
 
 MUTATIONS = [
     Mutation(
@@ -340,6 +343,37 @@ MUTATIONS = [
         "the report writer writes a Fraction as its numerator alone",
     ),
     Mutation(
+        "sweep-blocks-unchecked", SWEEP,
+        "blocks_ok = all(",
+        "blocks_ok = True or all(",
+        "the corpus sweep passes every reported Hilbert block without asking the oracle",
+    ),
+    Mutation(
+        "oracle-vertices-unchecked", ORACLE,
+        "    if set(points) != oracle_lattice_points(rep, epsilon):\n",
+        "    if False:\n",
+        "the quiver oracle accepts vertices that are not the window's lattice points",
+    ),
+    Mutation(
+        "oracle-foreign-path-accepted", ORACLE,
+        '                        problems.append(f"block ({i}, {k}): path {(a, b)}'
+        ' is not in the block")\n',
+        "",
+        "the quiver oracle drops a relation's term whose path is not in its block, unreported",
+    ),
+    Mutation(
+        "oracle-dependent-relations-unchecked", ORACLE,
+        "            if _dense_rank(rows) < len(rels):\n",
+        "            if False:\n",
+        "the quiver oracle accepts relations that are dependent as paths",
+    ),
+    Mutation(
+        "corpus-keeps-oracle-refusals", CORPUS,
+        "        except ResourceBudgetError:\n            continue\n",
+        "        except ResourceBudgetError:\n            pass\n",
+        "the corpus admits a candidate that the oracle refuses",
+    ),
+    Mutation(
         "cli-main-without-flush", CLI,
         "            sys.stdout.write(output)\n            sys.stdout.flush()\n",
         "            sys.stdout.write(output)\n",
@@ -397,16 +431,30 @@ MUTATIONS = [
 ]
 
 
-def tier1(copy: Path) -> tuple[str, float]:
-    """Run tier-1 with -x in the copy; return (passed|failed|timeout, seconds)."""
+def tier1(copy: Path) -> tuple[str, float, str | None]:
+    """Run tier-1 with -x in the copy; return (passed|failed|timeout, seconds, killer).
+
+    The killer is the first FAILED or ERROR node of pytest's summary, if any.
+    """
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
     start = time.perf_counter()
     try:
-        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        done = subprocess.run(
+            argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
     except subprocess.TimeoutExpired:
-        return "timeout", time.perf_counter() - start
-    return ("passed" if done.returncode == 0 else "failed"), time.perf_counter() - start
+        return "timeout", time.perf_counter() - start, None
+    seconds = time.perf_counter() - start
+    killer = next(
+        (
+            line.split()[1]
+            for line in done.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))
+        ),
+        None,
+    )
+    return ("passed" if done.returncode == 0 else "failed"), seconds, killer
 
 
 def main() -> int:
@@ -422,7 +470,7 @@ def main() -> int:
         if not Path(where).resolve().is_relative_to(copy.resolve()):
             print(f"tier-1 would import hypertoric from {where}, not the copy", file=sys.stderr)
             return 1
-        outcome, seconds = tier1(copy)
+        outcome, seconds, _ = tier1(copy)
         print(f"baseline: tier-1 {outcome} in {seconds:.1f} s", flush=True)
         if outcome != "passed":
             return 1
@@ -437,7 +485,7 @@ def main() -> int:
                 continue
             path.write_text(text.replace(m.old, m.new), encoding="utf-8")
             try:
-                outcome, seconds = tier1(copy)
+                outcome, seconds, killer = tier1(copy)
             finally:
                 path.write_text(text, encoding="utf-8")
             survived = outcome == "passed"
@@ -448,7 +496,8 @@ def main() -> int:
                 verdict = "equiv"
             else:
                 verdict = "KILLED?" if m.equivalent else "killed"
-            print(f"{verdict:9} {m.name} ({outcome}, {seconds:.1f} s): {m.why}", flush=True)
+            by = f", by {killer}" if killer else ""
+            print(f"{verdict:9} {m.name} ({outcome}, {seconds:.1f} s{by}): {m.why}", flush=True)
     total = time.perf_counter() - start
     print(f"{len(MUTATIONS)} mutations in {total:.0f} s; "
           f"{'unexpected: ' + ', '.join(bad) if bad else 'no unexpected survivor'}")

@@ -450,15 +450,14 @@ class SliceRing:
         """(monomials, relation rank) of the weight-w slices by degree, counted.
 
         For a ring with at most one quadric q, degrees 0 .. max_degree,
-        formed once per weight, and nothing is listed.  amb(n, w) is read
-        off the store's expansion, each degree's key through the gate; the
-        rows q*b over the degree n-2 bases b are independent, so the rank
-        is r amb(n - 2, w), r = 1, or 0 for a zero quadric or none.
+        formed once per weight, and nothing is listed.  amb(n, w) is the
+        store's count of the degree-n slice; the rows q*b over the degree
+        n-2 bases b are independent, so the rank is r amb(n - 2, w), r = 1,
+        or 0 for a zero quadric or none.
         """
         counts = self._counted.get(w)
         if counts is None:
-            series, key = self._store.expansion(), self._store.key
-            amb = [series[n].get(key(w, n), 0) for n in range(self.max_degree + 1)]
+            amb = [self._store.count(n, w) for n in range(self.max_degree + 1)]
             r = len(self._substitutions)
             counts = self._counted[w] = [
                 (a, r * amb[n - 2] if n >= 2 else 0) for n, a in enumerate(amb)

@@ -53,6 +53,7 @@ from typing import NamedTuple
 from .algebra import GradedQuiverAlgebra, Monomial, QuotientPiece
 from .errors import MalformedAlgebraError
 from .lattice import IncrementalEchelon, SparseRow, column_kernel
+from .reps import SymplecticRep
 
 # an element of a projective is a tuple of terms (summand index, monomial,
 # coefficient), one summand per generator
@@ -291,9 +292,9 @@ class KoszulReport(NamedTuple):
         return all(r.exhausted for r in self.resolutions)
 
 
-def default_depth(alg: GradedQuiverAlgebra) -> int:
-    e = alg.rep.num_pairs
-    s = alg.rep.torus_rank
+def default_depth(rep: SymplecticRep) -> int:
+    """The resolution depth 2(e - s), the variety's dimension, between 2 and 4."""
+    e, s = rep.num_pairs, rep.torus_rank
     return min(max(2 * e - 2 * s, 2), 4)
 
 

@@ -205,7 +205,7 @@ def test_criterion_7_resolution_ledgers(corpus, acceptance_log):
         for entry in corpus:
             window = enumerate_window(build_zonotope(entry.rep), entry.epsilon)
             alg = GradedQuiverAlgebra(entry.rep, window, upto)
-            report = koszul_check(alg, depth=min(default_depth(alg), 4))
+            report = koszul_check(alg, depth=default_depth(alg.rep))
             for res in report.resolutions:
                 prev_max = -1
                 for step in res.steps:

@@ -249,6 +249,11 @@ def test_nonzero_shift_rejected_in_graded_ring(rep_a):
         SliceRing(rep_a, shifted, max_degree=2)
 
 
+def test_quadric_of_the_wrong_length_rejected(rep_b):
+    with pytest.raises(DimensionError, match="2 coefficients for 3 coordinate pairs"):
+        SliceRing(rep_b, (MomentQuadric(0, (1, 1)),), max_degree=2)
+
+
 # -- quotient slices ---------------------------------------------------------
 
 

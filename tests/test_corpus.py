@@ -1,4 +1,4 @@
-"""The pinned random corpus: its entries, its admission and its draw cap."""
+"""The pinned random corpus: its entries, its admission, its draw cap and its sweep."""
 
 import hashlib
 import importlib.util
@@ -42,12 +42,65 @@ def test_draw_cap_names_the_shortfall(monkeypatch):
         fixed_corpus(count=3000, seed=7)
 
 
-def test_sweep_exits_2_at_the_draw_cap(monkeypatch, capsys, problems_dir):
+@pytest.fixture
+def sweep(problems_dir):
+    """scripts/corpus_sweep.py, loaded as a module."""
     spec = importlib.util.spec_from_file_location(
         "corpus_sweep", problems_dir.parent / "scripts" / "corpus_sweep.py"
     )
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_draw_skips_what_the_oracle_refuses(monkeypatch):
+    refused = []
+
+    def refuse_the_first(rep, epsilon):
+        if not refused:
+            refused.append(rep)
+            raise ResourceBudgetError("refused")
+        return oracle_admits(rep, epsilon)
+
+    monkeypatch.setattr("hypertoric.corpus.oracle_admits", refuse_the_first)
+    entries = fixed_corpus.__wrapped__(3, DEFAULT_SEED)
+    assert refused and refused[0] not in [e.rep for e in entries]
+    assert [e.rep for e in entries] == [e.rep for e in fixed_corpus(4, DEFAULT_SEED)[1:]]
+
+
+def test_sweep_agrees_with_the_oracle(sweep, capsys):
+    assert sweep.main(["--count", "3", "--upto", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("all entries agree with the oracle\n")
+    assert "MISMATCH" not in out
+
+
+def test_sweep_checks_the_reported_hilbert_blocks(sweep, monkeypatch, capsys):
+    run = sweep.run
+    calls = []
+
+    def one_block_off(problem):
+        # entry 0 reports its degree-1 block (0, 0) one too large
+        report = run(problem)
+        calls.append(problem)
+        if len(calls) == 1:
+            hilbert = report.sections["hilbert"]
+            h1 = hilbert["matrices"][1]
+            h1 = ((h1[0][0] + 1, *h1[0][1:]), *h1[1:])
+            matrices = [*hilbert["matrices"][:1], h1, *hilbert["matrices"][2:]]
+            report.sections["hilbert"] = dict(hilbert, matrices=matrices)
+        return report
+
+    monkeypatch.setattr(sweep, "run", one_block_off)
+    assert sweep.main(["--count", "3", "--upto", "3"]) == 1
+    assert len(calls) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("oracle=MISMATCH")
+    assert not any("MISMATCH" in line for line in lines[1:])
+    assert lines[-1] == "1 entries disagreed with the oracle or failed"
+
+
+def test_sweep_exits_2_at_the_draw_cap(sweep, monkeypatch, capsys):
     monkeypatch.setattr("hypertoric.corpus.MAX_DRAWS", 40)
     assert sweep.main(["--count", "3000", "--seed", "7"]) == 2
     out, err = capsys.readouterr()

@@ -44,13 +44,12 @@ def euler_identity_holds(alg, res, upto):
     return True
 
 
-def test_default_depth_formula(rep_a, rep_b, window_a, window_b, corpus):
-    assert default_depth(GradedQuiverAlgebra(rep_a, window_a, 4)) == 2
-    assert default_depth(GradedQuiverAlgebra(rep_b, window_b, 4)) == 2
+def test_default_depth_formula(rep_a, rep_b, corpus):
+    assert default_depth(rep_a) == 2
+    assert default_depth(rep_b) == 2
     # four pairs, rank 1: 2(e - s) = 6 is capped at 4
     entry = next(x for x in corpus if (x.rep.num_pairs, x.rep.torus_rank) == (4, 1))
-    window = enumerate_window(build_zonotope(entry.rep), entry.epsilon)
-    assert default_depth(GradedQuiverAlgebra(entry.rep, window, 4)) == 4
+    assert default_depth(entry.rep) == 4
 
 
 def test_quotient_resolution_conifold(rep_a, window_a):

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertoric.errors import DimensionError
+from hypertoric.errors import DimensionError, NonIntegralError
 from hypertoric.lattice import (
     IncrementalEchelon,
     _column_hermite,
+    as_int,
     column_kernel,
     dot,
     hyperplane_normals,
@@ -322,3 +323,16 @@ def test_incremental_echelon_dependent_row_returns_none():
     assert ech.add({0: 2, 1: 4}) is None
     assert ech.add({}) is None
     assert ech.rank == 1
+
+
+def test_as_int_refuses_what_int_cannot_read():
+    for x in ("x", None):
+        with pytest.raises(NonIntegralError, match=repr(x)):
+            as_int(x)
+
+
+def test_ragged_and_mixed_length_input():
+    with pytest.raises(DimensionError, match="ragged"):
+        _column_hermite([[1, 2], [3]], 2)
+    with pytest.raises(DimensionError, match="mixed"):
+        hyperplane_normals([(1, 0), (1,)], 2)

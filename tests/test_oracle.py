@@ -148,3 +148,41 @@ def test_quiver_oracle_rejects_a_flipped_sign_and_a_dropped_relation(rep_b, wind
     flipped = first._replace(terms=((-coeff, path), *terms))
     assert oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=(flipped, *others)))
     assert oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=tuple(others)))
+
+
+def test_quiver_oracle_rejects_vertices_off_the_window(rep_b, window_b):
+    pres = quiver_presentation(GradedQuiverAlgebra(rep_b, window_b, 4))
+    moved = (*pres.vertices[:-1], (5, 5))
+    problems = oracle_quiver_problems(rep_b, (2, 1), pres._replace(vertices=moved))
+    assert problems[0] == f"vertices {moved} are not the window's lattice points"
+
+
+def test_quiver_oracle_rejects_a_path_outside_its_block(rep_b, window_b):
+    pres = quiver_presentation(GradedQuiverAlgebra(rep_b, window_b, 4))
+    first, *others = pres.relations
+    # arrow 0 is x1: 0 -> 1, so (0, 0) is no path at all
+    foreign = first._replace(terms=(*first.terms, (1, (0, 0))))
+    relations = (foreign, *others)
+    problems = oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=relations))
+    assert problems == ["block (0, 0): path (0, 0) is not in the block"]
+
+
+def test_quiver_oracle_rejects_equal_relations(rep_b, window_b):
+    pres = quiver_presentation(GradedQuiverAlgebra(rep_b, window_b, 4))
+    relations = (pres.relations[0], *pres.relations)
+    problems = oracle_quiver_problems(rep_b, (2, 1), pres._replace(relations=relations))
+    assert "block (0, 0): the relations are dependent as paths" in problems
+
+
+def test_block_dimension_below_degree_zero_and_of_short_characters(rep_b):
+    assert oracle_block_dimension(rep_b, (0, 0), (0, 0), -1, True) == 0
+    with pytest.raises(DimensionError):
+        oracle_block_dimension(rep_b, (0,), (0, 0), 1, True)
+
+
+def test_projection_row_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ROWS", 3)
+    rep = SymplecticRep(1, ((1,), (2,), (3,)))
+    # past the cache, so the projection runs whatever other tests built
+    with pytest.raises(ResourceBudgetError, match="more than 3 rows"):
+        oracle._zonotope_conditions.__wrapped__(rep)

@@ -19,6 +19,7 @@ from hypertoric.errors import (
 from hypertoric.oracle import _dense_rank
 from hypertoric.reps import (
     STANDING_ASSUMPTIONS,
+    MomentQuadric,
     moment_quadrics,
     nongeneric_pair,
     reduce_to_generic,
@@ -174,6 +175,20 @@ def test_quadric_fractional_shift_kept_exact(rep_a):
     # integral rational levels normalize back to int
     (q2,) = moment_quadrics(rep_a, xi=(Fraction(4, 2),))
     assert q2.shift == 2 and isinstance(q2.shift, int)
+
+
+def test_quadric_without_terms_is_its_negated_shift():
+    assert MomentQuadric(0, (0, 0), 3).as_string() == "-3"
+
+
+def test_vectors_of_the_wrong_length(rep_a):
+    with pytest.raises(DimensionError, match="length 2, expected 1"):
+        moment_quadrics(rep_a, (0, 0))
+    with pytest.raises(DimensionError, match="length 2, expected 1"):
+        singular_codim_estimate(rep_a, (0, 0))
+    red = reduce_to_generic(SymplecticRep(2, ((1, 0), (1, 0), (0, 1))))
+    with pytest.raises(DimensionError, match="length 2, expected 1"):
+        red.lift_point((0, 0))
 
 
 # -- pair-deletion genericity and reduction ---------------------------------

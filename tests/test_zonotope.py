@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import SymplecticRep, build_zonotope, enumerate_window
-from hypertoric.errors import NonFaithfulError, NonGenericError, NonIntegralError
+from hypertoric.errors import DimensionError, NonFaithfulError, NonGenericError, NonIntegralError
 from hypertoric.lattice import dot
 from hypertoric.reps import validate
 from hypertoric.zonotope import CharacterWindow, find_generic_direction
@@ -165,3 +165,11 @@ def test_find_generic_direction_frozen(rep_a, rep_b):
 def test_find_generic_direction_is_generic(rep):
     z = build_zonotope(rep)
     assert z.generic_witness(find_generic_direction(z)) is None
+
+
+def test_vectors_of_the_wrong_length(rep_b):
+    zono = build_zonotope(rep_b)
+    with pytest.raises(DimensionError, match="point has length 1, expected 2"):
+        zono.contains((0,))
+    with pytest.raises(DimensionError, match="vector has length 3, expected 2"):
+        zono.generic_witness((1, 2, 3))
